@@ -9,13 +9,11 @@ oracle back the differential test harness.
 from .corpus import CorpusConfig, GeneratedCorpus, LagModel, generate_corpus
 from .cutoffs import default_cutoff, load_cutoff_table
 from .index import (
-    CitationIndex,
     IndexSnapshot,
     IngestError,
     IngestReport,
     ingest,
     load_index,
-    resolve_title_chain,
     snapshot,
 )
 from .metrics import (
@@ -48,7 +46,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CategoryStanding",
-    "CitationIndex",
     "CitationLink",
     "CorpusConfig",
     "GeneratedCorpus",
@@ -81,7 +78,6 @@ __all__ = [
     "percentile_rank",
     "quartile",
     "rank_in_category",
-    "resolve_title_chain",
     "snapshot",
     "tracker_series",
     "tracker_value",

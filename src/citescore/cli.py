@@ -25,6 +25,7 @@ from .oracle import OracleDataError, oracle_metrics
 from .output import (
     compare_output_files,
     write_metrics_csv,
+    write_stability_csv,
     write_standings_csv,
     write_tracker_csv,
 )
@@ -132,7 +133,7 @@ def main(argv: list[str] | None = None) -> int:
     except OracleDataError as exc:
         logger.error("oracle rejected input: %s", exc)
         return EXIT_DATA_ERROR
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         logger.error("%s", exc)
         return EXIT_DATA_ERROR
     finally:
@@ -140,14 +141,17 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def _parse_cutoff(args, parser: argparse.ArgumentParser) -> tuple[date, str]:
-    table = load_cutoff_table(args.cutoff_table) if args.cutoff_table else None
-    if args.cutoff:
-        try:
-            return date.fromisoformat(args.cutoff), "flag"
-        except ValueError:
-            parser.error(f"--cutoff {args.cutoff!r} is not a valid YYYY-MM-DD date")
-    origin = "cutoff-table" if args.cutoff_table else "default-table"
-    return default_cutoff(args.year, table), origin
+    table_path = getattr(args, "cutoff_table", None)
+    try:
+        table = load_cutoff_table(table_path) if table_path else None
+        if not args.cutoff:
+            return default_cutoff(args.year, table), "cutoff-table" if table_path else "default-table"
+    except ValueError as exc:
+        parser.error(f"cutoff table {table_path or '(bundled)'}: {exc}")
+    try:
+        return date.fromisoformat(args.cutoff), "flag"
+    except ValueError:
+        parser.error(f"--cutoff {args.cutoff!r} is not a valid YYYY-MM-DD date")
 
 
 def _load_and_report(args) -> tuple:
@@ -164,19 +168,25 @@ def _input_files(args) -> dict:
     return inputs
 
 
-def cmd_compute(args, parser) -> int:
-    cutoff, cutoff_origin = _parse_cutoff(args, parser)
+def _annual(args, cutoff: date, out: Path, only: str | None) -> tuple:
+    """Load, snapshot, compute the annual basket and write its files to out;
+    returns the ingest report and the written outputs."""
     index, report = _load_and_report(args)
     view = snapshot(index, cutoff)
     rows, standings = compute_annual(view, args.year)
-
-    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     outputs: dict[str, Path] = {}
-    if args.only in (None, "metrics"):
+    if only in (None, "metrics"):
         outputs["metrics"] = write_metrics_csv(out / "metrics.csv", rows, view.sources)
-    if args.only in (None, "standings"):
+    if only in (None, "standings"):
         outputs["standings"] = write_standings_csv(out / "standings.csv", standings)
+    return report, outputs
+
+
+def cmd_compute(args, parser) -> int:
+    cutoff, cutoff_origin = _parse_cutoff(args, parser)
+    out = Path(args.out)
+    report, outputs = _annual(args, cutoff, out, args.only)
 
     manifest = build_manifest(
         command="compute",
@@ -206,14 +216,7 @@ def cmd_tracker(args, parser) -> int:
     out.mkdir(parents=True, exist_ok=True)
     outputs = {"tracker": write_tracker_csv(out / "tracker.csv", rows)}
     if args.stability_report:
-        stability_path = out / "stability.csv"
-        with open(stability_path, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write("as_of_date,n_sources,rank_correlation\n")
-            for point in stability_report(rows):
-                handle.write(
-                    f"{point.as_of.isoformat()},{point.n_sources},{point.rank_correlation:.6f}\n"
-                )
-        outputs["stability"] = stability_path
+        outputs["stability"] = write_stability_csv(out / "stability.csv", stability_report(rows))
 
     manifest = build_manifest(
         command="tracker",
@@ -285,12 +288,7 @@ def cmd_verify(args, parser) -> int:
     oracle_dir = out / "oracle"
 
     if not args.compare_only:
-        index, report = _load_and_report(args)
-        view = snapshot(index, cutoff)
-        rows, standings = compute_annual(view, args.year)
-        engine_dir.mkdir(parents=True, exist_ok=True)
-        write_metrics_csv(engine_dir / "metrics.csv", rows, view.sources)
-        write_standings_csv(engine_dir / "standings.csv", standings)
+        _annual(args, cutoff, engine_dir, None)
         oracle_metrics(args.sources, args.pubs, args.links, args.year, cutoff, oracle_dir)
 
     differences: list[str] = []
@@ -341,13 +339,7 @@ def cmd_verify(args, parser) -> int:
 def cmd_snapshot_info(args, parser) -> int:
     if bool(args.cutoff) == (args.year is not None):
         parser.error("provide exactly one of --cutoff or --year")
-    if args.cutoff:
-        try:
-            cutoff = date.fromisoformat(args.cutoff)
-        except ValueError:
-            parser.error(f"--cutoff {args.cutoff!r} is not a valid YYYY-MM-DD date")
-    else:
-        cutoff = default_cutoff(args.year)
+    cutoff, _origin = _parse_cutoff(args, parser)
     index, report = _load_and_report(args)
     view = snapshot(index, cutoff)
 

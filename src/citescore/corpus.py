@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import random
 from bisect import bisect_right
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, fields, asdict
 from datetime import date, timedelta
 from itertools import accumulate
 from pathlib import Path
@@ -79,6 +79,11 @@ class CorpusConfig:
     n_categories: int = 6
 
     def validate(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            kinds = {"int": int, "float": (int, float)}.get(f.type)
+            if kinds and (isinstance(value, bool) or not isinstance(value, kinds)):
+                raise TypeError(f"{f.name} must be of type {f.type}, got {value!r}")
         if self.n_journals < 1:
             raise ValueError("n_journals must be at least 1")
         if self.last_year < self.first_year:
@@ -103,6 +108,8 @@ class CorpusConfig:
         data = dict(data)
         lag = data.pop("lag", None)
         if lag is not None:
+            if not isinstance(lag, dict):
+                raise TypeError(f"lag must be an object, got {lag!r}")
             lag = LagModel(
                 short_weight=lag.get("short_weight", 0.95),
                 short_days=tuple(lag.get("short_days", (1, 14))),

@@ -1,9 +1,9 @@
 """Citation index: ingestion, load-date snapshots, and title-chain resolution.
 
 Records arrive as line-delimited JSON (one object per line, UTF-8). Ingestion
-is single-writer; a built index is treated as read-only, and a snapshot taken
-from it is genuinely immutable (read-only mappings, tuple of links) so it can
-be shared freely across metric computations.
+is single-writer and builds the full index as the snapshot at ``date.max``;
+every snapshot is genuinely immutable (read-only mappings, tuple of links) so
+it can be shared freely across metric computations.
 """
 
 from __future__ import annotations
@@ -66,15 +66,8 @@ class IngestReport:
         self.warnings.append(message)
 
     def counts(self) -> dict[str, int]:
-        return {
-            "sources_accepted": self.sources_accepted,
-            "sources_rejected": self.sources_rejected,
-            "publications_accepted": self.publications_accepted,
-            "publications_rejected": self.publications_rejected,
-            "links_accepted": self.links_accepted,
-            "links_rejected": self.links_rejected,
-            "links_collapsed": self.links_collapsed,
-        }
+        """Every counter field, by name."""
+        return {f.name: getattr(self, f.name) for f in dataclasses.fields(self) if f.name != "warnings"}
 
 
 class _LineError(Exception):
@@ -194,55 +187,15 @@ def _parse_link(lineno: int, line: str, report: IngestReport) -> CitationLink:
     return CitationLink(citing_pub_id=citing, cited_pub_id=cited)
 
 
-def _resolve_chain(sources: Mapping[int, SourceRecord], source_id: int) -> frozenset[int]:
-    if source_id not in sources:
-        raise KeyError(f"unknown source_id {source_id}")
-    chain = {source_id}
-    current = sources[source_id].predecessor_source_id
-    while current is not None:
-        # Cycles and dangling pointers are ruled out at ingest.
-        chain.add(current)
-        current = sources[current].predecessor_source_id
-    return frozenset(chain)
-
-
-class CitationIndex:
-    """In-memory citation index built by :func:`ingest`.
-
-    Holds the full record set regardless of load date; use :func:`snapshot`
-    to obtain the immutable view the metrics operate on.
-    """
-
-    def __init__(
-        self,
-        sources: dict[int, SourceRecord],
-        publications: dict[str, PublicationRecord],
-        links: tuple[CitationLink, ...],
-        successor: dict[int, int],
-    ) -> None:
-        self.sources: Mapping[int, SourceRecord] = MappingProxyType(sources)
-        self.publications: Mapping[str, PublicationRecord] = MappingProxyType(publications)
-        self.links = links
-        self.successor: Mapping[int, int] = MappingProxyType(successor)
-
-    def resolve_title_chain(self, source_id: int) -> frozenset[int]:
-        """The source itself plus the transitive closure of its predecessors."""
-        return _resolve_chain(self.sources, source_id)
-
-    def is_chain_terminal(self, source_id: int) -> bool:
-        """True when no other source names this one as its predecessor."""
-        if source_id not in self.sources:
-            raise KeyError(f"unknown source_id {source_id}")
-        return source_id not in self.successor
-
-
 @dataclass(frozen=True)
 class IndexSnapshot:
     """The index as it existed at a cutoff date (load_date <= cutoff, inclusive).
 
     Contains every source, the publications loaded by the cutoff, and only
-    those links whose two endpoints both survive the filter. Immutable and
-    safe to share across concurrent readers.
+    those links whose two endpoints both survive the filter. The full index
+    built by :func:`ingest` is the snapshot at ``date.max``; :func:`snapshot`
+    narrows any view to an earlier cutoff. Immutable and safe to share across
+    concurrent readers.
     """
 
     cutoff: date
@@ -252,9 +205,19 @@ class IndexSnapshot:
     successor: Mapping[int, int]
 
     def resolve_title_chain(self, source_id: int) -> frozenset[int]:
-        return _resolve_chain(self.sources, source_id)
+        """The source itself plus the transitive closure of its predecessors."""
+        if source_id not in self.sources:
+            raise KeyError(f"unknown source_id {source_id}")
+        chain = {source_id}
+        current = self.sources[source_id].predecessor_source_id
+        while current is not None:
+            # Cycles and dangling pointers are ruled out at ingest.
+            chain.add(current)
+            current = self.sources[current].predecessor_source_id
+        return frozenset(chain)
 
     def is_chain_terminal(self, source_id: int) -> bool:
+        """True when no other source names this one as its predecessor."""
         if source_id not in self.sources:
             raise KeyError(f"unknown source_id {source_id}")
         return source_id not in self.successor
@@ -264,8 +227,9 @@ def ingest(
     source_lines: Iterable[str],
     publication_lines: Iterable[str],
     link_lines: Iterable[str],
-) -> tuple[CitationIndex, IngestReport]:
-    """Build an index from line-delimited record streams.
+) -> tuple[IndexSnapshot, IngestReport]:
+    """Build the full index (the snapshot at ``date.max``) from line-delimited
+    record streams.
 
     Malformed lines, dangling references, and invariant-violating links are
     rejected with a warning and ingestion continues. Duplicate identifiers
@@ -286,11 +250,7 @@ def ingest(
         sources[record.source_id] = record
         report.sources_accepted += 1
 
-    _validate_chains(sources, report)
-    successor: dict[int, int] = {}
-    for record in sources.values():
-        if record.predecessor_source_id is not None:
-            successor[record.predecessor_source_id] = record.source_id
+    successor = _validate_chains(sources, report)
 
     publications: dict[str, PublicationRecord] = {}
     for lineno, line in _numbered(publication_lines):
@@ -346,12 +306,19 @@ def ingest(
         links.append(link)
         report.links_accepted += 1
 
-    index = CitationIndex(sources, publications, tuple(links), successor)
+    index = IndexSnapshot(
+        cutoff=date.max,
+        sources=MappingProxyType(sources),
+        publications=MappingProxyType(publications),
+        links=tuple(links),
+        successor=MappingProxyType(successor),
+    )
     return index, report
 
 
-def _validate_chains(sources: dict[int, SourceRecord], report: IngestReport) -> None:
-    """Drop dangling predecessor pointers; reject cycles and shared predecessors."""
+def _validate_chains(sources: dict[int, SourceRecord], report: IngestReport) -> dict[int, int]:
+    """Drop dangling predecessor pointers; reject cycles and shared
+    predecessors. Returns the successor map: predecessor -> source_id."""
     for sid, record in list(sources.items()):
         pred = record.predecessor_source_id
         if pred is not None and pred not in sources:
@@ -360,17 +327,17 @@ def _validate_chains(sources: dict[int, SourceRecord], report: IngestReport) -> 
             )
             sources[sid] = dataclasses.replace(record, predecessor_source_id=None)
 
-    claimed: dict[int, int] = {}
+    successor: dict[int, int] = {}
     for sid, record in sources.items():
         pred = record.predecessor_source_id
         if pred is None:
             continue
-        if pred in claimed:
+        if pred in successor:
             raise IngestError(
-                f"sources {claimed[pred]} and {sid} share predecessor {pred}; "
+                f"sources {successor[pred]} and {sid} share predecessor {pred}; "
                 "title chains must be linear"
             )
-        claimed[pred] = sid
+        successor[pred] = sid
 
     for sid in sources:
         seen = {sid}
@@ -380,6 +347,7 @@ def _validate_chains(sources: dict[int, SourceRecord], report: IngestReport) -> 
                 raise IngestError(f"predecessor cycle detected at source {current}")
             seen.add(current)
             current = sources[current].predecessor_source_id
+    return successor
 
 
 def _numbered(lines: Iterable[str]) -> Iterator[tuple[int, str]]:
@@ -392,16 +360,16 @@ def load_index(
     sources_path: str,
     publications_path: str,
     links_path: str,
-) -> tuple[CitationIndex, IngestReport]:
-    """Ingest the three record files from disk."""
+) -> tuple[IndexSnapshot, IngestReport]:
+    """Ingest the three record files from disk into the full index."""
     with open(sources_path, encoding="utf-8") as src, \
             open(publications_path, encoding="utf-8") as pubs, \
             open(links_path, encoding="utf-8") as links:
         return ingest(src, pubs, links)
 
 
-def snapshot(index: CitationIndex, cutoff: date) -> IndexSnapshot:
-    """Freeze the index as of a cutoff date.
+def snapshot(index: IndexSnapshot, cutoff: date) -> IndexSnapshot:
+    """Narrow a view to a cutoff date.
 
     A publication is in the view iff load_date <= cutoff; a link survives iff
     both endpoints do. Sources are not load-dated and are always present.
@@ -417,14 +385,10 @@ def snapshot(index: CitationIndex, cutoff: date) -> IndexSnapshot:
         if link.citing_pub_id in publications and link.cited_pub_id in publications
     )
     return IndexSnapshot(
-        cutoff=cutoff,
+        cutoff=min(cutoff, index.cutoff),
         sources=index.sources,
         publications=MappingProxyType(publications),
         links=links,
         successor=index.successor,
     )
 
-
-def resolve_title_chain(index: CitationIndex | IndexSnapshot, source_id: int) -> frozenset[int]:
-    """Module-level alias for the chain resolution both views provide."""
-    return index.resolve_title_chain(source_id)

@@ -9,12 +9,13 @@ is reproducible bit-for-bit across platforms.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from decimal import Decimal
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Iterator, Mapping
 
 from .index import IndexSnapshot
-from .records import ELIGIBLE_SOURCE_TYPES
+from .records import ELIGIBLE_SOURCE_TYPES, PublicationRecord
 
 # The cited publication period spans the three years before the citing year.
 CITED_WINDOW_YEARS = 3
@@ -90,16 +91,15 @@ def count_documents(snapshot: IndexSnapshot, source_id: int, year: int) -> int:
     )
 
 
-def count_citations(snapshot: IndexSnapshot, source_id: int, year: int) -> int:
-    """Citations received in the citing year by the chain's in-window documents.
+def _cited_documents(snapshot: IndexSnapshot, source_id: int, year: int) -> Iterator[PublicationRecord]:
+    """The cited publication of every qualifying link into the chain's
+    in-window documents, once per link.
 
     The citing side is unrestricted: any source, any document type, except
-    articles-in-press (which cannot give citations). Each distinct link
-    counts once.
+    articles-in-press (which cannot give citations).
     """
     chain = snapshot.resolve_title_chain(source_id)
     window = cited_window(year)
-    total = 0
     for link in snapshot.links:
         citing = snapshot.publications[link.citing_pub_id]
         if citing.sort_year != year or citing.is_article_in_press:
@@ -110,17 +110,27 @@ def count_citations(snapshot: IndexSnapshot, source_id: int, year: int) -> int:
             and cited.sort_year in window
             and not cited.is_article_in_press
         ):
-            total += 1
-    return total
+            yield cited
 
 
-def citescore(snapshot: IndexSnapshot, source_id: int, year: int) -> Decimal:
-    """Citations divided by documents, to exactly two decimal places."""
+def count_citations(snapshot: IndexSnapshot, source_id: int, year: int) -> int:
+    """Citations received in the citing year by the chain's in-window documents.
+    Each distinct link counts once."""
+    return sum(1 for _ in _cited_documents(snapshot, source_id, year))
+
+
+def _scoreable_documents(snapshot: IndexSnapshot, source_id: int, year: int) -> int:
     documents = count_documents(snapshot, source_id, year)
     if documents < 1:
         raise IneligibleError(
             f"source {source_id} has no documents in the {year} cited window"
         )
+    return documents
+
+
+def citescore(snapshot: IndexSnapshot, source_id: int, year: int) -> Decimal:
+    """Citations divided by documents, to exactly two decimal places."""
+    documents = _scoreable_documents(snapshot, source_id, year)
     citations = count_citations(snapshot, source_id, year)
     return score_from_counts(citations, documents)
 
@@ -128,45 +138,37 @@ def citescore(snapshot: IndexSnapshot, source_id: int, year: int) -> Decimal:
 def percent_cited(snapshot: IndexSnapshot, source_id: int, year: int) -> int:
     """Share of denominator documents with at least one qualifying citation,
     as an integer percentage (ties round up)."""
-    documents = count_documents(snapshot, source_id, year)
-    if documents < 1:
-        raise IneligibleError(
-            f"source {source_id} has no documents in the {year} cited window"
-        )
-    chain = snapshot.resolve_title_chain(source_id)
-    window = cited_window(year)
-    cited_ids: set[str] = set()
-    for link in snapshot.links:
-        citing = snapshot.publications[link.citing_pub_id]
-        if citing.sort_year != year or citing.is_article_in_press:
-            continue
-        cited = snapshot.publications[link.cited_pub_id]
-        if (
-            cited.source_id in chain
-            and cited.sort_year in window
-            and not cited.is_article_in_press
-        ):
-            cited_ids.add(cited.pub_id)
+    documents = _scoreable_documents(snapshot, source_id, year)
+    cited_ids = {cited.pub_id for cited in _cited_documents(snapshot, source_id, year)}
     return _round_ratio_to_hundredths(len(cited_ids), documents)
+
+
+def _eligible(snapshot: IndexSnapshot, source_id: int, documents: Callable[[], int]) -> bool:
+    """The rule is_eligible documents, shared with the batch path.
+
+    documents() is called last, so the per-source path counts documents only
+    for sources that pass the cheap checks.
+    """
+    source = snapshot.sources[source_id]
+    return (
+        source.is_actively_indexed
+        and source.source_type in ELIGIBLE_SOURCE_TYPES
+        and snapshot.is_chain_terminal(source_id)
+        and documents() >= 1
+    )
 
 
 def is_eligible(snapshot: IndexSnapshot, source_id: int, year: int) -> bool:
     """Eligibility gate for receiving metrics.
 
-    Requires active indexing, a serial source type, at least one document in
-    the cited window, and being the current (chain-terminal) title; former
-    titles are folded into their successor and never scored on their own.
+    Requires active indexing, a serial source type, being the current
+    (chain-terminal) title, and at least one document in the cited window;
+    former titles are folded into their successor and never scored on their
+    own.
     """
-    source = snapshot.sources.get(source_id)
-    if source is None:
+    if source_id not in snapshot.sources:
         raise KeyError(f"unknown source_id {source_id}")
-    if not source.is_actively_indexed:
-        return False
-    if source.source_type not in ELIGIBLE_SOURCE_TYPES:
-        return False
-    if not snapshot.is_chain_terminal(source_id):
-        return False
-    return count_documents(snapshot, source_id, year) >= 1
+    return _eligible(snapshot, source_id, lambda: count_documents(snapshot, source_id, year))
 
 
 def percentile_from_counts(lower: int, same: int, total: int) -> int:
@@ -183,20 +185,22 @@ def percentile_from_counts(lower: int, same: int, total: int) -> int:
     return value
 
 
+def _standing(ordered: list[Decimal], score: Decimal) -> tuple[int, int, int]:
+    """(L, S, rank) of a score within its category's ascending score list:
+    L members score strictly lower, S score the same, and the descending
+    competition rank is one more than the number scoring higher."""
+    lower = bisect_left(ordered, score)
+    higher = bisect_right(ordered, score)
+    return lower, higher - lower, len(ordered) - higher + 1
+
+
 def percentile_rank(category_scores: Iterable[Decimal], score: Decimal) -> int:
     """Percentile of a score within its category's score multiset."""
-    lower = 0
-    same = 0
-    total = 0
-    for other in category_scores:
-        total += 1
-        if other < score:
-            lower += 1
-        elif other == score:
-            same += 1
+    ordered = sorted(category_scores)
+    lower, same, _rank = _standing(ordered, score)
     if same == 0:
         raise ValueError("score is not a member of the category scores")
-    return percentile_from_counts(lower, same, total)
+    return percentile_from_counts(lower, same, len(ordered))
 
 
 def quartile(percentile: int) -> int:
@@ -218,16 +222,9 @@ def rank_in_category(scores_by_source: Mapping[int, Decimal]) -> dict[int, tuple
 
     Returns source_id -> (rank, n_in_category).
     """
-    if not scores_by_source:
-        return {}
-    ordered = sorted(scores_by_source.values(), reverse=True)
-    n = len(ordered)
-    first_index: dict[Decimal, int] = {}
-    for position, value in enumerate(ordered):
-        if value not in first_index:
-            first_index[value] = position
+    ordered = sorted(scores_by_source.values())
     return {
-        source_id: (first_index[value] + 1, n)
+        source_id: (_standing(ordered, value)[2], len(ordered))
         for source_id, value in scores_by_source.items()
     }
 
@@ -287,6 +284,16 @@ def aggregate_counts(snapshot: IndexSnapshot, year: int) -> dict[int, SourceYear
     return counts
 
 
+def eligible_tallies(snapshot: IndexSnapshot, year: int) -> list[tuple[int, SourceYearCounts]]:
+    """(source_id, tallies) of every eligible source, sorted by source_id."""
+    counts = aggregate_counts(snapshot, year)
+    return [
+        (source_id, counts[source_id])
+        for source_id in sorted(counts)
+        if _eligible(snapshot, source_id, lambda: counts[source_id].documents)
+    ]
+
+
 def compute_annual(
     snapshot: IndexSnapshot, year: int
 ) -> tuple[list[MetricsRow], list[CategoryStanding]]:
@@ -297,19 +304,9 @@ def compute_annual(
     standing in each of its categories. Output order is deterministic:
     rows by source_id, standings by (source_id, asjc_code).
     """
-    counts = aggregate_counts(snapshot, year)
-
     rows: list[MetricsRow] = []
     scores: dict[int, Decimal] = {}
-    for source_id in sorted(counts):
-        source = snapshot.sources[source_id]
-        tally = counts[source_id]
-        if (
-            not source.is_actively_indexed
-            or source.source_type not in ELIGIBLE_SOURCE_TYPES
-            or tally.documents < 1
-        ):
-            continue
+    for source_id, tally in eligible_tallies(snapshot, year):
         score = score_from_counts(tally.citations, tally.documents)
         pct = _round_ratio_to_hundredths(tally.cited_documents, tally.documents)
         assert 0 <= pct <= 100
@@ -332,17 +329,16 @@ def compute_annual(
 
     standings: list[CategoryStanding] = []
     for code, members in by_category.items():
-        ranks = rank_in_category(members)
-        member_scores = list(members.values())
+        ordered = sorted(members.values())
         for source_id, score in members.items():
-            rank, n = ranks[source_id]
-            pct = percentile_rank(member_scores, score)
+            lower, same, rank = _standing(ordered, score)
+            pct = percentile_from_counts(lower, same, len(ordered))
             standings.append(
                 CategoryStanding(
                     source_id=source_id,
                     asjc_code=code,
                     rank=rank,
-                    n_in_category=n,
+                    n_in_category=len(ordered),
                     percentile=pct,
                     quartile=quartile(pct),
                 )

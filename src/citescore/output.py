@@ -6,68 +6,70 @@ from __future__ import annotations
 
 import csv
 from pathlib import Path
-from typing import Mapping
+from typing import Iterable, Mapping
 
 from .metrics import CategoryStanding, MetricsRow
 from .records import SourceRecord
-from .tracker import TrackerRow
+from .tracker import StabilityPoint, TrackerRow
 
 METRICS_HEADER = ["source_id", "title", "year", "citescore", "citations", "documents", "percent_cited"]
 STANDINGS_HEADER = ["source_id", "asjc_code", "rank", "n_in_category", "percentile", "quartile"]
 TRACKER_HEADER = ["source_id", "tracker_year", "as_of_date", "citations", "documents", "tracker_value"]
+STABILITY_HEADER = ["as_of_date", "n_sources", "rank_correlation"]
+
+
+def _write_csv(path: str | Path, header: list[str], rows: Iterable[list]) -> Path:
+    path = Path(path)
+    with open(path, "w", encoding="utf-8", newline="") as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+    return path
 
 
 def write_metrics_csv(
     path: str | Path, rows: list[MetricsRow], sources: Mapping[int, SourceRecord]
 ) -> Path:
-    path = Path(path)
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(METRICS_HEADER)
-        for row in sorted(rows, key=lambda r: r.source_id):
-            writer.writerow(
-                [
-                    row.source_id,
-                    sources[row.source_id].title,
-                    row.year,
-                    str(row.citescore),
-                    row.citations,
-                    row.documents,
-                    row.percent_cited,
-                ]
-            )
-    return path
+    return _write_csv(path, METRICS_HEADER, (
+        [
+            row.source_id,
+            sources[row.source_id].title,
+            row.year,
+            str(row.citescore),
+            row.citations,
+            row.documents,
+            row.percent_cited,
+        ]
+        for row in sorted(rows, key=lambda r: r.source_id)
+    ))
 
 
 def write_standings_csv(path: str | Path, standings: list[CategoryStanding]) -> Path:
-    path = Path(path)
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(STANDINGS_HEADER)
-        for row in sorted(standings, key=lambda s: (s.source_id, s.asjc_code)):
-            writer.writerow(
-                [row.source_id, row.asjc_code, row.rank, row.n_in_category, row.percentile, row.quartile]
-            )
-    return path
+    return _write_csv(path, STANDINGS_HEADER, (
+        [row.source_id, row.asjc_code, row.rank, row.n_in_category, row.percentile, row.quartile]
+        for row in sorted(standings, key=lambda s: (s.source_id, s.asjc_code))
+    ))
 
 
 def write_tracker_csv(path: str | Path, rows: list[TrackerRow]) -> Path:
-    path = Path(path)
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(TRACKER_HEADER)
-        for row in sorted(rows, key=lambda r: (r.source_id, r.as_of)):
-            writer.writerow(
-                [
-                    row.source_id,
-                    row.tracker_year,
-                    row.as_of.isoformat(),
-                    row.citations,
-                    row.documents,
-                    str(row.value),
-                ]
-            )
-    return path
+    return _write_csv(path, TRACKER_HEADER, (
+        [
+            row.source_id,
+            row.tracker_year,
+            row.as_of.isoformat(),
+            row.citations,
+            row.documents,
+            str(row.value),
+        ]
+        for row in sorted(rows, key=lambda r: (r.source_id, r.as_of))
+    ))
+
+
+def write_stability_csv(path: str | Path, points: list[StabilityPoint]) -> Path:
+    return _write_csv(path, STABILITY_HEADER, (
+        [point.as_of.isoformat(), point.n_sources, f"{point.rank_correlation:.6f}"]
+        for point in points
+    ))
 
 
 def compare_output_files(

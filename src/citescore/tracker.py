@@ -15,16 +15,15 @@ from datetime import date
 from decimal import Decimal
 from fractions import Fraction
 
-from .index import CitationIndex, snapshot
+from .index import IndexSnapshot, snapshot
 from .metrics import (
-    aggregate_counts,
     citescore,
     count_citations,
     count_documents,
+    eligible_tallies,
     is_eligible,
     score_from_counts,
 )
-from .records import ELIGIBLE_SOURCE_TYPES
 
 
 @dataclass(frozen=True)
@@ -76,8 +75,13 @@ def _parse_month(text: str) -> tuple[int, int]:
     return year, month
 
 
+def _check_ascending(schedule: list[date]) -> None:
+    if any(later <= earlier for earlier, later in zip(schedule, schedule[1:])):
+        raise ValueError("schedule dates must be strictly ascending")
+
+
 def tracker_value(
-    index: CitationIndex, source_id: int, tracker_year: int, as_of: date
+    index: IndexSnapshot, source_id: int, tracker_year: int, as_of: date
 ) -> Decimal | None:
     """The annual formula applied at an earlier cutoff; None while the source
     is not yet scoreable."""
@@ -88,14 +92,13 @@ def tracker_value(
 
 
 def tracker_series(
-    index: CitationIndex,
+    index: IndexSnapshot,
     source_id: int,
     tracker_year: int,
     schedule: list[date],
 ) -> TrackerSeries:
     """Evaluate one source over an ascending schedule of as-of dates."""
-    if any(later <= earlier for earlier, later in zip(schedule, schedule[1:])):
-        raise ValueError("schedule dates must be strictly ascending")
+    _check_ascending(schedule)
     points: list[TrackerPoint] = []
     for as_of in schedule:
         view = snapshot(index, as_of)
@@ -129,28 +132,17 @@ class TrackerRow:
 
 
 def tracker_table(
-    index: CitationIndex, tracker_year: int, schedule: list[date]
+    index: IndexSnapshot, tracker_year: int, schedule: list[date]
 ) -> list[TrackerRow]:
     """Tracker points for every scoreable source, for the batch output file.
 
     Rows are sorted by (source_id, as_of). Uses the same single-pass
     aggregation as the annual batch, one snapshot per schedule date.
     """
-    if any(later <= earlier for earlier, later in zip(schedule, schedule[1:])):
-        raise ValueError("schedule dates must be strictly ascending")
+    _check_ascending(schedule)
     rows: list[TrackerRow] = []
     for as_of in schedule:
-        view = snapshot(index, as_of)
-        counts = aggregate_counts(view, tracker_year)
-        for source_id in sorted(counts):
-            source = view.sources[source_id]
-            tally = counts[source_id]
-            if (
-                not source.is_actively_indexed
-                or source.source_type not in ELIGIBLE_SOURCE_TYPES
-                or tally.documents < 1
-            ):
-                continue
+        for source_id, tally in eligible_tallies(snapshot(index, as_of), tracker_year):
             rows.append(
                 TrackerRow(
                     source_id=source_id,

@@ -201,10 +201,19 @@ def test_generate_accepts_config_file_with_flag_overrides(tmp_path):
     assert len((out / "sources.jsonl").read_text().splitlines()) >= 5
 
 
-def test_generate_rejects_bad_config(tmp_path):
+def test_generate_rejects_bad_config(tmp_path, capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["generate", "--seed", "1", "--aip-fraction", "1.5", "--out", str(tmp_path / "x")])
     assert excinfo.value.code == 2
+    # Wrongly typed config fields are named in a usage error, not a traceback.
+    for field, value in (("lag", 3), ("n_journals", "5")):
+        config_path = tmp_path / f"{field}.json"
+        config_path.write_text(json.dumps({"seed": 1, field: value}))
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as excinfo:
+            main(["generate", "--config", str(config_path), "--out", str(tmp_path / "x")])
+        assert excinfo.value.code == 2
+        assert f"invalid corpus config: {field} must be" in capsys.readouterr().err
 
 
 def test_generate_requires_seed(tmp_path):
@@ -270,3 +279,19 @@ def test_quiet_suppresses_warnings(tmp_path, capsys):
                  "--year", "2017", "--quiet", "--out", str(tmp_path / "run")])
     assert code == 0
     assert "dangling" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [
+    ["compute", "--year", "2017"],
+    ["tracker", "--year", "2017", "--from", "2017-01", "--to", "2017-03"],
+    ["verify", "--year", "2017"],
+    ["snapshot-info", "--year", "2017"],
+])
+def test_invalid_utf8_input_is_data_error(corpus, tmp_path, capsys, command):
+    with open(corpus["--links"], "ab") as handle:
+        handle.write(b'\xff\xfe{"citing_pub_id": "a", "cited_pub_id": "b"}\n')
+    code = main(command + _flags(corpus) + ["--out", str(tmp_path / "run")])
+    assert code == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert [line for line in lines if not line.startswith("WARNING")] == [lines[-1]]
+    assert lines[-1].startswith("ERROR: 'utf-8' codec can't decode byte 0xff")

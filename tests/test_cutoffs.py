@@ -62,3 +62,21 @@ def test_cli_honours_cutoff_table_flag(tmp_path):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["parameters"]["cutoff"] == "2016-11-30"
     assert manifest["parameters"]["cutoff_origin"] == "cutoff-table"
+
+
+@pytest.mark.parametrize("table_text", [
+    "not json",
+    json.dumps({"years": {}}),
+    json.dumps({"default_month_day": "05-31", "years": {"2016": "2018-02-30"}}),
+], ids=["not-json", "missing-keys", "impossible-date"])
+def test_cli_bad_cutoff_table_is_usage_error(tmp_path, capsys, table_text):
+    s, p, l = write_corpus(tmp_path, [source_line(1)], [pub_line("d", 1, 2015)], [])
+    table_path = tmp_path / "cutoffs.json"
+    table_path.write_text(table_text)
+    with pytest.raises(SystemExit) as excinfo:
+        main(["compute", "--sources", str(s), "--pubs", str(p), "--links", str(l),
+              "--year", "2016", "--cutoff-table", str(table_path), "--out", str(tmp_path / "run")])
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.splitlines()[-1].startswith(f"citescore: error: cutoff table {table_path}: ")
