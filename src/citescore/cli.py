@@ -252,7 +252,13 @@ def cmd_generate(args, parser) -> int:
     settings: dict = {}
     if args.config:
         with open(args.config, encoding="utf-8") as handle:
-            settings.update(json.load(handle))
+            try:
+                loaded = json.load(handle)
+            except json.JSONDecodeError as exc:
+                parser.error(f"invalid corpus config: {args.config} is not JSON ({exc})")
+        if not isinstance(loaded, dict):
+            parser.error(f"invalid corpus config: {args.config} must hold a JSON object")
+        settings.update(loaded)
     for flag, field_name in _GENERATE_FLAG_FIELDS.items():
         value = getattr(args, flag)
         if value is not None:

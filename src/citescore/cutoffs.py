@@ -20,8 +20,17 @@ def load_cutoff_table(path: str | None = None) -> dict:
         with open(path, encoding="utf-8") as handle:
             text = handle.read()
     table = json.loads(text)
+    if not isinstance(table, dict):
+        raise ValueError("cutoff table must be a JSON object")
     if "default_month_day" not in table or "years" not in table:
         raise ValueError("cutoff table needs 'default_month_day' and 'years' keys")
+    if not isinstance(table["default_month_day"], str):
+        raise ValueError("'default_month_day' must be an \"MM-DD\" string")
+    if not isinstance(table["years"], dict):
+        raise ValueError("'years' must be an object mapping years to YYYY-MM-DD strings")
+    for year, pinned in table["years"].items():
+        if not isinstance(pinned, str):
+            raise ValueError(f"year {year} must be pinned to a YYYY-MM-DD string, not {pinned!r}")
     return table
 
 

@@ -10,9 +10,11 @@ is reproducible bit-for-bit across platforms.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from collections import Counter, defaultdict
 from dataclasses import dataclass
+from datetime import date
 from decimal import Decimal
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .index import IndexSnapshot
 from .records import ELIGIBLE_SOURCE_TYPES, PublicationRecord
@@ -236,61 +238,104 @@ class SourceYearCounts:
     cited_documents: int
 
 
-def aggregate_counts(snapshot: IndexSnapshot, year: int) -> dict[int, SourceYearCounts]:
-    """Single-pass numerator/denominator tallies for every current title.
+def sweep_counts(
+    index: IndexSnapshot, year: int, schedule: Sequence[date]
+) -> list[dict[int, SourceYearCounts]]:
+    """Tallies of every current title at each date of an ascending schedule,
+    in one pass over the index.
 
-    Equivalent to calling count_documents / count_citations per source but
-    linear in the snapshot size; the per-source functions and the test suite
-    cross-check the two paths.
+    The index is append-only: a publication counts from the first schedule
+    date on or after its load_date, and a link from the first date on or
+    after the later of its two endpoints' load dates. Each qualifying
+    document, citation and first-cited document is counted once under that
+    date, and running totals give the tallies at every date: item i equals
+    aggregate_counts(snapshot(index, schedule[i]), year). Records that load
+    after the last date are never counted.
     """
+    if any(later <= earlier for earlier, later in zip(schedule, schedule[1:])):
+        raise ValueError("schedule dates must be strictly ascending")
     terminal_of: dict[int, int] = {}
-    for source_id in snapshot.sources:
+    for source_id in index.sources:
         terminal = source_id
-        while terminal in snapshot.successor:
-            terminal = snapshot.successor[terminal]
+        while terminal in index.successor:
+            terminal = index.successor[terminal]
         terminal_of[source_id] = terminal
+    terminals = [source_id for source_id, terminal in terminal_of.items() if source_id == terminal]
 
+    n = len(schedule)
     window = cited_window(year)
-    documents: dict[int, int] = {}
-    citations: dict[int, int] = {}
-    cited_ids: dict[int, set[str]] = {}
+    publications = index.publications
+    # What each schedule date adds, by terminal title.
+    documents = [defaultdict(int) for _ in schedule]
+    citations = [defaultdict(int) for _ in schedule]
+    cited_documents = [defaultdict(int) for _ in schedule]
 
-    for record in snapshot.publications.values():
+    for record in publications.values():
         if record.is_article_in_press or record.sort_year not in window:
             continue
-        terminal = terminal_of[record.source_id]
-        documents[terminal] = documents.get(terminal, 0) + 1
+        bucket = bisect_left(schedule, record.load_date)
+        if bucket < n:
+            documents[bucket][terminal_of[record.source_id]] += 1
 
-    for link in snapshot.links:
-        citing = snapshot.publications[link.citing_pub_id]
+    first_cited: dict[str, int] = {}
+    for link in index.links:
+        citing = publications[link.citing_pub_id]
         if citing.sort_year != year or citing.is_article_in_press:
             continue
-        cited = snapshot.publications[link.cited_pub_id]
+        cited = publications[link.cited_pub_id]
         if cited.sort_year not in window or cited.is_article_in_press:
             continue
-        terminal = terminal_of[cited.source_id]
-        citations[terminal] = citations.get(terminal, 0) + 1
-        cited_ids.setdefault(terminal, set()).add(cited.pub_id)
-
-    counts: dict[int, SourceYearCounts] = {}
-    for source_id in snapshot.sources:
-        if terminal_of[source_id] != source_id:
+        # The link is in the index once its later endpoint has loaded.
+        loaded = cited.load_date if cited.load_date > citing.load_date else citing.load_date
+        bucket = bisect_left(schedule, loaded)
+        if bucket == n:
             continue
-        counts[source_id] = SourceYearCounts(
-            citations=citations.get(source_id, 0),
-            documents=documents.get(source_id, 0),
-            cited_documents=len(cited_ids.get(source_id, ())),
-        )
-    return counts
+        citations[bucket][terminal_of[cited.source_id]] += 1
+        if bucket < first_cited.get(cited.pub_id, n):
+            first_cited[cited.pub_id] = bucket
+    for pub_id, bucket in first_cited.items():
+        cited_documents[bucket][terminal_of[publications[pub_id].source_id]] += 1
+
+    tallies: list[dict[int, SourceYearCounts]] = []
+    documents_to_date, citations_to_date, cited_to_date = Counter(), Counter(), Counter()
+    for i in range(n):
+        documents_to_date.update(documents[i])
+        citations_to_date.update(citations[i])
+        cited_to_date.update(cited_documents[i])
+        tallies.append({
+            terminal: SourceYearCounts(
+                citations=citations_to_date[terminal],
+                documents=documents_to_date[terminal],
+                cited_documents=cited_to_date[terminal],
+            )
+            for terminal in terminals
+        })
+    return tallies
 
 
-def eligible_tallies(snapshot: IndexSnapshot, year: int) -> list[tuple[int, SourceYearCounts]]:
-    """(source_id, tallies) of every eligible source, sorted by source_id."""
-    counts = aggregate_counts(snapshot, year)
+def aggregate_counts(snapshot: IndexSnapshot, year: int) -> dict[int, SourceYearCounts]:
+    """Numerator/denominator tallies for every current title: the sweep at
+    the one date snapshot.cutoff, by which every record of the view has
+    loaded.
+
+    Equivalent to calling count_documents / count_citations per source but
+    linear in the snapshot size; the test suite cross-checks the two paths.
+    """
+    return sweep_counts(snapshot, year, [snapshot.cutoff])[0]
+
+
+def eligible_tallies(
+    index: IndexSnapshot, counts: Mapping[int, SourceYearCounts]
+) -> list[tuple[int, SourceYearCounts]]:
+    """(source_id, tallies) of every eligible source, sorted by source_id.
+
+    counts may be any date's tallies from sweep_counts: the source-level
+    checks do not depend on the date, only the document count does.
+    """
     return [
         (source_id, counts[source_id])
         for source_id in sorted(counts)
-        if _eligible(snapshot, source_id, lambda: counts[source_id].documents)
+        if _eligible(index, source_id, lambda: counts[source_id].documents)
     ]
 
 
@@ -306,7 +351,7 @@ def compute_annual(
     """
     rows: list[MetricsRow] = []
     scores: dict[int, Decimal] = {}
-    for source_id, tally in eligible_tallies(snapshot, year):
+    for source_id, tally in eligible_tallies(snapshot, aggregate_counts(snapshot, year)):
         score = score_from_counts(tally.citations, tally.documents)
         pct = _round_ratio_to_hundredths(tally.cited_documents, tally.documents)
         assert 0 <= pct <= 100

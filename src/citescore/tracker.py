@@ -1,9 +1,12 @@
 """The in-progress current-year score, rebuilt on a monthly schedule.
 
-A tracker point is a full recomputation of the annual formula over a
-snapshot at an earlier cutoff; there is exactly one scoring implementation,
-so the final tracker point and the annual value coincide by construction
-once everything has loaded.
+A tracker point is the annual formula over the index as it stood at an
+earlier cutoff. The whole schedule comes from one load-date sweep over the
+index (metrics.sweep_counts), which by construction equals a snapshot per
+month followed by the annual counts; the annual basket is the same sweep at
+one date, so the final tracker point and the annual value coincide once
+everything has loaded. A single tracker_value keeps the per-source path on
+one snapshot.
 """
 
 from __future__ import annotations
@@ -16,14 +19,7 @@ from decimal import Decimal
 from fractions import Fraction
 
 from .index import IndexSnapshot, snapshot
-from .metrics import (
-    citescore,
-    count_citations,
-    count_documents,
-    eligible_tallies,
-    is_eligible,
-    score_from_counts,
-)
+from .metrics import citescore, eligible_tallies, is_eligible, score_from_counts, sweep_counts
 
 
 @dataclass(frozen=True)
@@ -75,11 +71,6 @@ def _parse_month(text: str) -> tuple[int, int]:
     return year, month
 
 
-def _check_ascending(schedule: list[date]) -> None:
-    if any(later <= earlier for earlier, later in zip(schedule, schedule[1:])):
-        raise ValueError("schedule dates must be strictly ascending")
-
-
 def tracker_value(
     index: IndexSnapshot, source_id: int, tracker_year: int, as_of: date
 ) -> Decimal | None:
@@ -98,27 +89,14 @@ def tracker_series(
     schedule: list[date],
 ) -> TrackerSeries:
     """Evaluate one source over an ascending schedule of as-of dates."""
-    _check_ascending(schedule)
-    points: list[TrackerPoint] = []
-    for as_of in schedule:
-        view = snapshot(index, as_of)
-        if not is_eligible(view, source_id, tracker_year):
-            continue
-        citations = count_citations(view, source_id, tracker_year)
-        documents = count_documents(view, source_id, tracker_year)
-        points.append(
-            TrackerPoint(
-                as_of=as_of,
-                citations=citations,
-                documents=documents,
-                value=score_from_counts(citations, documents),
-            )
-        )
-    # The index is append-only, so both counts are non-decreasing over time.
-    for earlier, later in zip(points, points[1:]):
-        assert earlier.citations <= later.citations
-        assert earlier.documents <= later.documents
-    return TrackerSeries(source_id=source_id, tracker_year=tracker_year, points=tuple(points))
+    if source_id not in index.sources:
+        raise KeyError(f"unknown source_id {source_id}")
+    points = tuple(
+        TrackerPoint(as_of=row.as_of, citations=row.citations, documents=row.documents, value=row.value)
+        for row in tracker_table(index, tracker_year, schedule)
+        if row.source_id == source_id
+    )
+    return TrackerSeries(source_id=source_id, tracker_year=tracker_year, points=points)
 
 
 @dataclass(frozen=True)
@@ -136,13 +114,12 @@ def tracker_table(
 ) -> list[TrackerRow]:
     """Tracker points for every scoreable source, for the batch output file.
 
-    Rows are sorted by (source_id, as_of). Uses the same single-pass
-    aggregation as the annual batch, one snapshot per schedule date.
+    Rows are sorted by (source_id, as_of). One load-date sweep over the
+    index gives the tallies at every schedule date; no snapshot is built.
     """
-    _check_ascending(schedule)
     rows: list[TrackerRow] = []
-    for as_of in schedule:
-        for source_id, tally in eligible_tallies(snapshot(index, as_of), tracker_year):
+    for as_of, counts in zip(schedule, sweep_counts(index, tracker_year, schedule)):
+        for source_id, tally in eligible_tallies(index, counts):
             rows.append(
                 TrackerRow(
                     source_id=source_id,

@@ -214,6 +214,17 @@ def test_generate_rejects_bad_config(tmp_path, capsys):
             main(["generate", "--config", str(config_path), "--out", str(tmp_path / "x")])
         assert excinfo.value.code == 2
         assert f"invalid corpus config: {field} must be" in capsys.readouterr().err
+    # A config file that is not JSON, or not a JSON object, is a usage error too.
+    for name, text in (("not_json.json", "not json"), ("list.json", "[1,2]")):
+        config_path = tmp_path / name
+        config_path.write_text(text)
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as excinfo:
+            main(["generate", "--config", str(config_path), "--out", str(tmp_path / "x")])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.splitlines()[-1].startswith(f"citescore: error: invalid corpus config: {config_path}")
 
 
 def test_generate_requires_seed(tmp_path):

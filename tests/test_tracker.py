@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import random
-from datetime import date
+from datetime import date, timedelta
 from decimal import Decimal
 
 import pytest
@@ -13,14 +13,18 @@ from citescore import (
     LagModel,
     compute_annual,
     citescore,
+    count_citations,
+    count_documents,
     generate_corpus,
     is_eligible,
     load_index,
     month_end_schedule,
+    percent_cited,
     snapshot,
     tracker_series,
     tracker_value,
 )
+from citescore.metrics import aggregate_counts, sweep_counts
 from citescore.tracker import month_end, tracker_table
 
 from helpers import build_index, link_line, pub_line, source_line
@@ -179,3 +183,97 @@ def test_tracker_table_sorted_and_consistent(tmp_path):
     assert keys == sorted(keys)
     for row in rows[:20]:
         assert tracker_value(index, row.source_id, 2018, row.as_of) == row.value
+
+
+def _assert_sweep_matches_snapshots(index, year, schedule):
+    """The sweep, the table and every series against the per-source path on
+    a snapshot at each schedule date."""
+    terminals = {sid for sid in index.sources if index.is_chain_terminal(sid)}
+    rows = {(r.source_id, r.as_of): r for r in tracker_table(index, year, schedule)}
+    series = {sid: [] for sid in index.sources}
+    for as_of, counts in zip(schedule, sweep_counts(index, year, schedule), strict=True):
+        assert set(counts) == terminals
+        view = snapshot(index, as_of)
+        for sid, tally in counts.items():
+            assert tally.documents == count_documents(view, sid, year), (sid, as_of)
+            assert tally.citations == count_citations(view, sid, year), (sid, as_of)
+            if not is_eligible(view, sid, year):
+                assert (sid, as_of) not in rows
+                continue
+            cited_pct = (200 * tally.cited_documents + tally.documents) // (2 * tally.documents)
+            assert cited_pct == percent_cited(view, sid, year), (sid, as_of)
+            row = rows.pop((sid, as_of))
+            assert (row.citations, row.documents) == (tally.citations, tally.documents)
+            assert row.value == citescore(view, sid, year)
+            series[sid].append((as_of, tally.citations, tally.documents))
+    assert not rows
+    for sid, expected in series.items():
+        points = tracker_series(index, sid, year, schedule).points
+        assert [(p.as_of, p.citations, p.documents) for p in points] == expected
+
+
+@pytest.mark.parametrize("seed", [91, 92])
+def test_sweep_equals_snapshot_per_date(tmp_path, seed):
+    cfg = CorpusConfig(seed=seed, n_journals=6, pubs_per_year_mean=4.0, aip_fraction=0.3,
+                       rename_probability=0.5)
+    paths = generate_corpus(cfg, tmp_path / "corpus")
+    index, _ = load_index(paths.sources_path, paths.publications_path, paths.links_path)
+    assert any(index.successor.values())
+    assert any(p.is_article_in_press for p in index.publications.values())
+    loads = sorted({p.load_date for p in index.publications.values()})
+    # Before the first load, some exact load dates (a record counts on the
+    # day it loads), and after the last load.
+    middle = random.Random(seed).sample(loads, 12)
+    schedule = sorted({loads[0] - timedelta(days=1), *middle, loads[-1] + timedelta(days=1)})
+    _assert_sweep_matches_snapshots(index, 2017, schedule)
+
+
+def _index_with_staggered_loads():
+    """Source 2 renamed from 1; source 3 separate. Tracker year 2018."""
+    sources = [source_line(1), source_line(2, predecessor=1), source_line(3)]
+    pubs = [
+        pub_line("a1", 2, 2016, load_date="2016-05-01"),
+        pub_line("a2", 2, 2016, load_date="2016-05-01"),
+        # The former title's documents arrive mid-schedule.
+        pub_line("p1", 1, 2015, load_date="2018-04-15"),
+        pub_line("p2", 1, 2016, load_date="2018-04-20"),
+        pub_line("aip", 2, 2017, load_date="2017-05-01", aip=True),
+        pub_line("b1", 3, 2017, load_date="2017-03-01"),
+        pub_line("late", 3, 2017, load_date="2018-06-10"),
+        pub_line("c1", 3, 2018, load_date="2018-02-05"),
+        pub_line("c2", 2, 2018, load_date="2018-09-12"),
+        pub_line("after", 3, 2018, load_date="2019-03-01"),
+    ]
+    links = [
+        link_line("c1", "a1"),
+        link_line("c1", "p1"),
+        link_line("c1", "late"),  # endpoints load in February and June
+        link_line("c1", "aip"),
+        link_line("c2", "a1"),
+        link_line("c2", "b1"),
+        link_line("after", "b1"),  # visible only after the schedule ends
+    ]
+    index, _ = build_index(sources, pubs, links)
+    return index
+
+
+def test_sweep_staggered_loads():
+    index = _index_with_staggered_loads()
+    schedule = month_end_schedule("2018-01", "2018-12")
+    by_month = {sid: [] for sid in (2, 3)}
+    for counts in sweep_counts(index, 2018, schedule):
+        assert set(counts) == {2, 3}
+        for sid, tally in counts.items():
+            by_month[sid].append((tally.citations, tally.documents, tally.cited_documents))
+    assert by_month[2] == [(0, 2, 0), (1, 2, 1), (1, 2, 1)] + [(2, 4, 2)] * 5 + [(3, 4, 2)] * 4
+    assert by_month[3] == [(0, 1, 0)] * 5 + [(1, 2, 1)] * 3 + [(2, 2, 2)] * 4
+    # The full index holds the late link; the schedule never sees it.
+    assert aggregate_counts(index, 2018)[3].citations == 3
+    assert tracker_series(index, 1, 2018, schedule).points == ()
+    _assert_sweep_matches_snapshots(index, 2018, schedule)
+
+
+def test_tracker_series_unknown_source():
+    index = _index_with_staggered_loads()
+    with pytest.raises(KeyError):
+        tracker_series(index, 99, 2018, month_end_schedule("2018-01", "2018-12"))
