@@ -111,6 +111,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     info.add_argument("--cutoff", help="snapshot cutoff YYYY-MM-DD")
     info.add_argument("--year", type=int, help="metrics year whose default cutoff to use")
+    info.add_argument("--cutoff-table", help="alternative cutoff table JSON")
     info.add_argument("--out", help="optional output directory")
     info.set_defaults(handler=cmd_snapshot_info)
 

@@ -1,9 +1,12 @@
 """Citation index: ingestion, load-date snapshots, and title-chain resolution.
 
 Records arrive as line-delimited JSON (one object per line, UTF-8). Ingestion
-is single-writer and builds the full index as the snapshot at ``date.max``;
-every snapshot is genuinely immutable (read-only mappings, tuple of links) so
-it can be shared freely across metric computations.
+is single-writer and builds the full index as the snapshot at ``date.max``.
+Every snapshot of that index is a cutoff over one shared record store:
+taking a snapshot copies nothing, and a view filters the store into its own
+publications and links on first read. Views are immutable (read-only
+mappings, tuple of links), so they can be shared freely across metric
+computations.
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ import json
 import re
 from dataclasses import dataclass, field
 from datetime import date
+from functools import cached_property
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping
 
@@ -79,6 +83,8 @@ def _parse_json_line(kind: str, lineno: int, line: str) -> dict:
         obj = json.loads(line)
     except json.JSONDecodeError as exc:
         raise _LineError(f"{kind} line {lineno}: invalid JSON ({exc.msg})") from exc
+    except RecursionError as exc:
+        raise _LineError(f"{kind} line {lineno}: invalid JSON (nested too deeply)") from exc
     if not isinstance(obj, dict):
         raise _LineError(f"{kind} line {lineno}: expected an object")
     return obj
@@ -187,6 +193,33 @@ def _parse_link(lineno: int, line: str, report: IngestReport) -> CitationLink:
     return CitationLink(citing_pub_id=citing, cited_pub_id=cited)
 
 
+class _Store:
+    """The publications and links of one ingest, shared by every view of it."""
+
+    def __init__(self, publications: Mapping[str, PublicationRecord], links: tuple[CitationLink, ...]):
+        self.publications = publications
+        self.links = links
+
+    @cached_property
+    def last_load(self) -> date:
+        """The latest load date in the store; date.min when it is empty."""
+        return max((record.load_date for record in self.publications.values()), default=date.min)
+
+    @cached_property
+    def by_source(self) -> dict[int, tuple[list[PublicationRecord], list[CitationLink]]]:
+        """Each source's publications, and the links whose cited publication
+        it published, both in store order. Built on the first per-source read."""
+        groups: dict[int, tuple[list[PublicationRecord], list[CitationLink]]] = {}
+        for record in self.publications.values():
+            groups.setdefault(record.source_id, ([], []))[0].append(record)
+        for link in self.links:
+            groups[self.publications[link.cited_pub_id].source_id][1].append(link)
+        return groups
+
+
+_NO_GROUP: tuple[tuple[PublicationRecord, ...], tuple[CitationLink, ...]] = ((), ())
+
+
 @dataclass(frozen=True)
 class IndexSnapshot:
     """The index as it existed at a cutoff date (load_date <= cutoff, inclusive).
@@ -194,15 +227,55 @@ class IndexSnapshot:
     Contains every source, the publications loaded by the cutoff, and only
     those links whose two endpoints both survive the filter. The full index
     built by :func:`ingest` is the snapshot at ``date.max``; :func:`snapshot`
-    narrows any view to an earlier cutoff. Immutable and safe to share across
-    concurrent readers.
+    narrows any view to an earlier cutoff. Every view of one index shares
+    that index's record store: ``publications`` and ``links`` are filtered
+    from it on first read, in store order, and are the store's own objects
+    when the cutoff is on or after the last load date. Immutable and safe
+    to share across concurrent readers.
     """
 
     cutoff: date
     sources: Mapping[int, SourceRecord]
-    publications: Mapping[str, PublicationRecord]
-    links: tuple[CitationLink, ...]
     successor: Mapping[int, int]
+    _store: _Store = field(repr=False)
+
+    @cached_property
+    def publications(self) -> Mapping[str, PublicationRecord]:
+        store, cutoff = self._store, self.cutoff
+        if cutoff >= store.last_load:
+            return store.publications
+        return MappingProxyType({
+            pid: record for pid, record in store.publications.items() if record.load_date <= cutoff
+        })
+
+    @cached_property
+    def links(self) -> tuple[CitationLink, ...]:
+        publications = self.publications
+        if publications is self._store.publications:
+            return self._store.links
+        return tuple(
+            link
+            for link in self._store.links
+            if link.citing_pub_id in publications and link.cited_pub_id in publications
+        )
+
+    def source_publications(self, source_id: int) -> Iterator[PublicationRecord]:
+        """The source's publications in this view, in store order."""
+        cutoff = self.cutoff
+        for record in self._store.by_source.get(source_id, _NO_GROUP)[0]:
+            if record.load_date <= cutoff:
+                yield record
+
+    def cited_links(self, source_id: int) -> Iterator[tuple[PublicationRecord, PublicationRecord]]:
+        """(citing, cited) of every link in this view whose cited publication
+        the source published, in store order."""
+        cutoff = self.cutoff
+        publications = self._store.publications
+        for link in self._store.by_source.get(source_id, _NO_GROUP)[1]:
+            citing = publications[link.citing_pub_id]
+            cited = publications[link.cited_pub_id]
+            if citing.load_date <= cutoff and cited.load_date <= cutoff:
+                yield citing, cited
 
     def resolve_title_chain(self, source_id: int) -> frozenset[int]:
         """The source itself plus the transitive closure of its predecessors."""
@@ -309,9 +382,8 @@ def ingest(
     index = IndexSnapshot(
         cutoff=date.max,
         sources=MappingProxyType(sources),
-        publications=MappingProxyType(publications),
-        links=tuple(links),
         successor=MappingProxyType(successor),
+        _store=_Store(MappingProxyType(publications), tuple(links)),
     )
     return index, report
 
@@ -373,22 +445,6 @@ def snapshot(index: IndexSnapshot, cutoff: date) -> IndexSnapshot:
 
     A publication is in the view iff load_date <= cutoff; a link survives iff
     both endpoints do. Sources are not load-dated and are always present.
+    The view shares the index's record store and copies nothing here.
     """
-    publications = {
-        pid: record
-        for pid, record in index.publications.items()
-        if record.load_date <= cutoff
-    }
-    links = tuple(
-        link
-        for link in index.links
-        if link.citing_pub_id in publications and link.cited_pub_id in publications
-    )
-    return IndexSnapshot(
-        cutoff=min(cutoff, index.cutoff),
-        sources=index.sources,
-        publications=MappingProxyType(publications),
-        links=links,
-        successor=index.successor,
-    )
-
+    return dataclasses.replace(index, cutoff=min(cutoff, index.cutoff))

@@ -82,14 +82,12 @@ def count_documents(snapshot: IndexSnapshot, source_id: int, year: int) -> int:
 
     Counts publications of every document type except articles-in-press.
     """
-    chain = snapshot.resolve_title_chain(source_id)
     window = cited_window(year)
     return sum(
         1
-        for record in snapshot.publications.values()
-        if record.source_id in chain
-        and not record.is_article_in_press
-        and record.sort_year in window
+        for member in snapshot.resolve_title_chain(source_id)
+        for record in snapshot.source_publications(member)
+        if not record.is_article_in_press and record.sort_year in window
     )
 
 
@@ -100,19 +98,16 @@ def _cited_documents(snapshot: IndexSnapshot, source_id: int, year: int) -> Iter
     The citing side is unrestricted: any source, any document type, except
     articles-in-press (which cannot give citations).
     """
-    chain = snapshot.resolve_title_chain(source_id)
     window = cited_window(year)
-    for link in snapshot.links:
-        citing = snapshot.publications[link.citing_pub_id]
-        if citing.sort_year != year or citing.is_article_in_press:
-            continue
-        cited = snapshot.publications[link.cited_pub_id]
-        if (
-            cited.source_id in chain
-            and cited.sort_year in window
-            and not cited.is_article_in_press
-        ):
-            yield cited
+    for member in snapshot.resolve_title_chain(source_id):
+        for citing, cited in snapshot.cited_links(member):
+            if (
+                citing.sort_year == year
+                and not citing.is_article_in_press
+                and cited.sort_year in window
+                and not cited.is_article_in_press
+            ):
+                yield cited
 
 
 def count_citations(snapshot: IndexSnapshot, source_id: int, year: int) -> int:

@@ -48,7 +48,7 @@ def _read_objects(path: str | Path) -> list[dict]:
                 continue
             try:
                 obj = json.loads(raw)
-            except json.JSONDecodeError:
+            except (json.JSONDecodeError, RecursionError):  # a line nested too deeply is invalid too
                 continue
             if isinstance(obj, dict):
                 out.append(obj)

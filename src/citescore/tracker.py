@@ -5,8 +5,10 @@ earlier cutoff. The whole schedule comes from one load-date sweep over the
 index (metrics.sweep_counts), which by construction equals a snapshot per
 month followed by the annual counts; the annual basket is the same sweep at
 one date, so the final tracker point and the annual value coincide once
-everything has loaded. A single tracker_value keeps the per-source path on
-one snapshot.
+everything has loaded. A single tracker_value keeps the per-source path:
+its snapshot is a cutoff over the index's shared records and copies
+nothing, and the per-source counts read only the title chain's own
+publications and the links into them, each filtered by that cutoff.
 """
 
 from __future__ import annotations

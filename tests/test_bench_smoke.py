@@ -1,5 +1,6 @@
-"""The benchmark's smoke size end to end: every output of the tracker and
-point-query workloads is checked against the oracle inside the run."""
+"""The benchmark's smoke size end to end: every output of each workload
+(compute on a clean and on a dirty corpus, the tracker, the point queries)
+is checked against the oracle inside the run."""
 
 from __future__ import annotations
 
@@ -13,7 +14,7 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
-@pytest.mark.parametrize("workload", ["tracker", "point-queries"])
+@pytest.mark.parametrize("workload", ["annual", "tracker", "wide-dirty", "point-queries"])
 def test_benchmark_smoke_run_is_correct(workload):
     argv = [sys.executable, str(ROOT / "perfbench" / "run.py"), "--workload", workload,
             "--size", "smoke", "--seed", "1", "--seconds", "1", "--trace", "0"]

@@ -306,3 +306,22 @@ def test_invalid_utf8_input_is_data_error(corpus, tmp_path, capsys, command):
     lines = capsys.readouterr().err.splitlines()
     assert [line for line in lines if not line.startswith("WARNING")] == [lines[-1]]
     assert lines[-1].startswith("ERROR: 'utf-8' codec can't decode byte 0xff")
+
+
+def test_deeply_nested_line_is_rejected_not_a_crash(corpus, tmp_path, capsys):
+    # Nested past the JSON decoder's recursion limit: RecursionError, not JSONDecodeError.
+    with open(corpus["--pubs"], "a", encoding="utf-8") as handle:
+        handle.write("[" * 200_000 + "\n")
+    out = tmp_path / "run"
+    assert main(["compute"] + _flags(corpus) + ["--year", "2017", "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["parameters"]["ingest"]["publications_rejected"] == 1
+    err = capsys.readouterr().err.splitlines()
+    assert sum(line.endswith("invalid JSON (nested too deeply)") for line in err) == 1
+    assert not any("Traceback" in line for line in err)
+
+    code = main(["verify"] + _flags(corpus) + ["--year", "2017", "--out", str(tmp_path / "verify")])
+    assert code == 0
+    for name in ("metrics.csv", "standings.csv"):
+        engine = (tmp_path / "verify" / "engine" / name).read_bytes()
+        assert engine == (tmp_path / "verify" / "oracle" / name).read_bytes()

@@ -63,6 +63,13 @@ def test_cli_honours_cutoff_table_flag(tmp_path):
     assert manifest["parameters"]["cutoff"] == "2016-11-30"
     assert manifest["parameters"]["cutoff_origin"] == "cutoff-table"
 
+    info_out = tmp_path / "info"
+    code = main(["snapshot-info", "--sources", str(s), "--pubs", str(p), "--links", str(l),
+                 "--year", "2016", "--cutoff-table", str(table_path), "--out", str(info_out)])
+    assert code == 0
+    assert json.loads((info_out / "snapshot_info.json").read_text())["cutoff"] == "2016-11-30"
+    assert json.loads((info_out / "manifest.json").read_text())["inputs"]["cutoff_table"]
+
 
 @pytest.mark.parametrize("table_text", [
     "not json",
@@ -85,3 +92,11 @@ def test_cli_bad_cutoff_table_is_usage_error(tmp_path, capsys, table_text):
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert err.splitlines()[-1].startswith(f"citescore: error: cutoff table {table_path}: ")
+
+    with pytest.raises(SystemExit) as excinfo:
+        main(["snapshot-info", "--sources", str(s), "--pubs", str(p), "--links", str(l),
+              "--year", "2016", "--cutoff-table", str(table_path)])
+    assert excinfo.value.code == 2
+    err_lines = capsys.readouterr().err.splitlines()
+    assert err_lines[-1].startswith(f"citescore: error: cutoff table {table_path}: ")
+    assert not any(line.startswith(("Traceback", "ERROR")) for line in err_lines)

@@ -18,7 +18,7 @@ from citescore import (
 )
 from citescore.output import write_metrics_csv, write_standings_csv
 
-from helpers import build_index, link_line, pub_line, source_line
+from helpers import brute_force_view, build_index, differential_index, link_line, pub_line, source_line
 
 
 def _clean_corpus():
@@ -170,6 +170,26 @@ def test_snapshot_filters_match_brute_force():
     assert set(view.publications) == expected_pubs
     assert list(view.links) == expected_links
     assert len(view.links) == 20
+
+
+@pytest.mark.parametrize("seed", [41, 42])
+def test_views_equal_brute_force_filter(tmp_path, seed):
+    index, _empty, cutoffs = differential_index(tmp_path, seed)
+    views = [(cutoff, snapshot(index, cutoff)) for cutoff in cutoffs]
+    # Nested views narrow to the earlier of the two cutoffs, whichever is given first.
+    for outer, inner in ((cutoffs[5], cutoffs[2]), (cutoffs[2], cutoffs[5]), (cutoffs[-2], cutoffs[0])):
+        views.append((min(outer, inner), snapshot(snapshot(index, outer), inner)))
+    for cutoff, view in views:
+        publications, links = brute_force_view(index, cutoff)
+        assert view.cutoff == cutoff
+        assert list(view.publications.items()) == publications
+        assert list(view.links) == links
+        assert view.sources is index.sources
+    assert not snapshot(index, cutoffs[0]).publications
+    # On or after the last load a view is the full index's own records, not a copy.
+    for cutoff in cutoffs[-3:]:
+        assert snapshot(index, cutoff).publications is index.publications
+        assert snapshot(index, cutoff).links is index.links
 
 
 def test_snapshot_determinism_and_byte_identical_metrics(tmp_path):

@@ -25,10 +25,12 @@ from citescore import (
     quartile,
     rank_in_category,
     snapshot,
+    tracker_value,
 )
 from citescore.metrics import aggregate_counts, score_from_counts
+from citescore.records import ELIGIBLE_SOURCE_TYPES
 
-from helpers import build_snapshot, link_line, pub_line, source_line
+from helpers import brute_force_view, build_snapshot, differential_index, link_line, pub_line, source_line
 
 
 def _window_corpus():
@@ -439,3 +441,75 @@ def test_percentile_bound_properties(tmp_path):
                 if unique_top:
                     assert standing.percentile >= 50
         assert quartile_total == n
+
+
+def _brute_force_tallies(index, cutoff, source_id, year):
+    """(documents, citations, cited documents, eligible) counted record by
+    record over the filtered index, with the chain walked by hand."""
+    publications, links = brute_force_view(index, cutoff)
+    pubs = dict(publications)
+    chain, current = set(), source_id
+    while current is not None:
+        chain.add(current)
+        current = index.sources[current].predecessor_source_id
+
+    def in_basket(record):
+        return record.source_id in chain and year - 3 <= record.sort_year < year \
+            and not record.is_article_in_press
+
+    documents = sum(in_basket(record) for record in pubs.values())
+    cited = [
+        link.cited_pub_id
+        for link in links
+        if pubs[link.citing_pub_id].sort_year == year
+        and not pubs[link.citing_pub_id].is_article_in_press
+        and in_basket(pubs[link.cited_pub_id])
+    ]
+    source = index.sources[source_id]
+    eligible = (
+        source.is_actively_indexed
+        and source.source_type in ELIGIBLE_SOURCE_TYPES
+        and all(other.predecessor_source_id != source_id for other in index.sources.values())
+        and documents >= 1
+    )
+    return documents, len(cited), len(set(cited)), eligible
+
+
+def _half_up_hundredths(numerator, denominator):
+    return math.floor(Fraction(100 * numerator, denominator) + Fraction(1, 2))
+
+
+@pytest.mark.parametrize("seed", [41, 42])
+def test_per_source_scans_equal_brute_force(tmp_path, seed):
+    index, empty, cutoffs = differential_index(tmp_path, seed)
+    views = [snapshot(index, cutoff) for cutoff in cutoffs]
+    views += [snapshot(snapshot(index, cutoffs[5]), cutoffs[2]),
+              snapshot(snapshot(index, cutoffs[2]), cutoffs[5])]
+    scored = 0
+    for view in views:
+        for source_id in index.sources:
+            for year in (2016, 2017, 2018):
+                documents, citations, cited, eligible = _brute_force_tallies(
+                    index, view.cutoff, source_id, year)
+                assert count_documents(view, source_id, year) == documents
+                assert count_citations(view, source_id, year) == citations
+                assert is_eligible(view, source_id, year) is eligible
+                expected = tracker_value(index, source_id, year, view.cutoff)
+                if documents:
+                    hundredths = _half_up_hundredths(citations, documents)
+                    assert percent_cited(view, source_id, year) == _half_up_hundredths(cited, documents)
+                    assert citescore(view, source_id, year) == Decimal(hundredths).scaleb(-2)
+                    scored += eligible
+                    assert expected == (citescore(view, source_id, year) if eligible else None)
+                else:
+                    for metric in (percent_cited, citescore):
+                        with pytest.raises(IneligibleError):
+                            metric(view, source_id, year)
+                    assert expected is None
+    assert scored
+    assert not any(count_documents(view, empty, 2017) for view in views)
+    for metric in (count_documents, count_citations, percent_cited, is_eligible, citescore):
+        with pytest.raises(KeyError):
+            metric(views[3], 10**9, 2017)
+    with pytest.raises(KeyError):
+        tracker_value(index, 10**9, 2017, cutoffs[3])
