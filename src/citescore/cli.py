@@ -257,6 +257,8 @@ def cmd_generate(args, parser) -> int:
                 loaded = json.load(handle)
             except json.JSONDecodeError as exc:
                 parser.error(f"invalid corpus config: {args.config} is not JSON ({exc})")
+            except (ValueError, RecursionError) as exc:  # too many digits, or nested too deeply
+                parser.error(f"invalid corpus config: {args.config} cannot be read ({exc})")
         if not isinstance(loaded, dict):
             parser.error(f"invalid corpus config: {args.config} must hold a JSON object")
         settings.update(loaded)

@@ -2,9 +2,13 @@
 
 Records arrive as line-delimited JSON (one object per line, UTF-8). Ingestion
 is single-writer and builds the full index as the snapshot at ``date.max``.
-Every snapshot of that index is a cutoff over one shared record store:
-taking a snapshot copies nothing, and a view filters the store into its own
-publications and links on first read. Views are immutable (read-only
+It decodes a line with one call of the C JSON scanner, and checks each field
+of a publication or link with one exact type test; the checks that build a
+rejection's message run only on a field that fails. Every snapshot of that
+index is a cutoff over one shared record store, which keeps each accepted
+link as its (citing, cited) pair of publication records: taking a snapshot
+copies nothing, and a view filters the store into its own publications and
+``CitationLink`` objects on first read. Views are immutable (read-only
 mappings, tuple of links), so they can be shared freely across metric
 computations.
 """
@@ -17,8 +21,9 @@ import re
 from dataclasses import dataclass, field
 from datetime import date
 from functools import cached_property
+from json.scanner import make_scanner
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping
 
 from .records import (
     DOC_TYPES,
@@ -29,6 +34,10 @@ from .records import (
 )
 
 _DATE_RE = re.compile(r"^\d{4}-\d{2}-\d{2}$")
+
+# JSON's whitespace. str.strip() would also drop \f, \v and Unicode spaces,
+# which json.loads rejects as "Extra data".
+_JSON_SPACE = " \t\n\r"
 
 _SOURCE_FIELDS = {
     "source_id",
@@ -78,13 +87,30 @@ class _LineError(Exception):
     """Per-line validation failure; the line is rejected and ingestion continues."""
 
 
-def _parse_json_line(kind: str, lineno: int, line: str) -> dict:
+_Scanner = Callable[[str, int], tuple[object, int]]
+_Pair = tuple[PublicationRecord, PublicationRecord]
+
+
+def _parse_json_line(kind: str, lineno: int, line: str, scan: _Scanner) -> dict:
+    """json.loads(line), for one C scanner call when the line is a value at
+    offset 0 followed by nothing but JSON whitespace. Any other line goes to
+    json.loads itself, which accepts or rejects it with its own message; an
+    error the scanner raises is json.loads's own, from the same call."""
     try:
-        obj = json.loads(line)
+        try:
+            obj, end = scan(line, 0)
+        except StopIteration:
+            obj = json.loads(line)
+        else:
+            if line[end:].strip(_JSON_SPACE):
+                obj = json.loads(line)
     except json.JSONDecodeError as exc:
         raise _LineError(f"{kind} line {lineno}: invalid JSON ({exc.msg})") from exc
     except RecursionError as exc:
         raise _LineError(f"{kind} line {lineno}: invalid JSON (nested too deeply)") from exc
+    except ValueError as exc:
+        # An integer literal longer than the interpreter's int conversion limit.
+        raise _LineError(f"{kind} line {lineno}: invalid JSON (integer too long)") from exc
     if not isinstance(obj, dict):
         raise _LineError(f"{kind} line {lineno}: expected an object")
     return obj
@@ -121,11 +147,17 @@ def _warn_unknown_fields(obj: dict, known: set[str], kind: str, lineno: int, rep
             report.warn(f"{kind} line {lineno}: ignoring unknown field {key!r}")
 
 
-def _parse_source(lineno: int, line: str, report: IngestReport) -> SourceRecord:
-    obj = _parse_json_line("sources", lineno, line)
+def _parse_source(lineno: int, line: str, report: IngestReport, scan: _Scanner) -> SourceRecord:
+    # Sources are a small share of the lines, so each field goes through the
+    # message-building checks directly.
+    obj = _parse_json_line("sources", lineno, line, scan)
     _warn_unknown_fields(obj, _SOURCE_FIELDS, "sources", lineno, report)
     source_id = _as_int(_require(obj, "source_id", "sources", lineno), "source_id", "sources", lineno)
     title = _as_str(_require(obj, "title", "sources", lineno), "title", "sources", lineno)
+    try:
+        title.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        raise _LineError(f"sources line {lineno}: field 'title' holds a lone surrogate") from exc
     source_type = _as_str(_require(obj, "source_type", "sources", lineno), "source_type", "sources", lineno)
     if source_type not in SOURCE_TYPES:
         raise _LineError(f"sources line {lineno}: unknown source_type {source_type!r}")
@@ -155,12 +187,13 @@ def _parse_source(lineno: int, line: str, report: IngestReport) -> SourceRecord:
     )
 
 
-def _parse_publication(lineno: int, line: str, report: IngestReport) -> PublicationRecord:
-    obj = _parse_json_line("publications", lineno, line)
-    _warn_unknown_fields(obj, _PUBLICATION_FIELDS, "publications", lineno, report)
-    pub_id = _as_str(_require(obj, "pub_id", "publications", lineno), "pub_id", "publications", lineno)
-    source_id = _as_int(_require(obj, "source_id", "publications", lineno), "source_id", "publications", lineno)
-    sort_year = _as_int(_require(obj, "sort_year", "publications", lineno), "sort_year", "publications", lineno)
+# Publications and links are nearly every line, so each of their fields is
+# read with one get() and an exact type test (a JSON true is a bool, not an
+# int). Only a field that fails the test goes through _require and _as_*,
+# which raise the rejection's message.
+
+
+def _load_date(obj: dict, lineno: int, dates: dict[str, date]) -> date:
     raw_date = _as_str(_require(obj, "load_date", "publications", lineno), "load_date", "publications", lineno)
     if not _DATE_RE.match(raw_date):
         raise _LineError(f"publications line {lineno}: load_date {raw_date!r} is not YYYY-MM-DD")
@@ -168,13 +201,39 @@ def _parse_publication(lineno: int, line: str, report: IngestReport) -> Publicat
         load_date = date.fromisoformat(raw_date)
     except ValueError as exc:
         raise _LineError(f"publications line {lineno}: load_date {raw_date!r}: {exc}") from exc
-    doc_type = _as_str(_require(obj, "doc_type", "publications", lineno), "doc_type", "publications", lineno)
-    if doc_type not in DOC_TYPES:
+    dates[raw_date] = load_date
+    return load_date
+
+
+def _parse_publication(
+    lineno: int, line: str, report: IngestReport, scan: _Scanner, dates: dict[str, date]
+) -> PublicationRecord:
+    obj = _parse_json_line("publications", lineno, line, scan)
+    if not obj.keys() <= _PUBLICATION_FIELDS:
+        _warn_unknown_fields(obj, _PUBLICATION_FIELDS, "publications", lineno, report)
+    pub_id = obj.get("pub_id")
+    if type(pub_id) is not str or not pub_id:
+        pub_id = _as_str(_require(obj, "pub_id", "publications", lineno), "pub_id", "publications", lineno)
+    source_id = obj.get("source_id")
+    if type(source_id) is not int:
+        source_id = _as_int(_require(obj, "source_id", "publications", lineno), "source_id", "publications", lineno)
+    sort_year = obj.get("sort_year")
+    if type(sort_year) is not int:
+        sort_year = _as_int(_require(obj, "sort_year", "publications", lineno), "sort_year", "publications", lineno)
+    try:
+        load_date = dates[obj.get("load_date")]
+    except (KeyError, TypeError):
+        load_date = _load_date(obj, lineno, dates)
+    doc_type = obj.get("doc_type")
+    if type(doc_type) is not str or doc_type not in DOC_TYPES:
+        doc_type = _as_str(_require(obj, "doc_type", "publications", lineno), "doc_type", "publications", lineno)
         raise _LineError(f"publications line {lineno}: unknown doc_type {doc_type!r}")
-    aip = _as_bool(
-        _require(obj, "is_article_in_press", "publications", lineno),
-        "is_article_in_press", "publications", lineno,
-    )
+    aip = obj.get("is_article_in_press")
+    if type(aip) is not bool:
+        aip = _as_bool(
+            _require(obj, "is_article_in_press", "publications", lineno),
+            "is_article_in_press", "publications", lineno,
+        )
     return PublicationRecord(
         pub_id=pub_id,
         source_id=source_id,
@@ -185,20 +244,30 @@ def _parse_publication(lineno: int, line: str, report: IngestReport) -> Publicat
     )
 
 
-def _parse_link(lineno: int, line: str, report: IngestReport) -> CitationLink:
-    obj = _parse_json_line("links", lineno, line)
-    _warn_unknown_fields(obj, _LINK_FIELDS, "links", lineno, report)
-    citing = _as_str(_require(obj, "citing_pub_id", "links", lineno), "citing_pub_id", "links", lineno)
-    cited = _as_str(_require(obj, "cited_pub_id", "links", lineno), "cited_pub_id", "links", lineno)
-    return CitationLink(citing_pub_id=citing, cited_pub_id=cited)
+def _parse_link(lineno: int, line: str, report: IngestReport, scan: _Scanner) -> tuple[str, str]:
+    """(citing_pub_id, cited_pub_id) of a link line."""
+    obj = _parse_json_line("links", lineno, line, scan)
+    if not obj.keys() <= _LINK_FIELDS:
+        _warn_unknown_fields(obj, _LINK_FIELDS, "links", lineno, report)
+    citing = obj.get("citing_pub_id")
+    if type(citing) is not str or not citing:
+        citing = _as_str(_require(obj, "citing_pub_id", "links", lineno), "citing_pub_id", "links", lineno)
+    cited = obj.get("cited_pub_id")
+    if type(cited) is not str or not cited:
+        cited = _as_str(_require(obj, "cited_pub_id", "links", lineno), "cited_pub_id", "links", lineno)
+    return citing, cited
 
 
 class _Store:
-    """The publications and links of one ingest, shared by every view of it."""
+    """The publications and links of one ingest, shared by every view of it.
 
-    def __init__(self, publications: Mapping[str, PublicationRecord], links: tuple[CitationLink, ...]):
+    Each link is kept as its (citing, cited) pair of publication records, in
+    ingest order; CitationLink objects are built only when a view's links are
+    first read, and the full tuple of them once per store."""
+
+    def __init__(self, publications: Mapping[str, PublicationRecord], pairs: tuple[_Pair, ...]):
         self.publications = publications
-        self.links = links
+        self.pairs = pairs
 
     @cached_property
     def last_load(self) -> date:
@@ -206,18 +275,24 @@ class _Store:
         return max((record.load_date for record in self.publications.values()), default=date.min)
 
     @cached_property
-    def by_source(self) -> dict[int, tuple[list[PublicationRecord], list[CitationLink]]]:
-        """Each source's publications, and the links whose cited publication
-        it published, both in store order. Built on the first per-source read."""
-        groups: dict[int, tuple[list[PublicationRecord], list[CitationLink]]] = {}
+    def links(self) -> tuple[CitationLink, ...]:
+        """Every pair as a CitationLink, in store order."""
+        return tuple(CitationLink(citing.pub_id, cited.pub_id) for citing, cited in self.pairs)
+
+    @cached_property
+    def by_source(self) -> dict[int, tuple[list[PublicationRecord], list[_Pair]]]:
+        """Each source's publications, and the (citing, cited) pairs whose
+        cited publication it published, both in store order. Built on the
+        first per-source read."""
+        groups: dict[int, tuple[list[PublicationRecord], list[_Pair]]] = {}
         for record in self.publications.values():
             groups.setdefault(record.source_id, ([], []))[0].append(record)
-        for link in self.links:
-            groups[self.publications[link.cited_pub_id].source_id][1].append(link)
+        for pair in self.pairs:
+            groups[pair[1].source_id][1].append(pair)
         return groups
 
 
-_NO_GROUP: tuple[tuple[PublicationRecord, ...], tuple[CitationLink, ...]] = ((), ())
+_NO_GROUP: tuple[tuple[PublicationRecord, ...], tuple[_Pair, ...]] = ((), ())
 
 
 @dataclass(frozen=True)
@@ -229,9 +304,10 @@ class IndexSnapshot:
     built by :func:`ingest` is the snapshot at ``date.max``; :func:`snapshot`
     narrows any view to an earlier cutoff. Every view of one index shares
     that index's record store: ``publications`` and ``links`` are filtered
-    from it on first read, in store order, and are the store's own objects
-    when the cutoff is on or after the last load date. Immutable and safe
-    to share across concurrent readers.
+    from it on first read, in store order, the links as CitationLink objects
+    built from the store's record pairs. When the cutoff is on or after the
+    last load date they are the store's own mapping and its one cached tuple
+    of links. Immutable and safe to share across concurrent readers.
     """
 
     cutoff: date
@@ -250,13 +326,13 @@ class IndexSnapshot:
 
     @cached_property
     def links(self) -> tuple[CitationLink, ...]:
-        publications = self.publications
-        if publications is self._store.publications:
-            return self._store.links
+        store, cutoff = self._store, self.cutoff
+        if self.publications is store.publications:
+            return store.links
         return tuple(
-            link
-            for link in self._store.links
-            if link.citing_pub_id in publications and link.cited_pub_id in publications
+            CitationLink(citing.pub_id, cited.pub_id)
+            for citing, cited in store.pairs
+            if citing.load_date <= cutoff and cited.load_date <= cutoff
         )
 
     def source_publications(self, source_id: int) -> Iterator[PublicationRecord]:
@@ -270,10 +346,7 @@ class IndexSnapshot:
         """(citing, cited) of every link in this view whose cited publication
         the source published, in store order."""
         cutoff = self.cutoff
-        publications = self._store.publications
-        for link in self._store.by_source.get(source_id, _NO_GROUP)[1]:
-            citing = publications[link.citing_pub_id]
-            cited = publications[link.cited_pub_id]
+        for citing, cited in self._store.by_source.get(source_id, _NO_GROUP)[1]:
             if citing.load_date <= cutoff and cited.load_date <= cutoff:
                 yield citing, cited
 
@@ -309,11 +382,14 @@ def ingest(
     and corrupt title chains (cycles, shared predecessors) raise IngestError.
     """
     report = IngestReport()
+    # One scanner and one load-date cache per call: no state outlives it.
+    scan = make_scanner(json.JSONDecoder())
+    dates: dict[str, date] = {}
 
     sources: dict[int, SourceRecord] = {}
     for lineno, line in _numbered(source_lines):
         try:
-            record = _parse_source(lineno, line, report)
+            record = _parse_source(lineno, line, report, scan)
         except _LineError as exc:
             report.sources_rejected += 1
             report.warn(str(exc))
@@ -328,7 +404,7 @@ def ingest(
     publications: dict[str, PublicationRecord] = {}
     for lineno, line in _numbered(publication_lines):
         try:
-            record = _parse_publication(lineno, line, report)
+            record = _parse_publication(lineno, line, report, scan, dates)
         except _LineError as exc:
             report.publications_rejected += 1
             report.warn(str(exc))
@@ -344,46 +420,46 @@ def ingest(
         publications[record.pub_id] = record
         report.publications_accepted += 1
 
-    links: list[CitationLink] = []
-    seen_pairs: set[tuple[str, str]] = set()
+    pairs: list[_Pair] = []
+    seen_ids: set[tuple[str, str]] = set()
     for lineno, line in _numbered(link_lines):
         try:
-            link = _parse_link(lineno, line, report)
+            ids = _parse_link(lineno, line, report, scan)
         except _LineError as exc:
             report.links_rejected += 1
             report.warn(str(exc))
             continue
-        if link.citing_pub_id == link.cited_pub_id:
+        citing_id, cited_id = ids
+        if citing_id == cited_id:
             report.links_rejected += 1
-            report.warn(f"links line {lineno}: publication cannot cite itself ({link.citing_pub_id!r})")
+            report.warn(f"links line {lineno}: publication cannot cite itself ({citing_id!r})")
             continue
-        citing = publications.get(link.citing_pub_id)
-        cited = publications.get(link.cited_pub_id)
+        citing = publications.get(citing_id)
+        cited = publications.get(cited_id)
         if citing is None or cited is None:
-            missing = link.citing_pub_id if citing is None else link.cited_pub_id
+            missing = citing_id if citing is None else cited_id
             report.links_rejected += 1
             report.warn(f"links line {lineno}: dangling endpoint {missing!r}, link rejected")
             continue
         if citing.is_article_in_press:
             report.links_rejected += 1
             report.warn(
-                f"links line {lineno}: citing publication {link.citing_pub_id!r} is an "
+                f"links line {lineno}: citing publication {citing_id!r} is an "
                 "article-in-press and cannot give citations, link rejected"
             )
             continue
-        pair = (link.citing_pub_id, link.cited_pub_id)
-        if pair in seen_pairs:
+        if ids in seen_ids:
             report.links_collapsed += 1
             continue
-        seen_pairs.add(pair)
-        links.append(link)
+        seen_ids.add(ids)
+        pairs.append((citing, cited))
         report.links_accepted += 1
 
     index = IndexSnapshot(
         cutoff=date.max,
         sources=MappingProxyType(sources),
         successor=MappingProxyType(successor),
-        _store=_Store(MappingProxyType(publications), tuple(links)),
+        _store=_Store(MappingProxyType(publications), tuple(pairs)),
     )
     return index, report
 

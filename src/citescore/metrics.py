@@ -245,10 +245,13 @@ def sweep_counts(
     document, citation and first-cited document is counted once under that
     date, and running totals give the tallies at every date: item i equals
     aggregate_counts(snapshot(index, schedule[i]), year). Records that load
-    after the last date are never counted.
+    after the last date, or after the index's cutoff, are never counted, so
+    the tallies stay flat from the cutoff on.
     """
     if any(later <= earlier for earlier, later in zip(schedule, schedule[1:])):
         raise ValueError("schedule dates must be strictly ascending")
+    if not schedule:
+        return []
     terminal_of: dict[int, int] = {}
     for source_id in index.sources:
         terminal = source_id
@@ -259,37 +262,39 @@ def sweep_counts(
 
     n = len(schedule)
     window = cited_window(year)
-    publications = index.publications
+    # The whole store, read without the view's filtered copy: a record that
+    # loads after the view's cutoff or the last schedule date never counts.
+    store = index._store
+    last = min(schedule[-1], index.cutoff)
     # What each schedule date adds, by terminal title.
     documents = [defaultdict(int) for _ in schedule]
     citations = [defaultdict(int) for _ in schedule]
     cited_documents = [defaultdict(int) for _ in schedule]
 
-    for record in publications.values():
-        if record.is_article_in_press or record.sort_year not in window:
+    for record in store.publications.values():
+        if record.is_article_in_press or record.sort_year not in window or record.load_date > last:
             continue
-        bucket = bisect_left(schedule, record.load_date)
-        if bucket < n:
-            documents[bucket][terminal_of[record.source_id]] += 1
+        documents[bisect_left(schedule, record.load_date)][terminal_of[record.source_id]] += 1
 
-    first_cited: dict[str, int] = {}
-    for link in index.links:
-        citing = publications[link.citing_pub_id]
+    # pub_id -> (first date index, terminal title) of each cited document.
+    first_cited: dict[str, tuple[int, int]] = {}
+    never = (n, 0)
+    for citing, cited in store.pairs:
         if citing.sort_year != year or citing.is_article_in_press:
             continue
-        cited = publications[link.cited_pub_id]
         if cited.sort_year not in window or cited.is_article_in_press:
             continue
         # The link is in the index once its later endpoint has loaded.
         loaded = cited.load_date if cited.load_date > citing.load_date else citing.load_date
-        bucket = bisect_left(schedule, loaded)
-        if bucket == n:
+        if loaded > last:
             continue
-        citations[bucket][terminal_of[cited.source_id]] += 1
-        if bucket < first_cited.get(cited.pub_id, n):
-            first_cited[cited.pub_id] = bucket
-    for pub_id, bucket in first_cited.items():
-        cited_documents[bucket][terminal_of[publications[pub_id].source_id]] += 1
+        bucket = bisect_left(schedule, loaded)
+        terminal = terminal_of[cited.source_id]
+        citations[bucket][terminal] += 1
+        if bucket < first_cited.get(cited.pub_id, never)[0]:
+            first_cited[cited.pub_id] = (bucket, terminal)
+    for bucket, terminal in first_cited.values():
+        cited_documents[bucket][terminal] += 1
 
     tallies: list[dict[int, SourceYearCounts]] = []
     documents_to_date, citations_to_date, cited_to_date = Counter(), Counter(), Counter()

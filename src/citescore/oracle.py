@@ -50,6 +50,8 @@ def _read_objects(path: str | Path) -> list[dict]:
                 obj = json.loads(raw)
             except (json.JSONDecodeError, RecursionError):  # a line nested too deeply is invalid too
                 continue
+            except ValueError:  # so is an integer past the int conversion digit limit
+                continue
             if isinstance(obj, dict):
                 out.append(obj)
     return out
@@ -80,6 +82,8 @@ def oracle_metrics(
         active = obj.get("is_actively_indexed")
         pred = obj.get("predecessor_source_id")
         if not _is_int(sid) or not isinstance(title, str) or not title:
+            continue
+        if any("\ud800" <= ch <= "\udfff" for ch in title):  # a lone surrogate cannot be written out
             continue
         if stype not in _VALID_SOURCE_TYPES or not isinstance(active, bool):
             continue

@@ -214,8 +214,12 @@ def test_generate_rejects_bad_config(tmp_path, capsys):
             main(["generate", "--config", str(config_path), "--out", str(tmp_path / "x")])
         assert excinfo.value.code == 2
         assert f"invalid corpus config: {field} must be" in capsys.readouterr().err
-    # A config file that is not JSON, or not a JSON object, is a usage error too.
-    for name, text in (("not_json.json", "not json"), ("list.json", "[1,2]")):
+    # A config file that is not JSON, or not a JSON object, is a usage error too,
+    # and so is one the decoder cannot read: an integer past the interpreter's
+    # 4,300-digit conversion limit, or nesting past its recursion limit.
+    for name, text in (("not_json.json", "not json"), ("list.json", "[1,2]"),
+                       ("huge_int.json", '{"seed": 1, "n_journals": ' + "1" * 5000 + "}"),
+                       ("nested.json", "[" * 200_000)):
         config_path = tmp_path / name
         config_path.write_text(text)
         capsys.readouterr()
@@ -308,16 +312,15 @@ def test_invalid_utf8_input_is_data_error(corpus, tmp_path, capsys, command):
     assert lines[-1].startswith("ERROR: 'utf-8' codec can't decode byte 0xff")
 
 
-def test_deeply_nested_line_is_rejected_not_a_crash(corpus, tmp_path, capsys):
-    # Nested past the JSON decoder's recursion limit: RecursionError, not JSONDecodeError.
-    with open(corpus["--pubs"], "a", encoding="utf-8") as handle:
-        handle.write("[" * 200_000 + "\n")
+def _assert_compute_and_verify(corpus, tmp_path, capsys, warning, counter):
+    """compute exits 0 with the one warning and the line counted under
+    counter, no traceback; verify finds engine and oracle files identical."""
     out = tmp_path / "run"
     assert main(["compute"] + _flags(corpus) + ["--year", "2017", "--out", str(out)]) == 0
     manifest = json.loads((out / "manifest.json").read_text())
-    assert manifest["parameters"]["ingest"]["publications_rejected"] == 1
+    assert manifest["parameters"]["ingest"][counter] == 1
     err = capsys.readouterr().err.splitlines()
-    assert sum(line.endswith("invalid JSON (nested too deeply)") for line in err) == 1
+    assert sum(line.endswith(warning) for line in err) == 1
     assert not any("Traceback" in line for line in err)
 
     code = main(["verify"] + _flags(corpus) + ["--year", "2017", "--out", str(tmp_path / "verify")])
@@ -325,3 +328,32 @@ def test_deeply_nested_line_is_rejected_not_a_crash(corpus, tmp_path, capsys):
     for name in ("metrics.csv", "standings.csv"):
         engine = (tmp_path / "verify" / "engine" / name).read_bytes()
         assert engine == (tmp_path / "verify" / "oracle" / name).read_bytes()
+
+
+def test_deeply_nested_line_is_rejected_not_a_crash(corpus, tmp_path, capsys):
+    # Nested past the JSON decoder's recursion limit: RecursionError, not JSONDecodeError.
+    with open(corpus["--pubs"], "a", encoding="utf-8") as handle:
+        handle.write("[" * 200_000 + "\n")
+    _assert_compute_and_verify(corpus, tmp_path, capsys, "invalid JSON (nested too deeply)",
+                               "publications_rejected")
+
+
+def test_integer_past_digit_limit_is_rejected_not_a_crash(corpus, tmp_path, capsys):
+    # 5,000 digits: past the interpreter's int conversion limit, a ValueError
+    # that is not a JSONDecodeError.
+    line = pub_line("huge", 1, 2015).replace('"source_id": 1,', '"source_id": ' + "1" * 5000 + ",")
+    with open(corpus["--pubs"], "a", encoding="utf-8") as handle:
+        handle.write(line + "\n")
+    _assert_compute_and_verify(corpus, tmp_path, capsys, "invalid JSON (integer too long)",
+                               "publications_rejected")
+
+
+def test_lone_surrogate_title_is_rejected_not_a_crash(corpus, tmp_path, capsys):
+    # The source has a document in the 2017 cited window, so an accepted title
+    # would be written to metrics.csv, which UTF-8 cannot encode.
+    with open(corpus["--sources"], "a", encoding="utf-8") as handle:
+        handle.write(source_line(999_999, title="J \ud800 x") + "\n")
+    with open(corpus["--pubs"], "a", encoding="utf-8") as handle:
+        handle.write(pub_line("surrogate-doc", 999_999, 2015) + "\n")
+    _assert_compute_and_verify(corpus, tmp_path, capsys, "field 'title' holds a lone surrogate",
+                               "sources_rejected")

@@ -123,6 +123,214 @@ def test_article_in_press_cannot_give_citations():
     assert any("article-in-press" in w for w in report.warnings)
 
 
+# Golden ingest input, one list per record kind; a comment names each line's
+# case, in the words of perfbench/inputs.DIRT_CLASSES where it has one. The
+# tails are the valid fields after the ids.
+_SOURCE_TAIL = '"title": "T", "source_type": "journal", "asjc_codes": [1000], "is_actively_indexed": true'
+_PUBLICATION_TAIL = '"sort_year": 2015, "load_date": "2015-01-10", "doc_type": "article", "is_article_in_press": false'
+
+_GOLDEN_SOURCES = [
+    '{"source_id": 1, "title": "Alpha", "source_type": "journal", "asjc_codes": [1000, 1100, 1000], "is_actively_indexed": true}\n',  # a repeated code
+    # Keys in a non-canonical order, a predecessor, a title escaping a surrogate pair.
+    '{"predecessor_source_id": 1, "is_actively_indexed": false, "asjc_codes": [2200], "source_type": "book-series", "title": "B\\u00e9ta \\ud83d\\ude00", "source_id": 2}\n',
+    '{"source_id": 3, "title": "Gam',  # bad_json
+    '[4]\n',  # not_object
+    '{"source_id": 5, "source_type": "journal", "asjc_codes": [1000], "is_actively_indexed": true}\n',  # missing_field
+    '{"source_id": "6", ' + _SOURCE_TAIL + '}\n',  # bad_type
+    '{"source_id": 7, "title": "T", "source_type": "magazine", "asjc_codes": [1000], "is_actively_indexed": true}\n',  # unknown_source_type
+    '{"source_id": 8, "title": "T", "source_type": "journal", "asjc_codes": [12], "is_actively_indexed": true}\n',  # bad_asjc
+    '{"x_before": 0, "source_id": 9, ' + _SOURCE_TAIL + ', "x_after": [1]}\n',  # unknown_field, both sides
+    '  \t{"source_id": 10, ' + _SOURCE_TAIL + '}\n',  # leading spaces and a tab
+    '{"source_id": 11, "source_id": 12, ' + _SOURCE_TAIL + '}\n',  # duplicate keys: the last wins
+    '\ufeff{"source_id": 13, ' + _SOURCE_TAIL + '}\n',  # BOM
+    '{"source_id": 14, ' + _SOURCE_TAIL + '}\x0c\n',  # trailing form feed
+    '{"source_id": 15, "title": "", "source_type": "journal", "asjc_codes": [1000], "is_actively_indexed": true}\n',  # an empty title
+    '{"source_id": 16, ' + _SOURCE_TAIL + ', "predecessor_source_id": 99}\n',  # dangling predecessor, dropped
+    '{"source_id": true, ' + _SOURCE_TAIL + '}\n',  # a bool is not an integer
+    '{"source_id": 18, "title": "T", "source_type": "journal", "asjc_codes": [1000, true], "is_actively_indexed": true}\n',  # nor is one among the codes
+    '{"source_id": 19, "title": "T", "source_type": "journal", "asjc_codes": [], "is_actively_indexed": true}\n',  # no codes
+    '{"source_id": 20, "title": "T", "source_type": "journal", "asjc_codes": [1000], "is_actively_indexed": 1}\n',  # an integer is not a bool
+    '{"source_id": 21, ' + _SOURCE_TAIL + '} x\n',  # trailing garbage
+]
+
+_GOLDEN_PUBLICATIONS = [
+    '{"pub_id": "a", "source_id": 1, ' + _PUBLICATION_TAIL + '}\n',
+    # Keys in a non-canonical order; trailing tab, CR and spaces.
+    '{"is_article_in_press": false, "doc_type": "review", "load_date": "2016-03-01", "sort_year": 2016, "source_id": 2, "pub_id": "b"}\t\r  \n',
+    '\t {"pub_id": "c", "source_id": 10, "sort_year": 2017, "load_date": "2017-02-01", "doc_type": "letter", "is_article_in_press": true}\n',  # leading tab and space
+    '{"pub_id": "d", "source_id": 12, ' + _PUBLICATION_TAIL + '}',  # no newline, same date as a
+    '\n',  # blank: skipped, still numbered
+    ' \x0c \n',  # whitespace only: skipped
+    '{"pub_id": "e", "source_id": 1, "sort_year": 2015, "load_date": "2015-01',  # bad_json
+    '{"pub_id": "f", "source_id": 1, "sort_year": 2015, "doc_type": "article", "is_article_in_press": false}\n',  # missing_field
+    '{"pub_id": "g", "source_id": 1, "sort_year": "2015", "load_date": "2015-01-10", "doc_type": "article", "is_article_in_press": false}\n',  # bad_type
+    '{"pub_id": "h", "source_id": 1, "sort_year": 2015, "load_date": "2015/01/10", "doc_type": "article", "is_article_in_press": false}\n',  # bad_date_format
+    '{"pub_id": "i", "source_id": 1, "sort_year": 2015, "load_date": "2015-02-30", "doc_type": "article", "is_article_in_press": false}\n',  # impossible_date
+    '{"pub_id": "i2", "source_id": 1, "sort_year": 2015, "load_date": "2015-02-30", "doc_type": "article", "is_article_in_press": false}\n',  # the same impossible date again: rejected again
+    '{"pub_id": "j", "source_id": 1, "sort_year": 2015, "load_date": "2015-01-10", "doc_type": "poem", "is_article_in_press": false}\n',  # unknown_doc_type
+    '{"pub_id": "k", "source_id": 777, ' + _PUBLICATION_TAIL + '}\n',  # unknown_source
+    '{"pub_id": "k2", "source": 1, ' + _PUBLICATION_TAIL + '}\n',  # an unknown key in place of a known one
+    '{"x_before": null, "pub_id": "l", "source_id": 1, ' + _PUBLICATION_TAIL + ', "x_after": {}}\n',  # unknown_field
+    '{"pub_id": "m", "source_id": 1, ' + _PUBLICATION_TAIL + '}\x0b\n',  # trailing vertical tab
+    '{"pub_id": "n", "source_id": 1, ' + _PUBLICATION_TAIL + '}{}\n',  # trailing garbage
+    '\ufeff{"pub_id": "o", "source_id": 1, ' + _PUBLICATION_TAIL + '}\n',  # BOM
+    '{"pub_id": "p", "pub_id": "q", "source_id": 1, ' + _PUBLICATION_TAIL + '}\n',  # duplicate keys
+    '{"pub_id": "r", "source_id": 1, "sort_year": NaN, "load_date": "2015-01-10", "doc_type": "article", "is_article_in_press": false}\n',  # NaN where an int is expected
+    '{"pub_id": "s", "source_id": Infinity, ' + _PUBLICATION_TAIL + '}\n',  # Infinity where an int is expected
+    '{"pub_id": "t", "source_id": 1, "sort_year": true, "load_date": "2015-01-10", "doc_type": "article", "is_article_in_press": false}\n',  # true where an int is expected
+    '{"pub_id": "u", "source_id": 1, "sort_year": 2017.0, "load_date": "2015-01-10", "doc_type": "article", "is_article_in_press": false}\n',  # 2017.0 where an int is expected
+    '{"pub_id": "", "source_id": 1, ' + _PUBLICATION_TAIL + '}\n',  # empty id
+    '{"pub_id": "v", "source_id": 1, "sort_year": 2015, "load_date": null, "doc_type": "article", "is_article_in_press": false}\n',  # null where a string is expected
+    '{"pub_id": "w", "source_id": 1, "sort_year": 2015, "load_date": ["2015-01-10"], "doc_type": "article", "is_article_in_press": false}\n',  # an unhashable date
+    '{"pub_id": "x", "source_id": 1, "sort_year": 2015, "load_date": "2015-01-10", "doc_type": ["article"], "is_article_in_press": false}\n',  # an unhashable doc_type
+    '{"pub_id": "y", "source_id": 1, "sort_year": 2015, "load_date": "2015-01-10", "doc_type": "", "is_article_in_press": false}\n',  # an empty doc_type
+    '{"pub_id": "z", "source_id": 1, "sort_year": 2015, "load_date": "2015-01-10", "doc_type": "article", "is_article_in_press": 0}\n',  # an integer is not a bool
+    '{"pub_id": "aa", "source_id": 1, "sort_year": 2015, "load_date": "", "doc_type": "article", "is_article_in_press": false}\n',  # an empty date
+    '{"pub_id": "ab", "source_id": 1, "sort_year": 2015, "load_date": "2015-01-10\\n", "doc_type": "article", "is_article_in_press": false}\n',  # the date pattern's $ matches before a newline
+    '{"pub_id": "ac", "source_id": 2, "sort_year": 2016, "load_date": "2017-06-30", "doc_type": "article", "is_article_in_press": false}\n',
+    '[]\n',  # not an object
+    '"pub"\n',  # not an object
+    '{"pub_id": "ad", "source_id": 2, "sort_year": 2017, "load_date": "2017-06-30", "doc_type": "article", "is_article_in_press": false} \r\n',  # trailing space, CR
+]
+
+_GOLDEN_LINKS = [
+    '{"citing_pub_id": "b", "cited_pub_id": "a"}\n',
+    '{"cited_pub_id": "a", "citing_pub_id": "ac"}\n',  # keys reversed
+    '   {"citing_pub_id": "ad", "cited_pub_id": "b"}\n',  # leading spaces
+    '{"citing_pub_id": "ad", "cited_pub_id": "a"}\r\n',  # trailing CR
+    '{"citing_pub_id": "ac", "cited_pub',  # bad_json
+    '{"citing_pub_id": "b"}\n',  # missing_field
+    '{"citing_pub_id": "b", "cited": "a"}\n',  # an unknown key in place of a known one
+    '{"citing_pub_id": 5, "cited_pub_id": "a"}\n',  # bad_type
+    '{"citing_pub_id": "a", "cited_pub_id": "a"}\n',  # self_citation
+    '{"citing_pub_id": "b", "cited_pub_id": "ghost"}\n',  # dangling
+    '{"citing_pub_id": "ghost", "cited_pub_id": "b"}\n',  # dangling citing end
+    '{"citing_pub_id": "c", "cited_pub_id": "a"}\n',  # citing_aip
+    '{"x_before": 1, "citing_pub_id": "d", "cited_pub_id": "a", "x_after": 2}\n',  # unknown_field
+    '{"citing_pub_id": "b", "cited_pub_id": "a"}\n',  # duplicate: collapsed
+    '{"citing_pub_id": "ac", "cited_pub_id": "b"}\x0c\n',  # trailing form feed
+    '{"citing_pub_id": "ac", "cited_pub_id": "b"}\x0b\n',  # trailing vertical tab
+    '{"citing_pub_id": "ac", "cited_pub_id": "b"} ,\n',  # trailing garbage
+    '\ufeff{"citing_pub_id": "ac", "cited_pub_id": "b"}\n',  # BOM
+    '{"citing_pub_id": "ac", "cited_pub_id": "x", "cited_pub_id": "b"}\n',  # duplicate keys
+    '{"citing_pub_id": "", "cited_pub_id": "b"}\n',  # empty id
+    '{"citing_pub_id": "ac", "cited_pub_id": true}\n',  # true where a string is expected
+    '{"citing_pub_id": "ac", "cited_pub_id": NaN}\n',  # NaN where a string is expected
+    '{"citing_pub_id": "ac", "cited_pub_id": null}\n',  # null where a string is expected
+    '{"citing_pub_id": "d", "cited_pub_id": "c"}  \t\n',  # cites an article-in-press: fine
+    '["b", "a"]\n',  # not an object
+]
+
+
+def test_ingest_golden_lines():
+    """Every rejection class of perfbench/inputs.DIRT_CLASSES plus the
+    decoder's edge cases, through all three record kinds. The lines go to
+    ingest as strings, so a trailing \\r reaches the decoder (text-mode file
+    reading would have made it a line end). The expected warnings, counts
+    and records are those of ingest with a plain json.loads per line."""
+    index, report = ingest(_GOLDEN_SOURCES, _GOLDEN_PUBLICATIONS, _GOLDEN_LINKS)
+    assert report.warnings == [
+        'sources line 3: invalid JSON (Unterminated string starting at)',
+        'sources line 4: expected an object',
+        "sources line 5: missing field 'title'",
+        "sources line 6: field 'source_id' must be an integer",
+        "sources line 7: unknown source_type 'magazine'",
+        'sources line 8: ASJC code 12 is not a 4-digit code',
+        "sources line 9: ignoring unknown field 'x_before'",
+        "sources line 9: ignoring unknown field 'x_after'",
+        'sources line 12: invalid JSON (Unexpected UTF-8 BOM (decode using utf-8-sig))',
+        'sources line 13: invalid JSON (Extra data)',
+        "sources line 14: field 'title' must be a non-empty string",
+        "sources line 16: field 'source_id' must be an integer",
+        "sources line 17: field 'asjc_codes' must be an integer",
+        'sources line 18: asjc_codes must be a non-empty list',
+        "sources line 19: field 'is_actively_indexed' must be a boolean",
+        'sources line 20: invalid JSON (Extra data)',
+        'source 16: predecessor_source_id 99 does not exist, pointer dropped',
+        'publications line 7: invalid JSON (Unterminated string starting at)',
+        "publications line 8: missing field 'load_date'",
+        "publications line 9: field 'sort_year' must be an integer",
+        "publications line 10: load_date '2015/01/10' is not YYYY-MM-DD",
+        "publications line 11: load_date '2015-02-30': day is out of range for month",
+        "publications line 12: load_date '2015-02-30': day is out of range for month",
+        "publications line 13: unknown doc_type 'poem'",
+        'publications line 14: unknown source_id 777, record rejected',
+        "publications line 15: ignoring unknown field 'source'",
+        "publications line 15: missing field 'source_id'",
+        "publications line 16: ignoring unknown field 'x_before'",
+        "publications line 16: ignoring unknown field 'x_after'",
+        'publications line 17: invalid JSON (Extra data)',
+        'publications line 18: invalid JSON (Extra data)',
+        'publications line 19: invalid JSON (Unexpected UTF-8 BOM (decode using utf-8-sig))',
+        "publications line 21: field 'sort_year' must be an integer",
+        "publications line 22: field 'source_id' must be an integer",
+        "publications line 23: field 'sort_year' must be an integer",
+        "publications line 24: field 'sort_year' must be an integer",
+        "publications line 25: field 'pub_id' must be a non-empty string",
+        "publications line 26: field 'load_date' must be a non-empty string",
+        "publications line 27: field 'load_date' must be a non-empty string",
+        "publications line 28: field 'doc_type' must be a non-empty string",
+        "publications line 29: field 'doc_type' must be a non-empty string",
+        "publications line 30: field 'is_article_in_press' must be a boolean",
+        "publications line 31: field 'load_date' must be a non-empty string",
+        "publications line 32: load_date '2015-01-10\\n': Invalid isoformat string: '2015-01-10\\n'",
+        'publications line 34: expected an object',
+        'publications line 35: expected an object',
+        'links line 5: invalid JSON (Unterminated string starting at)',
+        "links line 6: missing field 'cited_pub_id'",
+        "links line 7: ignoring unknown field 'cited'",
+        "links line 7: missing field 'cited_pub_id'",
+        "links line 8: field 'citing_pub_id' must be a non-empty string",
+        "links line 9: publication cannot cite itself ('a')",
+        "links line 10: dangling endpoint 'ghost', link rejected",
+        "links line 11: dangling endpoint 'ghost', link rejected",
+        "links line 12: citing publication 'c' is an article-in-press and cannot give citations, link rejected",
+        "links line 13: ignoring unknown field 'x_before'",
+        "links line 13: ignoring unknown field 'x_after'",
+        'links line 15: invalid JSON (Extra data)',
+        'links line 16: invalid JSON (Extra data)',
+        'links line 17: invalid JSON (Extra data)',
+        'links line 18: invalid JSON (Unexpected UTF-8 BOM (decode using utf-8-sig))',
+        "links line 20: field 'citing_pub_id' must be a non-empty string",
+        "links line 21: field 'cited_pub_id' must be a non-empty string",
+        "links line 22: field 'cited_pub_id' must be a non-empty string",
+        "links line 23: field 'cited_pub_id' must be a non-empty string",
+        'links line 25: expected an object',
+    ]
+    assert report.counts() == {
+        "sources_accepted": 6, "sources_rejected": 14,
+        "publications_accepted": 8, "publications_rejected": 26,
+        "links_accepted": 7, "links_rejected": 17, "links_collapsed": 1,
+    }
+    assert [
+        (r.source_id, r.title, r.source_type, sorted(r.asjc_codes), r.is_actively_indexed, r.predecessor_source_id)
+        for r in index.sources.values()
+    ] == [
+        (1, 'Alpha', 'journal', [1000, 1100], True, None),
+        (2, 'Béta 😀', 'book-series', [2200], False, 1),
+        (9, 'T', 'journal', [1000], True, None),
+        (10, 'T', 'journal', [1000], True, None),
+        (12, 'T', 'journal', [1000], True, None),
+        (16, 'T', 'journal', [1000], True, None),
+    ]
+    assert [
+        (r.pub_id, r.source_id, r.sort_year, r.load_date.isoformat(), r.doc_type, r.is_article_in_press)
+        for r in index.publications.values()
+    ] == [
+        ('a', 1, 2015, '2015-01-10', 'article', False),
+        ('b', 2, 2016, '2016-03-01', 'review', False),
+        ('c', 10, 2017, '2017-02-01', 'letter', True),
+        ('d', 12, 2015, '2015-01-10', 'article', False),
+        ('l', 1, 2015, '2015-01-10', 'article', False),
+        ('q', 1, 2015, '2015-01-10', 'article', False),
+        ('ac', 2, 2016, '2017-06-30', 'article', False),
+        ('ad', 2, 2017, '2017-06-30', 'article', False),
+    ]
+    assert [(link.citing_pub_id, link.cited_pub_id) for link in index.links] == [
+        ("b", "a"), ("ac", "a"), ("ad", "b"), ("ad", "a"), ("d", "a"), ("ac", "b"), ("d", "c"),
+    ]
+
+
 def test_snapshot_cutoff_is_inclusive():
     cutoff = date(2017, 5, 31)
     pubs = [

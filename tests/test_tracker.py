@@ -226,6 +226,14 @@ def test_sweep_equals_snapshot_per_date(tmp_path, seed):
     middle = random.Random(seed).sample(loads, 12)
     schedule = sorted({loads[0] - timedelta(days=1), *middle, loads[-1] + timedelta(days=1)})
     _assert_sweep_matches_snapshots(index, 2017, schedule)
+    # A narrowed view whose schedule runs past its cutoff: the tallies stay
+    # flat from the cutoff on.
+    cut = len(schedule) // 2
+    view = snapshot(index, schedule[cut])
+    _assert_sweep_matches_snapshots(view, 2017, schedule)
+    tallies = sweep_counts(view, 2017, schedule)
+    assert tallies[cut:] == [tallies[cut]] * (len(schedule) - cut)
+    assert tallies[cut] != sweep_counts(index, 2017, schedule)[-1]
 
 
 def _index_with_staggered_loads():
