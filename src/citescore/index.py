@@ -335,20 +335,22 @@ class IndexSnapshot:
             if citing.load_date <= cutoff and cited.load_date <= cutoff
         )
 
-    def source_publications(self, source_id: int) -> Iterator[PublicationRecord]:
-        """The source's publications in this view, in store order."""
-        cutoff = self.cutoff
-        for record in self._store.by_source.get(source_id, _NO_GROUP)[0]:
-            if record.load_date <= cutoff:
-                yield record
+    @cached_property
+    def _tallies(self) -> dict:
+        """Per-view memo of the metrics module's chain tallies."""
+        return {}
 
-    def cited_links(self, source_id: int) -> Iterator[tuple[PublicationRecord, PublicationRecord]]:
-        """(citing, cited) of every link in this view whose cited publication
-        the source published, in store order."""
-        cutoff = self.cutoff
-        for citing, cited in self._store.by_source.get(source_id, _NO_GROUP)[1]:
-            if citing.load_date <= cutoff and cited.load_date <= cutoff:
-                yield citing, cited
+    def record_groups(
+        self, source_ids: Iterable[int] | None = None
+    ) -> list[tuple[Iterable[PublicationRecord], Iterable[_Pair]]]:
+        """(publications, (citing, cited) pairs) groups of the shared store,
+        in store order and not narrowed to this view's cutoff: one group for
+        the whole store or, given source_ids, one per source of its
+        publications and the pairs whose cited publication it published."""
+        store = self._store
+        if source_ids is None:
+            return [(store.publications.values(), store.pairs)]
+        return [store.by_source.get(source_id, _NO_GROUP) for source_id in source_ids]
 
     def resolve_title_chain(self, source_id: int) -> frozenset[int]:
         """The source itself plus the transitive closure of its predecessors."""

@@ -14,10 +14,10 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass
 from datetime import date
 from decimal import Decimal
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .index import IndexSnapshot
-from .records import ELIGIBLE_SOURCE_TYPES, PublicationRecord
+from .records import ELIGIBLE_SOURCE_TYPES
 
 # The cited publication period spans the three years before the citing year.
 CITED_WINDOW_YEARS = 3
@@ -77,81 +77,58 @@ def score_from_counts(citations: int, documents: int) -> Decimal:
     return _hundredths_to_decimal(_round_ratio_to_hundredths(citations, documents))
 
 
+def _chain_counts(snapshot: IndexSnapshot, source_id: int, year: int) -> SourceYearCounts:
+    """The sweep's tallies of the source's title chain at the view's cutoff,
+    counted once per view, source and year."""
+    key = (source_id, year)
+    memo = snapshot._tallies
+    if key not in memo:
+        memo[key] = sweep_counts(snapshot, year, [snapshot.cutoff], source_id)[0][source_id]
+    return memo[key]
+
+
+def _scored_counts(snapshot: IndexSnapshot, source_id: int, year: int) -> SourceYearCounts:
+    tally = _chain_counts(snapshot, source_id, year)
+    if tally.documents < 1:
+        raise IneligibleError(f"source {source_id} has no documents in the {year} cited window")
+    return tally
+
+
 def count_documents(snapshot: IndexSnapshot, source_id: int, year: int) -> int:
     """Documents in the cited window, attributed across the whole title chain.
 
     Counts publications of every document type except articles-in-press.
     """
-    window = cited_window(year)
-    return sum(
-        1
-        for member in snapshot.resolve_title_chain(source_id)
-        for record in snapshot.source_publications(member)
-        if not record.is_article_in_press and record.sort_year in window
-    )
-
-
-def _cited_documents(snapshot: IndexSnapshot, source_id: int, year: int) -> Iterator[PublicationRecord]:
-    """The cited publication of every qualifying link into the chain's
-    in-window documents, once per link.
-
-    The citing side is unrestricted: any source, any document type, except
-    articles-in-press (which cannot give citations).
-    """
-    window = cited_window(year)
-    for member in snapshot.resolve_title_chain(source_id):
-        for citing, cited in snapshot.cited_links(member):
-            if (
-                citing.sort_year == year
-                and not citing.is_article_in_press
-                and cited.sort_year in window
-                and not cited.is_article_in_press
-            ):
-                yield cited
+    return _chain_counts(snapshot, source_id, year).documents
 
 
 def count_citations(snapshot: IndexSnapshot, source_id: int, year: int) -> int:
     """Citations received in the citing year by the chain's in-window documents.
     Each distinct link counts once."""
-    return sum(1 for _ in _cited_documents(snapshot, source_id, year))
-
-
-def _scoreable_documents(snapshot: IndexSnapshot, source_id: int, year: int) -> int:
-    documents = count_documents(snapshot, source_id, year)
-    if documents < 1:
-        raise IneligibleError(
-            f"source {source_id} has no documents in the {year} cited window"
-        )
-    return documents
+    return _chain_counts(snapshot, source_id, year).citations
 
 
 def citescore(snapshot: IndexSnapshot, source_id: int, year: int) -> Decimal:
     """Citations divided by documents, to exactly two decimal places."""
-    documents = _scoreable_documents(snapshot, source_id, year)
-    citations = count_citations(snapshot, source_id, year)
-    return score_from_counts(citations, documents)
+    tally = _scored_counts(snapshot, source_id, year)
+    return score_from_counts(tally.citations, tally.documents)
 
 
 def percent_cited(snapshot: IndexSnapshot, source_id: int, year: int) -> int:
     """Share of denominator documents with at least one qualifying citation,
     as an integer percentage (ties round up)."""
-    documents = _scoreable_documents(snapshot, source_id, year)
-    cited_ids = {cited.pub_id for cited in _cited_documents(snapshot, source_id, year)}
-    return _round_ratio_to_hundredths(len(cited_ids), documents)
+    tally = _scored_counts(snapshot, source_id, year)
+    return _round_ratio_to_hundredths(tally.cited_documents, tally.documents)
 
 
-def _eligible(snapshot: IndexSnapshot, source_id: int, documents: Callable[[], int]) -> bool:
-    """The rule is_eligible documents, shared with the batch path.
-
-    documents() is called last, so the per-source path counts documents only
-    for sources that pass the cheap checks.
-    """
+def source_eligible(snapshot: IndexSnapshot, source_id: int) -> bool:
+    """The part of is_eligible that does not depend on the date: an actively
+    indexed serial that is the current (chain-terminal) title."""
     source = snapshot.sources[source_id]
     return (
         source.is_actively_indexed
         and source.source_type in ELIGIBLE_SOURCE_TYPES
         and snapshot.is_chain_terminal(source_id)
-        and documents() >= 1
     )
 
 
@@ -165,7 +142,7 @@ def is_eligible(snapshot: IndexSnapshot, source_id: int, year: int) -> bool:
     """
     if source_id not in snapshot.sources:
         raise KeyError(f"unknown source_id {source_id}")
-    return _eligible(snapshot, source_id, lambda: count_documents(snapshot, source_id, year))
+    return source_eligible(snapshot, source_id) and count_documents(snapshot, source_id, year) >= 1
 
 
 def percentile_from_counts(lower: int, same: int, total: int) -> int:
@@ -234,10 +211,11 @@ class SourceYearCounts:
 
 
 def sweep_counts(
-    index: IndexSnapshot, year: int, schedule: Sequence[date]
+    index: IndexSnapshot, year: int, schedule: Sequence[date], chain_of: int | None = None
 ) -> list[dict[int, SourceYearCounts]]:
     """Tallies of every current title at each date of an ascending schedule,
-    in one pass over the index.
+    in one pass over the index. These two loops are the one place that
+    decides which documents, citations and cited documents count.
 
     The index is append-only: a publication counts from the first schedule
     date on or after its load_date, and a link from the first date on or
@@ -247,52 +225,63 @@ def sweep_counts(
     aggregate_counts(snapshot(index, schedule[i]), year). Records that load
     after the last date, or after the index's cutoff, are never counted, so
     the tallies stay flat from the cutoff on.
+
+    Given chain_of, the sweep reads only the record groups of that source's
+    title chain (itself and its predecessors) and keeps the chain's tallies
+    under it, the chain's newest member, whether or not it is current.
     """
     if any(later <= earlier for earlier, later in zip(schedule, schedule[1:])):
         raise ValueError("schedule dates must be strictly ascending")
     if not schedule:
         return []
-    terminal_of: dict[int, int] = {}
-    for source_id in index.sources:
-        terminal = source_id
-        while terminal in index.successor:
-            terminal = index.successor[terminal]
-        terminal_of[source_id] = terminal
-    terminals = [source_id for source_id, terminal in terminal_of.items() if source_id == terminal]
+    if chain_of is None:
+        terminal_of: dict[int, int] = {}
+        for source_id in index.sources:
+            terminal = source_id
+            while terminal in index.successor:
+                terminal = index.successor[terminal]
+            terminal_of[source_id] = terminal
+        terminals = [source_id for source_id, terminal in terminal_of.items() if source_id == terminal]
+        groups = index.record_groups()
+    else:
+        terminal_of = dict.fromkeys(index.resolve_title_chain(chain_of), chain_of)
+        terminals = [chain_of]
+        groups = index.record_groups(terminal_of)
 
     n = len(schedule)
     window = cited_window(year)
-    # The whole store, read without the view's filtered copy: a record that
-    # loads after the view's cutoff or the last schedule date never counts.
-    store = index._store
+    # The store's records, read without the view's filtered copy: a record
+    # that loads after the view's cutoff or the last schedule date never counts.
     last = min(schedule[-1], index.cutoff)
     # What each schedule date adds, by terminal title.
     documents = [defaultdict(int) for _ in schedule]
     citations = [defaultdict(int) for _ in schedule]
     cited_documents = [defaultdict(int) for _ in schedule]
 
-    for record in store.publications.values():
-        if record.is_article_in_press or record.sort_year not in window or record.load_date > last:
-            continue
-        documents[bisect_left(schedule, record.load_date)][terminal_of[record.source_id]] += 1
+    for publications, _ in groups:
+        for record in publications:
+            if record.is_article_in_press or record.sort_year not in window or record.load_date > last:
+                continue
+            documents[bisect_left(schedule, record.load_date)][terminal_of[record.source_id]] += 1
 
     # pub_id -> (first date index, terminal title) of each cited document.
     first_cited: dict[str, tuple[int, int]] = {}
     never = (n, 0)
-    for citing, cited in store.pairs:
-        if citing.sort_year != year or citing.is_article_in_press:
-            continue
-        if cited.sort_year not in window or cited.is_article_in_press:
-            continue
-        # The link is in the index once its later endpoint has loaded.
-        loaded = cited.load_date if cited.load_date > citing.load_date else citing.load_date
-        if loaded > last:
-            continue
-        bucket = bisect_left(schedule, loaded)
-        terminal = terminal_of[cited.source_id]
-        citations[bucket][terminal] += 1
-        if bucket < first_cited.get(cited.pub_id, never)[0]:
-            first_cited[cited.pub_id] = (bucket, terminal)
+    for _, pairs in groups:
+        for citing, cited in pairs:
+            if citing.sort_year != year or citing.is_article_in_press:
+                continue
+            if cited.sort_year not in window or cited.is_article_in_press:
+                continue
+            # The link is in the index once its later endpoint has loaded.
+            loaded = cited.load_date if cited.load_date > citing.load_date else citing.load_date
+            if loaded > last:
+                continue
+            bucket = bisect_left(schedule, loaded)
+            terminal = terminal_of[cited.source_id]
+            citations[bucket][terminal] += 1
+            if bucket < first_cited.get(cited.pub_id, never)[0]:
+                first_cited[cited.pub_id] = (bucket, terminal)
     for bucket, terminal in first_cited.values():
         cited_documents[bucket][terminal] += 1
 
@@ -316,27 +305,9 @@ def sweep_counts(
 def aggregate_counts(snapshot: IndexSnapshot, year: int) -> dict[int, SourceYearCounts]:
     """Numerator/denominator tallies for every current title: the sweep at
     the one date snapshot.cutoff, by which every record of the view has
-    loaded.
-
-    Equivalent to calling count_documents / count_citations per source but
-    linear in the snapshot size; the test suite cross-checks the two paths.
+    loaded. The per-source functions read the same sweep over one chain.
     """
     return sweep_counts(snapshot, year, [snapshot.cutoff])[0]
-
-
-def eligible_tallies(
-    index: IndexSnapshot, counts: Mapping[int, SourceYearCounts]
-) -> list[tuple[int, SourceYearCounts]]:
-    """(source_id, tallies) of every eligible source, sorted by source_id.
-
-    counts may be any date's tallies from sweep_counts: the source-level
-    checks do not depend on the date, only the document count does.
-    """
-    return [
-        (source_id, counts[source_id])
-        for source_id in sorted(counts)
-        if _eligible(index, source_id, lambda: counts[source_id].documents)
-    ]
 
 
 def compute_annual(
@@ -351,7 +322,11 @@ def compute_annual(
     """
     rows: list[MetricsRow] = []
     scores: dict[int, Decimal] = {}
-    for source_id, tally in eligible_tallies(snapshot, aggregate_counts(snapshot, year)):
+    counts = aggregate_counts(snapshot, year)
+    for source_id in sorted(counts):
+        tally = counts[source_id]
+        if not source_eligible(snapshot, source_id) or tally.documents < 1:
+            continue
         score = score_from_counts(tally.citations, tally.documents)
         pct = _round_ratio_to_hundredths(tally.cited_documents, tally.documents)
         assert 0 <= pct <= 100

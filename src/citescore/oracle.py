@@ -85,7 +85,7 @@ def oracle_metrics(
             continue
         if any("\ud800" <= ch <= "\udfff" for ch in title):  # a lone surrogate cannot be written out
             continue
-        if stype not in _VALID_SOURCE_TYPES or not isinstance(active, bool):
+        if not isinstance(stype, str) or stype not in _VALID_SOURCE_TYPES or not isinstance(active, bool):
             continue
         if (
             not isinstance(codes, list)
@@ -130,7 +130,7 @@ def oracle_metrics(
             load_date = date.fromisoformat(load)
         except ValueError:
             continue
-        if dtype not in _VALID_DOC_TYPES or not isinstance(aip, bool):
+        if not isinstance(dtype, str) or dtype not in _VALID_DOC_TYPES or not isinstance(aip, bool):
             continue
         if pid in accepted_ids:
             raise OracleDataError(f"duplicate pub_id {pid!r}")

@@ -1,6 +1,11 @@
 """CSV writers for the engine's output files, plus the row-level comparison
 used by verification. Files are UTF-8 with a mandatory header row and "\n"
-line endings."""
+line endings.
+
+The writers keep the order they are given, which is the file order: metrics
+rows by source_id, standings by (source_id, asjc_code), tracker rows by
+(source_id, as_of) and stability points by as_of, as compute_annual,
+tracker_table and stability_report return them."""
 
 from __future__ import annotations
 
@@ -40,14 +45,14 @@ def write_metrics_csv(
             row.documents,
             row.percent_cited,
         ]
-        for row in sorted(rows, key=lambda r: r.source_id)
+        for row in rows
     ))
 
 
 def write_standings_csv(path: str | Path, standings: list[CategoryStanding]) -> Path:
     return _write_csv(path, STANDINGS_HEADER, (
         [row.source_id, row.asjc_code, row.rank, row.n_in_category, row.percentile, row.quartile]
-        for row in sorted(standings, key=lambda s: (s.source_id, s.asjc_code))
+        for row in standings
     ))
 
 
@@ -61,7 +66,7 @@ def write_tracker_csv(path: str | Path, rows: list[TrackerRow]) -> Path:
             row.documents,
             str(row.value),
         ]
-        for row in sorted(rows, key=lambda r: (r.source_id, r.as_of))
+        for row in rows
     ))
 
 

@@ -1,14 +1,12 @@
 """The in-progress current-year score, rebuilt on a monthly schedule.
 
 A tracker point is the annual formula over the index as it stood at an
-earlier cutoff. The whole schedule comes from one load-date sweep over the
-index (metrics.sweep_counts), which by construction equals a snapshot per
-month followed by the annual counts; the annual basket is the same sweep at
-one date, so the final tracker point and the annual value coincide once
-everything has loaded. A single tracker_value keeps the per-source path:
-its snapshot is a cutoff over the index's shared records and copies
-nothing, and the per-source counts read only the title chain's own
-publications and the links into them, each filtered by that cutoff.
+earlier cutoff. Every count comes from the one load-date sweep over the
+index (metrics.sweep_counts), whose running totals at each schedule date
+equal the annual counts over a snapshot at that date: tracker_table sweeps
+the whole store, tracker_series and tracker_value the source's title chain
+only. The annual basket is the same sweep at one date, so the final tracker
+point and the annual value coincide once everything has loaded.
 """
 
 from __future__ import annotations
@@ -21,7 +19,7 @@ from decimal import Decimal
 from fractions import Fraction
 
 from .index import IndexSnapshot, snapshot
-from .metrics import citescore, eligible_tallies, is_eligible, score_from_counts, sweep_counts
+from .metrics import citescore, is_eligible, score_from_counts, source_eligible, sweep_counts
 
 
 @dataclass(frozen=True)
@@ -93,12 +91,15 @@ def tracker_series(
     """Evaluate one source over an ascending schedule of as-of dates."""
     if source_id not in index.sources:
         raise KeyError(f"unknown source_id {source_id}")
-    points = tuple(
-        TrackerPoint(as_of=row.as_of, citations=row.citations, documents=row.documents, value=row.value)
-        for row in tracker_table(index, tracker_year, schedule)
-        if row.source_id == source_id
-    )
-    return TrackerSeries(source_id=source_id, tracker_year=tracker_year, points=points)
+    tallies = sweep_counts(index, tracker_year, schedule, source_id)
+    points: list[TrackerPoint] = []
+    if source_eligible(index, source_id):
+        for as_of, counts in zip(schedule, tallies):
+            tally = counts[source_id]
+            if tally.documents >= 1:
+                value = score_from_counts(tally.citations, tally.documents)
+                points.append(TrackerPoint(as_of, tally.citations, tally.documents, value))
+    return TrackerSeries(source_id=source_id, tracker_year=tracker_year, points=tuple(points))
 
 
 @dataclass(frozen=True)
@@ -116,23 +117,28 @@ def tracker_table(
 ) -> list[TrackerRow]:
     """Tracker points for every scoreable source, for the batch output file.
 
-    Rows are sorted by (source_id, as_of). One load-date sweep over the
-    index gives the tallies at every schedule date; no snapshot is built.
+    One load-date sweep over the index gives the tallies at every schedule
+    date; no snapshot is built. Rows come out in (source_id, as_of) order:
+    sources in id order, each source's dates in schedule order.
     """
+    tallies = sweep_counts(index, tracker_year, schedule)
     rows: list[TrackerRow] = []
-    for as_of, counts in zip(schedule, sweep_counts(index, tracker_year, schedule)):
-        for source_id, tally in eligible_tallies(index, counts):
-            rows.append(
-                TrackerRow(
-                    source_id=source_id,
-                    tracker_year=tracker_year,
-                    as_of=as_of,
-                    citations=tally.citations,
-                    documents=tally.documents,
-                    value=score_from_counts(tally.citations, tally.documents),
+    for source_id in sorted(index.sources):
+        if not source_eligible(index, source_id):
+            continue
+        for as_of, counts in zip(schedule, tallies):
+            tally = counts[source_id]
+            if tally.documents >= 1:
+                rows.append(
+                    TrackerRow(
+                        source_id=source_id,
+                        tracker_year=tracker_year,
+                        as_of=as_of,
+                        citations=tally.citations,
+                        documents=tally.documents,
+                        value=score_from_counts(tally.citations, tally.documents),
+                    )
                 )
-            )
-    rows.sort(key=lambda r: (r.source_id, r.as_of))
     return rows
 
 

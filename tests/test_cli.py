@@ -357,3 +357,18 @@ def test_lone_surrogate_title_is_rejected_not_a_crash(corpus, tmp_path, capsys):
         handle.write(pub_line("surrogate-doc", 999_999, 2015) + "\n")
     _assert_compute_and_verify(corpus, tmp_path, capsys, "field 'title' holds a lone surrogate",
                                "sources_rejected")
+
+
+@pytest.mark.parametrize("flag, line, warning, counter", [
+    ("--pubs", pub_line("listed", 1, 2015, doc_type=["x"]),
+     "field 'doc_type' must be a non-empty string", "publications_rejected"),
+    ("--sources", source_line(999_999, source_type={"kind": "journal"}),
+     "field 'source_type' must be a non-empty string", "sources_rejected"),
+], ids=["doc_type-list", "source_type-object"])
+def test_unhashable_type_field_is_rejected_not_a_crash(corpus, tmp_path, capsys, flag, line, warning, counter):
+    # The oracle tests these fields for membership in a set, which raises
+    # TypeError on a list or an object unless their type is tested first.
+    with open(corpus[flag], "a", encoding="utf-8") as handle:
+        handle.write(line + "\n")
+    _assert_compute_and_verify(corpus, tmp_path, capsys, warning, counter)
+    assert "Traceback" not in capsys.readouterr().err  # verify's own stderr

@@ -27,7 +27,7 @@ from citescore import (
     snapshot,
     tracker_value,
 )
-from citescore.metrics import aggregate_counts, score_from_counts
+from citescore.metrics import SourceYearCounts, aggregate_counts, score_from_counts, sweep_counts
 from citescore.records import ELIGIBLE_SOURCE_TYPES
 
 from helpers import brute_force_view, build_snapshot, differential_index, link_line, pub_line, source_line
@@ -485,12 +485,18 @@ def test_per_source_scans_equal_brute_force(tmp_path, seed):
     views = [snapshot(index, cutoff) for cutoff in cutoffs]
     views += [snapshot(snapshot(index, cutoffs[5]), cutoffs[2]),
               snapshot(snapshot(index, cutoffs[2]), cutoffs[5])]
+    # The whole-store sweep, read at every cutoff: every view's cutoff is one of them.
+    sweeps = {year: dict(zip(cutoffs, sweep_counts(index, year, cutoffs), strict=True))
+              for year in (2016, 2017, 2018)}
     scored = 0
     for view in views:
         for source_id in index.sources:
             for year in (2016, 2017, 2018):
                 documents, citations, cited, eligible = _brute_force_tallies(
                     index, view.cutoff, source_id, year)
+                if index.is_chain_terminal(source_id):
+                    tally = sweeps[year][view.cutoff][source_id]
+                    assert tally == SourceYearCounts(citations, documents, cited), (source_id, year)
                 assert count_documents(view, source_id, year) == documents
                 assert count_citations(view, source_id, year) == citations
                 assert is_eligible(view, source_id, year) is eligible
