@@ -359,7 +359,7 @@ def cmd_snapshot_info(args, parser) -> int:
         "cutoff": cutoff.isoformat(),
         "sources": len(view.sources),
         "publications": len(view.publications),
-        "links": len(view.links),
+        "links": view.link_count,
         "publications_by_sort_year": {str(y): by_year[y] for y in sorted(by_year)},
         "ingest": report.counts(),
     }

@@ -3,14 +3,21 @@
 Records arrive as line-delimited JSON (one object per line, UTF-8). Ingestion
 is single-writer and builds the full index as the snapshot at ``date.max``.
 It decodes a line with one call of the C JSON scanner, and checks each field
-of a publication or link with one exact type test; the checks that build a
-rejection's message run only on a field that fails. Every snapshot of that
-index is a cutoff over one shared record store, which keeps each accepted
-link as its (citing, cited) pair of publication records: taking a snapshot
-copies nothing, and a view filters the store into its own publications and
-``CitationLink`` objects on first read. Views are immutable (read-only
-mappings, tuple of links), so they can be shared freely across metric
-computations.
+of a publication with one exact type test; the checks that build a
+rejection's message run only on a field that fails. Each accepted
+publication gets an ordinal, its position in ingest order, and the link loop
+runs inline: a canonical link line is one scanner call, two type tests, two
+ordinal lookups, an article-in-press test and a probe of the dedupe set,
+which holds one int per link (``citing * n_publications + cited``). Any
+other link line goes through the same message-building helpers as the other
+record kinds.
+
+Every snapshot of that index is a cutoff over one shared record store: the
+publication records by ordinal and the links as two ``array("i")`` columns
+of (citing, cited) ordinals. Taking a snapshot copies nothing, and a view
+filters the store into its own publications and ``CitationLink`` objects on
+first read. Views are immutable (read-only mappings, tuple of links), so
+they can be shared freely across metric computations.
 """
 
 from __future__ import annotations
@@ -18,6 +25,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import re
+from array import array
 from dataclasses import dataclass, field
 from datetime import date
 from functools import cached_property
@@ -88,7 +96,9 @@ class _LineError(Exception):
 
 
 _Scanner = Callable[[str, int], tuple[object, int]]
-_Pair = tuple[PublicationRecord, PublicationRecord]
+# One group of the store: publication records and the (citing, cited) ordinal
+# columns of links.
+_Group = tuple[Iterable[PublicationRecord], Iterable[int], Iterable[int]]
 
 
 def _parse_json_line(kind: str, lineno: int, line: str, scan: _Scanner) -> dict:
@@ -258,41 +268,75 @@ def _parse_link(lineno: int, line: str, report: IngestReport, scan: _Scanner) ->
     return citing, cited
 
 
+def _link_rejection(lineno: int, citing_id: str, cited_id: str, citing_known: bool, cited_known: bool) -> str:
+    """The warning for a link whose ids are well formed but which cites
+    itself, has an endpoint that is not an accepted publication, or whose
+    citing publication is an article-in-press; checked in that order."""
+    if citing_id == cited_id:
+        return f"links line {lineno}: publication cannot cite itself ({citing_id!r})"
+    if not citing_known or not cited_known:
+        missing = cited_id if citing_known else citing_id
+        return f"links line {lineno}: dangling endpoint {missing!r}, link rejected"
+    return (
+        f"links line {lineno}: citing publication {citing_id!r} is an "
+        "article-in-press and cannot give citations, link rejected"
+    )
+
+
 class _Store:
     """The publications and links of one ingest, shared by every view of it.
 
-    Each link is kept as its (citing, cited) pair of publication records, in
-    ingest order; CitationLink objects are built only when a view's links are
-    first read, and the full tuple of them once per store."""
+    A publication's ordinal is its position in ingest order, and ``records``
+    holds the records by ordinal. Each link is a row of the two
+    ``array("i")`` columns ``citing`` and ``cited``: the ordinals of its two
+    endpoints, in ingest order. Ints in arrays are nothing the garbage
+    collector walks. The pub_id mapping, the CitationLink objects and the
+    per-source groups are built on first read, each once per store."""
 
-    def __init__(self, publications: Mapping[str, PublicationRecord], pairs: tuple[_Pair, ...]):
-        self.publications = publications
-        self.pairs = pairs
+    def __init__(self, records: tuple[PublicationRecord, ...], citing: array, cited: array):
+        self.records = records
+        self.citing = citing
+        self.cited = cited
 
     @cached_property
-    def last_load(self) -> date:
-        """The latest load date in the store; date.min when it is empty."""
-        return max((record.load_date for record in self.publications.values()), default=date.min)
+    def publications(self) -> Mapping[str, PublicationRecord]:
+        """Every record by pub_id, in ordinal order."""
+        return MappingProxyType({record.pub_id: record for record in self.records})
 
     @cached_property
     def links(self) -> tuple[CitationLink, ...]:
-        """Every pair as a CitationLink, in store order."""
-        return tuple(CitationLink(citing.pub_id, cited.pub_id) for citing, cited in self.pairs)
+        """Every link as a CitationLink, in store order."""
+        return self.citation_links(zip(self.citing, self.cited))
+
+    def citation_links(self, rows: Iterable[tuple[int, int]]) -> tuple[CitationLink, ...]:
+        """CitationLinks of (citing, cited) ordinal rows."""
+        records = self.records
+        return tuple(CitationLink(records[citing].pub_id, records[cited].pub_id) for citing, cited in rows)
 
     @cached_property
-    def by_source(self) -> dict[int, tuple[list[PublicationRecord], list[_Pair]]]:
-        """Each source's publications, and the (citing, cited) pairs whose
-        cited publication it published, both in store order. Built on the
-        first per-source read."""
-        groups: dict[int, tuple[list[PublicationRecord], list[_Pair]]] = {}
-        for record in self.publications.values():
-            groups.setdefault(record.source_id, ([], []))[0].append(record)
-        for pair in self.pairs:
-            groups[pair[1].source_id][1].append(pair)
+    def by_source(self) -> dict[int, tuple[list[PublicationRecord], dict[int, tuple[array, array]]]]:
+        """Each source's publications and, by the citing publication's
+        sort_year, the citing and cited ordinals of the links whose cited
+        publication it published, all in store order. Built on the first
+        per-source read."""
+        records = self.records
+        source_of = [record.source_id for record in records]
+        year_of = [record.sort_year for record in records]
+        groups = {source_id: ([], {}) for source_id in dict.fromkeys(source_of)}
+        for source_id, record in zip(source_of, records):
+            groups[source_id][0].append(record)
+        for citing, cited in zip(self.citing, self.cited):
+            by_year = groups[source_of[cited]][1]
+            columns = by_year.get(year_of[citing])
+            if columns is None:
+                columns = by_year[year_of[citing]] = (array("i"), array("i"))
+            columns[0].append(citing)
+            columns[1].append(cited)
         return groups
 
 
-_NO_GROUP: tuple[tuple[PublicationRecord, ...], tuple[_Pair, ...]] = ((), ())
+_NO_LINKS: tuple[tuple[int, ...], tuple[int, ...]] = ((), ())
+_NO_SOURCE: tuple[tuple[PublicationRecord, ...], dict] = ((), {})
 
 
 @dataclass(frozen=True)
@@ -305,8 +349,9 @@ class IndexSnapshot:
     narrows any view to an earlier cutoff. Every view of one index shares
     that index's record store: ``publications`` and ``links`` are filtered
     from it on first read, in store order, the links as CitationLink objects
-    built from the store's record pairs. When the cutoff is on or after the
-    last load date they are the store's own mapping and its one cached tuple
+    built from the store's ordinal columns, and ``link_count`` counts them
+    on those columns without building any. When every publication has loaded
+    by the cutoff they are the store's own mapping and its one cached tuple
     of links. Immutable and safe to share across concurrent readers.
     """
 
@@ -316,24 +361,39 @@ class IndexSnapshot:
     _store: _Store = field(repr=False)
 
     @cached_property
+    def _loaded(self) -> bytearray | None:
+        """Per ordinal, 1 when the publication has loaded by the cutoff;
+        None when every publication has."""
+        cutoff = self.cutoff
+        loaded = bytearray(record.load_date <= cutoff for record in self._store.records)
+        return loaded if 0 in loaded else None
+
+    def _link_rows(self) -> Iterator[tuple[int, int]]:
+        """(citing, cited) ordinals of the view's links, in store order."""
+        store, loaded = self._store, self._loaded
+        rows = zip(store.citing, store.cited)
+        if loaded is None:
+            return rows
+        return ((citing, cited) for citing, cited in rows if loaded[citing] and loaded[cited])
+
+    @cached_property
     def publications(self) -> Mapping[str, PublicationRecord]:
-        store, cutoff = self._store, self.cutoff
-        if cutoff >= store.last_load:
+        store, loaded = self._store, self._loaded
+        if loaded is None:
             return store.publications
         return MappingProxyType({
-            pid: record for pid, record in store.publications.items() if record.load_date <= cutoff
+            record.pub_id: record for record, kept in zip(store.records, loaded) if kept
         })
 
     @cached_property
     def links(self) -> tuple[CitationLink, ...]:
-        store, cutoff = self._store, self.cutoff
-        if self.publications is store.publications:
-            return store.links
-        return tuple(
-            CitationLink(citing.pub_id, cited.pub_id)
-            for citing, cited in store.pairs
-            if citing.load_date <= cutoff and cited.load_date <= cutoff
-        )
+        store = self._store
+        return store.links if self._loaded is None else store.citation_links(self._link_rows())
+
+    @cached_property
+    def link_count(self) -> int:
+        """len(self.links), counted without building a CitationLink."""
+        return sum(1 for _ in self._link_rows())
 
     @cached_property
     def _tallies(self) -> dict:
@@ -341,16 +401,22 @@ class IndexSnapshot:
         return {}
 
     def record_groups(
-        self, source_ids: Iterable[int] | None = None
-    ) -> list[tuple[Iterable[PublicationRecord], Iterable[_Pair]]]:
-        """(publications, (citing, cited) pairs) groups of the shared store,
-        in store order and not narrowed to this view's cutoff: one group for
-        the whole store or, given source_ids, one per source of its
-        publications and the pairs whose cited publication it published."""
+        self, source_ids: Iterable[int] | None = None, citing_year: int | None = None
+    ) -> tuple[tuple[PublicationRecord, ...], list[_Group]]:
+        """The shared store's publication records by ordinal, and its
+        (publications, citing ordinals, cited ordinals) groups, in store
+        order and not narrowed to this view's cutoff: one group for the
+        whole store or, given source_ids, one per source of its publications
+        and the links whose cited publication it published and whose citing
+        publication's sort_year is citing_year."""
         store = self._store
         if source_ids is None:
-            return [(store.publications.values(), store.pairs)]
-        return [store.by_source.get(source_id, _NO_GROUP) for source_id in source_ids]
+            return store.records, [(store.records, store.citing, store.cited)]
+        groups = []
+        for source_id in source_ids:
+            publications, links = store.by_source.get(source_id, _NO_SOURCE)
+            groups.append((publications, *links.get(citing_year, _NO_LINKS)))
+        return store.records, groups
 
     def resolve_title_chain(self, source_id: int) -> frozenset[int]:
         """The source itself plus the transitive closure of its predecessors."""
@@ -403,7 +469,9 @@ def ingest(
 
     successor = _validate_chains(sources, report)
 
-    publications: dict[str, PublicationRecord] = {}
+    # Each accepted publication's ordinal, and the records by ordinal.
+    ordinal: dict[str, int] = {}
+    records: list[PublicationRecord] = []
     for lineno, line in _numbered(publication_lines):
         try:
             record = _parse_publication(lineno, line, report, scan, dates)
@@ -411,7 +479,7 @@ def ingest(
             report.publications_rejected += 1
             report.warn(str(exc))
             continue
-        if record.pub_id in publications:
+        if record.pub_id in ordinal:
             raise IngestError(f"publications line {lineno}: duplicate pub_id {record.pub_id!r}")
         if record.source_id not in sources:
             report.publications_rejected += 1
@@ -419,49 +487,62 @@ def ingest(
                 f"publications line {lineno}: unknown source_id {record.source_id}, record rejected"
             )
             continue
-        publications[record.pub_id] = record
-        report.publications_accepted += 1
+        ordinal[record.pub_id] = len(records)
+        records.append(record)
+    report.publications_accepted = len(records)
 
-    pairs: list[_Pair] = []
-    seen_ids: set[tuple[str, str]] = set()
-    for lineno, line in _numbered(link_lines):
+    # The link loop is inline. A line that is not a two-key object of two
+    # non-empty id strings, followed by nothing but JSON whitespace, is
+    # skipped when blank (its number still counts) and otherwise goes
+    # through _parse_link, which accepts or rejects it with the messages
+    # and warnings every kind of line gets.
+    citing_column, cited_column = array("i"), array("i")
+    # One int per accepted link: distinct (citing, cited) ordinal pairs map
+    # to distinct keys, since every cited ordinal is below the multiplier.
+    seen: set[int] = set()
+    width = len(records)
+    collapsed = 0
+    lineno = 0
+    for line in link_lines:
+        lineno += 1
         try:
-            ids = _parse_link(lineno, line, report, scan)
-        except _LineError as exc:
+            obj, end = scan(line, 0)
+            citing_id = obj["citing_pub_id"]
+            cited_id = obj["cited_pub_id"]
+        except (StopIteration, ValueError, RecursionError, LookupError, TypeError):
+            # Not a JSON value at offset 0, not an object, or a missing id.
+            citing_id = None
+        if (type(citing_id) is not str or type(cited_id) is not str or not citing_id or not cited_id
+                or len(obj) != 2 or line[end:].strip(_JSON_SPACE)):
+            if not line.strip():
+                continue
+            try:
+                citing_id, cited_id = _parse_link(lineno, line, report, scan)
+            except _LineError as exc:
+                report.links_rejected += 1
+                report.warn(str(exc))
+                continue
+        citing = ordinal.get(citing_id)
+        cited = ordinal.get(cited_id)
+        if citing is None or cited is None or citing == cited or records[citing].is_article_in_press:
             report.links_rejected += 1
-            report.warn(str(exc))
+            report.warn(_link_rejection(lineno, citing_id, cited_id, citing is not None, cited is not None))
             continue
-        citing_id, cited_id = ids
-        if citing_id == cited_id:
-            report.links_rejected += 1
-            report.warn(f"links line {lineno}: publication cannot cite itself ({citing_id!r})")
+        key = citing * width + cited
+        if key in seen:
+            collapsed += 1
             continue
-        citing = publications.get(citing_id)
-        cited = publications.get(cited_id)
-        if citing is None or cited is None:
-            missing = citing_id if citing is None else cited_id
-            report.links_rejected += 1
-            report.warn(f"links line {lineno}: dangling endpoint {missing!r}, link rejected")
-            continue
-        if citing.is_article_in_press:
-            report.links_rejected += 1
-            report.warn(
-                f"links line {lineno}: citing publication {citing_id!r} is an "
-                "article-in-press and cannot give citations, link rejected"
-            )
-            continue
-        if ids in seen_ids:
-            report.links_collapsed += 1
-            continue
-        seen_ids.add(ids)
-        pairs.append((citing, cited))
-        report.links_accepted += 1
+        seen.add(key)
+        citing_column.append(citing)
+        cited_column.append(cited)
+    report.links_accepted = len(citing_column)
+    report.links_collapsed = collapsed
 
     index = IndexSnapshot(
         cutoff=date.max,
         sources=MappingProxyType(sources),
         successor=MappingProxyType(successor),
-        _store=_Store(MappingProxyType(publications), tuple(pairs)),
+        _store=_Store(tuple(records), citing_column, cited_column),
     )
     return index, report
 

@@ -227,8 +227,10 @@ def sweep_counts(
     the tallies stay flat from the cutoff on.
 
     Given chain_of, the sweep reads only the record groups of that source's
-    title chain (itself and its predecessors) and keeps the chain's tallies
-    under it, the chain's newest member, whether or not it is current.
+    title chain (itself and its predecessors), of their links only those
+    whose citing publication's sort_year is year, and keeps the chain's
+    tallies under it, the chain's newest member, whether or not it is
+    current.
     """
     if any(later <= earlier for earlier, later in zip(schedule, schedule[1:])):
         raise ValueError("schedule dates must be strictly ascending")
@@ -242,11 +244,11 @@ def sweep_counts(
                 terminal = index.successor[terminal]
             terminal_of[source_id] = terminal
         terminals = [source_id for source_id, terminal in terminal_of.items() if source_id == terminal]
-        groups = index.record_groups()
+        records, groups = index.record_groups()
     else:
         terminal_of = dict.fromkeys(index.resolve_title_chain(chain_of), chain_of)
         terminals = [chain_of]
-        groups = index.record_groups(terminal_of)
+        records, groups = index.record_groups(terminal_of, year)
 
     n = len(schedule)
     window = cited_window(year)
@@ -258,19 +260,21 @@ def sweep_counts(
     citations = [defaultdict(int) for _ in schedule]
     cited_documents = [defaultdict(int) for _ in schedule]
 
-    for publications, _ in groups:
+    for publications, _, _ in groups:
         for record in publications:
             if record.is_article_in_press or record.sort_year not in window or record.load_date > last:
                 continue
             documents[bisect_left(schedule, record.load_date)][terminal_of[record.source_id]] += 1
 
-    # pub_id -> (first date index, terminal title) of each cited document.
-    first_cited: dict[str, tuple[int, int]] = {}
+    # Ordinal -> (first date index, terminal title) of each cited document.
+    first_cited: dict[int, tuple[int, int]] = {}
     never = (n, 0)
-    for _, pairs in groups:
-        for citing, cited in pairs:
+    for _, citing_ordinals, cited_ordinals in groups:
+        for citing_ordinal, cited_ordinal in zip(citing_ordinals, cited_ordinals):
+            citing = records[citing_ordinal]
             if citing.sort_year != year or citing.is_article_in_press:
                 continue
+            cited = records[cited_ordinal]
             if cited.sort_year not in window or cited.is_article_in_press:
                 continue
             # The link is in the index once its later endpoint has loaded.
@@ -280,8 +284,8 @@ def sweep_counts(
             bucket = bisect_left(schedule, loaded)
             terminal = terminal_of[cited.source_id]
             citations[bucket][terminal] += 1
-            if bucket < first_cited.get(cited.pub_id, never)[0]:
-                first_cited[cited.pub_id] = (bucket, terminal)
+            if bucket < first_cited.get(cited_ordinal, never)[0]:
+                first_cited[cited_ordinal] = (bucket, terminal)
     for bucket, terminal in first_cited.values():
         cited_documents[bucket][terminal] += 1
 

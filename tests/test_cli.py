@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from datetime import date, timedelta
 
 import pytest
 
@@ -274,6 +275,30 @@ def test_snapshot_info_reports_counts(corpus, tmp_path, capsys):
     assert info["publications"] > 0
     assert info["links"] > 0
     assert info["ingest"]["links_rejected"] == 0
+
+
+def test_snapshot_info_counts_equal_brute_force(corpus, capsys):
+    def records(flag):
+        with open(corpus[flag], encoding="utf-8") as handle:
+            return [json.loads(line) for line in handle]
+
+    loaded = {pub["pub_id"]: date.fromisoformat(pub["load_date"]) for pub in records("--pubs")}
+    links = {(link["citing_pub_id"], link["cited_pub_id"]) for link in records("--links")}
+    loads = sorted(set(loaded.values()))
+    gap = next(i for i in range(len(loads) - 1) if loads[i + 1] - loads[i] > timedelta(days=1))
+    cutoffs = [
+        loads[0] - timedelta(days=1),  # before any load date
+        loads[len(loads) // 2],  # on a load date
+        loads[gap] + timedelta(days=1),  # between two load dates
+        loads[-1] + timedelta(days=1),  # after the last load date
+    ]
+    for cutoff in cutoffs:
+        assert main(["snapshot-info"] + _flags(corpus) + ["--cutoff", cutoff.isoformat()]) == 0
+        info = json.loads(capsys.readouterr().out)
+        assert info["ingest"]["links_rejected"] == info["ingest"]["links_collapsed"] == 0
+        assert info["publications"] == sum(day <= cutoff for day in loaded.values())
+        assert info["links"] == sum(loaded[citing] <= cutoff and loaded[cited] <= cutoff for citing, cited in links)
+    assert info["links"] == len(links) > 0
 
 
 def test_snapshot_info_needs_exactly_one_cutoff_choice(corpus, tmp_path):

@@ -123,6 +123,23 @@ def test_article_in_press_cannot_give_citations():
     assert any("article-in-press" in w for w in report.warnings)
 
 
+def test_canonical_link_lines_call_no_link_helper(monkeypatch):
+    """A two-key link line that is accepted or collapsed never reaches the
+    helpers that parse other lines or build a rejection's message."""
+    import citescore.index as index_module
+
+    def forbidden(*args):
+        raise AssertionError("link helper called")
+
+    monkeypatch.setattr(index_module, "_parse_link", forbidden)
+    monkeypatch.setattr(index_module, "_link_rejection", forbidden)
+    sources, pubs, links = _clean_corpus()
+    index, report = ingest(sources, pubs, [line + "\n" for line in links + links[:3]])
+    assert report.links_accepted == 12
+    assert report.links_collapsed == 3
+    assert len(index.links) == 12
+
+
 # Golden ingest input, one list per record kind; a comment names each line's
 # case, in the words of perfbench/inputs.DIRT_CLASSES where it has one. The
 # tails are the valid fields after the ids.
@@ -219,6 +236,13 @@ _GOLDEN_LINKS = [
     '{"citing_pub_id": "ac", "cited_pub_id": null}\n',  # null where a string is expected
     '{"citing_pub_id": "d", "cited_pub_id": "c"}  \t\n',  # cites an article-in-press: fine
     '["b", "a"]\n',  # not an object
+    '{"x_citing": "b", "x_cited": "a"}\n',  # two keys, both unknown
+    '{"citing_pub_id": "c", "cited_pub_id": "a"}\n',  # citing_aip again: rejected again, never collapsed
+    '{"citing_pub_id": "d", "cited_pub_id": "a"}\n',  # duplicate of the unknown_field line: collapsed
+    '\n',  # blank: skipped, still numbered
+    ' \x0c \n',  # whitespace only: skipped
+    '{"citing_pub_id": "ad", "cited_pub_id": "d"}\n',  # accepted after the skipped lines
+    '{"citing_pub_id": "b", "cited_pub_id": "ghost"}\n',  # dangling after the skipped lines
 ]
 
 
@@ -296,11 +320,16 @@ def test_ingest_golden_lines():
         "links line 22: field 'cited_pub_id' must be a non-empty string",
         "links line 23: field 'cited_pub_id' must be a non-empty string",
         'links line 25: expected an object',
+        "links line 26: ignoring unknown field 'x_citing'",
+        "links line 26: ignoring unknown field 'x_cited'",
+        "links line 26: missing field 'citing_pub_id'",
+        "links line 27: citing publication 'c' is an article-in-press and cannot give citations, link rejected",
+        "links line 32: dangling endpoint 'ghost', link rejected",
     ]
     assert report.counts() == {
         "sources_accepted": 6, "sources_rejected": 14,
         "publications_accepted": 8, "publications_rejected": 26,
-        "links_accepted": 7, "links_rejected": 17, "links_collapsed": 1,
+        "links_accepted": 8, "links_rejected": 20, "links_collapsed": 2,
     }
     assert [
         (r.source_id, r.title, r.source_type, sorted(r.asjc_codes), r.is_actively_indexed, r.predecessor_source_id)
@@ -327,7 +356,7 @@ def test_ingest_golden_lines():
         ('ad', 2, 2017, '2017-06-30', 'article', False),
     ]
     assert [(link.citing_pub_id, link.cited_pub_id) for link in index.links] == [
-        ("b", "a"), ("ac", "a"), ("ad", "b"), ("ad", "a"), ("d", "a"), ("ac", "b"), ("d", "c"),
+        ("b", "a"), ("ac", "a"), ("ad", "b"), ("ad", "a"), ("d", "a"), ("ac", "b"), ("d", "c"), ("ad", "d"),
     ]
 
 
@@ -392,6 +421,7 @@ def test_views_equal_brute_force_filter(tmp_path, seed):
         assert view.cutoff == cutoff
         assert list(view.publications.items()) == publications
         assert list(view.links) == links
+        assert view.link_count == len(links)
         assert view.sources is index.sources
     assert not snapshot(index, cutoffs[0]).publications
     # On or after the last load a view is the full index's own records, not a copy.
