@@ -35,7 +35,7 @@ from .metrics import (
 from .oracle import OracleDataError, oracle_metrics
 from .records import CitationLink, PublicationRecord, SourceRecord
 from .tracker import (
-    TrackerPoint,
+    TrackerRow,
     TrackerSeries,
     month_end_schedule,
     tracker_series,
@@ -58,7 +58,7 @@ __all__ = [
     "OracleDataError",
     "PublicationRecord",
     "SourceRecord",
-    "TrackerPoint",
+    "TrackerRow",
     "TrackerSeries",
     "citescore",
     "cited_window",

@@ -29,6 +29,7 @@ from .output import (
     write_standings_csv,
     write_tracker_csv,
 )
+from .records import parse_date
 from .tracker import month_end_schedule, stability_report, tracker_table
 
 logger = logging.getLogger("citescore")
@@ -150,7 +151,7 @@ def _parse_cutoff(args, parser: argparse.ArgumentParser) -> tuple[date, str]:
     except ValueError as exc:
         parser.error(f"cutoff table {table_path or '(bundled)'}: {exc}")
     try:
-        return date.fromisoformat(args.cutoff), "flag"
+        return parse_date(args.cutoff), "flag"
     except ValueError:
         parser.error(f"--cutoff {args.cutoff!r} is not a valid YYYY-MM-DD date")
 

@@ -11,6 +11,8 @@ import json
 from datetime import date
 from importlib import resources
 
+from .records import parse_date
+
 
 def load_cutoff_table(path: str | None = None) -> dict:
     """Load the bundled table, or a user-supplied one with the same schema."""
@@ -40,6 +42,6 @@ def default_cutoff(year: int, table: dict | None = None) -> date:
         table = load_cutoff_table()
     pinned = table["years"].get(str(year))
     if pinned is not None:
-        return date.fromisoformat(pinned)
+        return parse_date(pinned)
     month, day = (int(part) for part in table["default_month_day"].split("-"))
     return date(year + 1, month, day)

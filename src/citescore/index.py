@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import re
 from array import array
 from dataclasses import dataclass, field
 from datetime import date
@@ -39,9 +38,8 @@ from .records import (
     CitationLink,
     PublicationRecord,
     SourceRecord,
+    parse_date,
 )
-
-_DATE_RE = re.compile(r"^\d{4}-\d{2}-\d{2}$")
 
 # JSON's whitespace. str.strip() would also drop \f, \v and Unicode spaces,
 # which json.loads rejects as "Extra data".
@@ -205,12 +203,10 @@ def _parse_source(lineno: int, line: str, report: IngestReport, scan: _Scanner) 
 
 def _load_date(obj: dict, lineno: int, dates: dict[str, date]) -> date:
     raw_date = _as_str(_require(obj, "load_date", "publications", lineno), "load_date", "publications", lineno)
-    if not _DATE_RE.match(raw_date):
-        raise _LineError(f"publications line {lineno}: load_date {raw_date!r} is not YYYY-MM-DD")
     try:
-        load_date = date.fromisoformat(raw_date)
+        load_date = parse_date(raw_date)
     except ValueError as exc:
-        raise _LineError(f"publications line {lineno}: load_date {raw_date!r}: {exc}") from exc
+        raise _LineError(f"publications line {lineno}: load_date {exc}") from exc
     dates[raw_date] = load_date
     return load_date
 

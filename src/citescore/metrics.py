@@ -14,7 +14,7 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass
 from datetime import date
 from decimal import Decimal
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .index import IndexSnapshot
 from .records import ELIGIBLE_SOURCE_TYPES
@@ -309,9 +309,27 @@ def sweep_counts(
 def aggregate_counts(snapshot: IndexSnapshot, year: int) -> dict[int, SourceYearCounts]:
     """Numerator/denominator tallies for every current title: the sweep at
     the one date snapshot.cutoff, by which every record of the view has
-    loaded. The per-source functions read the same sweep over one chain.
+    loaded. The engine itself reads the sweep through scores(); this is the
+    one-date reading kept for tests and the benchmark.
     """
     return sweep_counts(snapshot, year, [snapshot.cutoff])[0]
+
+
+def scores(
+    index: IndexSnapshot, year: int, schedule: Sequence[date], chain_of: int | None = None
+) -> Iterator[tuple[int, date, SourceYearCounts, Decimal]]:
+    """The one rule that turns tallies into scores: (source_id, as_of, tally,
+    score) for every eligible source with at least one document, in
+    (source_id, as_of) order, from one sweep_counts over the schedule.
+    """
+    tallies = sweep_counts(index, year, schedule, chain_of)
+    for source_id in sorted(tallies[0]) if tallies else ():
+        if not source_eligible(index, source_id):
+            continue
+        for as_of, counts in zip(schedule, tallies):
+            tally = counts[source_id]
+            if tally.documents >= 1:
+                yield source_id, as_of, tally, score_from_counts(tally.citations, tally.documents)
 
 
 def compute_annual(
@@ -325,16 +343,10 @@ def compute_annual(
     rows by source_id, standings by (source_id, asjc_code).
     """
     rows: list[MetricsRow] = []
-    scores: dict[int, Decimal] = {}
-    counts = aggregate_counts(snapshot, year)
-    for source_id in sorted(counts):
-        tally = counts[source_id]
-        if not source_eligible(snapshot, source_id) or tally.documents < 1:
-            continue
-        score = score_from_counts(tally.citations, tally.documents)
+    by_category: dict[int, dict[int, Decimal]] = {}
+    for source_id, _, tally, score in scores(snapshot, year, [snapshot.cutoff]):
         pct = _round_ratio_to_hundredths(tally.cited_documents, tally.documents)
         assert 0 <= pct <= 100
-        scores[source_id] = score
         rows.append(
             MetricsRow(
                 source_id=source_id,
@@ -345,9 +357,6 @@ def compute_annual(
                 percent_cited=pct,
             )
         )
-
-    by_category: dict[int, dict[int, Decimal]] = {}
-    for source_id, score in scores.items():
         for code in snapshot.sources[source_id].asjc_codes:
             by_category.setdefault(code, {})[source_id] = score
 

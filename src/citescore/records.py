@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from datetime import date
+
+_DATE_RE = re.compile(r"^\d{4}-\d{2}-\d{2}$")
 
 DOC_TYPES = frozenset({
     "article",
@@ -35,6 +38,17 @@ ELIGIBLE_SOURCE_TYPES = frozenset({
     "trade-journal",
     "conference-proceedings-serial",
 })
+
+
+def parse_date(text: str) -> date:
+    """A strict YYYY-MM-DD date on every Python version; from 3.11 on,
+    date.fromisoformat alone also takes 20180430 and 2018-W18-1."""
+    if not _DATE_RE.match(text):
+        raise ValueError(f"{text!r} is not YYYY-MM-DD")
+    try:
+        return date.fromisoformat(text)
+    except ValueError as exc:
+        raise ValueError(f"{text!r}: {exc}") from None
 
 
 @dataclass(frozen=True)

@@ -1,12 +1,11 @@
 """The in-progress current-year score, rebuilt on a monthly schedule.
 
 A tracker point is the annual formula over the index as it stood at an
-earlier cutoff. Every count comes from the one load-date sweep over the
-index (metrics.sweep_counts), whose running totals at each schedule date
-equal the annual counts over a snapshot at that date: tracker_table sweeps
-the whole store, tracker_series and tracker_value the source's title chain
-only. The annual basket is the same sweep at one date, so the final tracker
-point and the annual value coincide once everything has loaded.
+earlier cutoff. Every point comes from metrics.scores, the one rule that
+scores the load-date sweep's tallies: tracker_table reads it over the whole
+store, tracker_series over the source's title chain, and compute_annual at
+the annual cutoff, so the final tracker point and the annual value coincide
+once everything has loaded. tracker_value is the per-source path.
 """
 
 from __future__ import annotations
@@ -16,14 +15,17 @@ import math
 from dataclasses import dataclass
 from datetime import date
 from decimal import Decimal
-from fractions import Fraction
 
 from .index import IndexSnapshot, snapshot
-from .metrics import citescore, is_eligible, score_from_counts, source_eligible, sweep_counts
+from .metrics import citescore, is_eligible, scores
 
 
 @dataclass(frozen=True)
-class TrackerPoint:
+class TrackerRow:
+    """One tracker point: a source's score at one schedule date."""
+
+    source_id: int
+    tracker_year: int
     as_of: date
     citations: int
     documents: int
@@ -37,7 +39,7 @@ class TrackerSeries:
 
     source_id: int
     tracker_year: int
-    points: tuple[TrackerPoint, ...]
+    points: tuple[TrackerRow, ...]
 
 
 def month_end(year: int, month: int) -> date:
@@ -91,55 +93,22 @@ def tracker_series(
     """Evaluate one source over an ascending schedule of as-of dates."""
     if source_id not in index.sources:
         raise KeyError(f"unknown source_id {source_id}")
-    tallies = sweep_counts(index, tracker_year, schedule, source_id)
-    points: list[TrackerPoint] = []
-    if source_eligible(index, source_id):
-        for as_of, counts in zip(schedule, tallies):
-            tally = counts[source_id]
-            if tally.documents >= 1:
-                value = score_from_counts(tally.citations, tally.documents)
-                points.append(TrackerPoint(as_of, tally.citations, tally.documents, value))
-    return TrackerSeries(source_id=source_id, tracker_year=tracker_year, points=tuple(points))
-
-
-@dataclass(frozen=True)
-class TrackerRow:
-    source_id: int
-    tracker_year: int
-    as_of: date
-    citations: int
-    documents: int
-    value: Decimal
+    points = tuple(tracker_table(index, tracker_year, schedule, chain_of=source_id))
+    return TrackerSeries(source_id=source_id, tracker_year=tracker_year, points=points)
 
 
 def tracker_table(
-    index: IndexSnapshot, tracker_year: int, schedule: list[date]
+    index: IndexSnapshot, tracker_year: int, schedule: list[date], chain_of: int | None = None
 ) -> list[TrackerRow]:
-    """Tracker points for every scoreable source, for the batch output file.
-
-    One load-date sweep over the index gives the tallies at every schedule
-    date; no snapshot is built. Rows come out in (source_id, as_of) order:
-    sources in id order, each source's dates in schedule order.
+    """Tracker points for every scoreable source, for the batch output file,
+    in (source_id, as_of) order. One load-date sweep gives the tallies at
+    every schedule date; no snapshot is built. Given chain_of, the sweep
+    reads only that source's title chain (tracker_series).
     """
-    tallies = sweep_counts(index, tracker_year, schedule)
-    rows: list[TrackerRow] = []
-    for source_id in sorted(index.sources):
-        if not source_eligible(index, source_id):
-            continue
-        for as_of, counts in zip(schedule, tallies):
-            tally = counts[source_id]
-            if tally.documents >= 1:
-                rows.append(
-                    TrackerRow(
-                        source_id=source_id,
-                        tracker_year=tracker_year,
-                        as_of=as_of,
-                        citations=tally.citations,
-                        documents=tally.documents,
-                        value=score_from_counts(tally.citations, tally.documents),
-                    )
-                )
-    return rows
+    return [
+        TrackerRow(source_id, tracker_year, as_of, tally.citations, tally.documents, value)
+        for source_id, as_of, tally, value in scores(index, tracker_year, schedule, chain_of)
+    ]
 
 
 @dataclass(frozen=True)
@@ -176,28 +145,30 @@ def stability_report(rows: list[TrackerRow]) -> list[StabilityPoint]:
     return report
 
 
-def _average_ranks(values: list[Decimal]) -> list[Fraction]:
+def _doubled_ranks(values: list[Decimal]) -> list[int]:
     order = sorted(range(len(values)), key=lambda i: values[i])
-    ranks: list[Fraction] = [Fraction(0)] * len(values)
+    ranks = [0] * len(values)
     i = 0
     while i < len(order):
         j = i
         while j + 1 < len(order) and values[order[j + 1]] == values[order[i]]:
             j += 1
-        shared = Fraction(i + j + 2, 2)  # 1-based average of positions i..j
         for k in range(i, j + 1):
-            ranks[order[k]] = shared
+            ranks[order[k]] = i + j + 2  # twice the 1-based average of positions i..j
         i = j + 1
     return ranks
 
 
 def _spearman(a: list[Decimal], b: list[Decimal]) -> float:
+    """Spearman's rho on doubled ranks: the factor 4 cancels, and scaling by
+    a power of two commutes with float rounding and sqrt, so the result is
+    the same float as on the exact average ranks."""
     n = len(a)
     if n < 2:
         return 1.0
-    ra = _average_ranks(a)
-    rb = _average_ranks(b)
-    mean = Fraction(n + 1, 2)
+    ra = _doubled_ranks(a)
+    rb = _doubled_ranks(b)
+    mean = n + 1
     cov = sum((x - mean) * (y - mean) for x, y in zip(ra, rb))
     var_a = sum((x - mean) ** 2 for x in ra)
     var_b = sum((y - mean) ** 2 for y in rb)

@@ -64,6 +64,23 @@ def test_unknown_flag_is_usage_error():
     assert excinfo.value.code == 2
 
 
+@pytest.mark.parametrize("cutoff", ["2018-02-30", "30/04/2018", "20180430", "2018-W18-1", "2018-04-30\n"],
+                         ids=["impossible", "not-iso", "basic-format", "week-date", "trailing-newline"])
+@pytest.mark.parametrize("command", ["compute", "verify", "snapshot-info"])
+def test_bad_cutoff_flag_is_usage_error(corpus, tmp_path, capsys, command, cutoff):
+    # Python 3.11's date.fromisoformat takes the basic and week forms; the
+    # flag takes YYYY-MM-DD only, on every version.
+    flags = ["--cutoff", cutoff]
+    if command != "snapshot-info":
+        flags += ["--year", "2017", "--out", str(tmp_path / "x")]
+    with pytest.raises(SystemExit) as excinfo:
+        main([command] + _flags(corpus) + flags)
+    assert excinfo.value.code == 2
+    err_lines = capsys.readouterr().err.splitlines()
+    assert err_lines[-1] == f"citescore: error: --cutoff {cutoff!r} is not a valid YYYY-MM-DD date"
+    assert not any(line.startswith("Traceback") for line in err_lines)
+
+
 def test_compute_only_flag_restricts_outputs(corpus, tmp_path):
     out = tmp_path / "run"
     code = main(["compute"] + _flags(corpus)

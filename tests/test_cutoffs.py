@@ -79,8 +79,10 @@ def test_cli_honours_cutoff_table_flag(tmp_path):
     json.dumps({"default_month_day": "05-31", "years": [1]}),
     json.dumps({"default_month_day": "05-31", "years": {"2016": 20161130}}),
     json.dumps({"default_month_day": 531, "years": {}}),
+    json.dumps({"default_month_day": "05-31", "years": {"2016": "20161130"}}),
+    json.dumps({"default_month_day": "05-31", "years": {"2016": "2016-W48-3"}}),
 ], ids=["not-json", "missing-keys", "impossible-date", "not-object", "years-not-object",
-        "pinned-non-string", "month-day-not-string"])
+        "pinned-non-string", "month-day-not-string", "pinned-basic-format", "pinned-week-date"])
 def test_cli_bad_cutoff_table_is_usage_error(tmp_path, capsys, table_text):
     s, p, l = write_corpus(tmp_path, [source_line(1)], [pub_line("d", 1, 2015)], [])
     table_path = tmp_path / "cutoffs.json"

@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import math
 import random
 from datetime import date, timedelta
 from decimal import Decimal
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from citescore import (
     CorpusConfig,
@@ -25,7 +29,7 @@ from citescore import (
     tracker_value,
 )
 from citescore.metrics import aggregate_counts, sweep_counts
-from citescore.tracker import month_end, tracker_table
+from citescore.tracker import _spearman, month_end, tracker_table
 
 from helpers import build_index, link_line, pub_line, source_line
 
@@ -163,14 +167,48 @@ def test_final_point_matches_annual_value(tmp_path):
 
 
 def test_rank_correlation_extremes():
-    from citescore.tracker import _spearman
-
     values = [Decimal(i) for i in range(1, 8)]
     assert _spearman(values, values) == pytest.approx(1.0)
     assert _spearman(values, list(reversed(values))) == pytest.approx(-1.0)
     tied = [Decimal(1), Decimal(1), Decimal(2)]
     assert -1.0 <= _spearman(tied, [Decimal(3), Decimal(4), Decimal(4)]) <= 1.0
     assert _spearman([Decimal(1)], [Decimal(9)]) == 1.0  # degenerate size
+
+
+def _spearman_reference(a, b):
+    """Spearman's rho on exact average ranks (ties share the mean of their
+    1-based positions), rounded to float only at the end."""
+    if len(a) < 2:
+        return 1.0
+
+    def ranks(values):
+        ordered = sorted(values)
+        return [Fraction(2 * ordered.index(v) + ordered.count(v) + 1, 2) for v in values]
+
+    ra, rb = ranks(a), ranks(b)
+    mean = Fraction(len(a) + 1, 2)
+    cov = sum((x - mean) * (y - mean) for x, y in zip(ra, rb))
+    var_a = sum((x - mean) ** 2 for x in ra)
+    var_b = sum((y - mean) ** 2 for y in rb)
+    if var_a == 0 or var_b == 0:
+        return 1.0
+    return float(cov) / (math.sqrt(float(var_a)) * math.sqrt(float(var_b)))
+
+
+@st.composite
+def _tied_pairs(draw):
+    """Two equal-length lists of 2-decimal scores from a few values, so that
+    ties are common."""
+    n = draw(st.integers(min_value=0, max_value=60))
+    scores = st.builds(lambda k: Decimal(k).scaleb(-2), st.integers(min_value=0, max_value=n // 3 + 2))
+    return draw(st.lists(scores, min_size=n, max_size=n)), draw(st.lists(scores, min_size=n, max_size=n))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_tied_pairs())
+def test_spearman_equals_exact_reference(pair):
+    a, b = pair
+    assert _spearman(a, b) == _spearman_reference(a, b)
 
 
 def test_tracker_table_sorted_and_consistent(tmp_path):
@@ -189,7 +227,8 @@ def _assert_sweep_matches_snapshots(index, year, schedule):
     """The sweep, the table and every series against the per-source path on
     a snapshot at each schedule date."""
     terminals = {sid for sid in index.sources if index.is_chain_terminal(sid)}
-    rows = {(r.source_id, r.as_of): r for r in tracker_table(index, year, schedule)}
+    table = tracker_table(index, year, schedule)
+    rows = {(r.source_id, r.as_of): r for r in table}
     series = {sid: [] for sid in index.sources}
     for as_of, counts in zip(schedule, sweep_counts(index, year, schedule), strict=True):
         assert set(counts) == terminals
@@ -210,6 +249,8 @@ def _assert_sweep_matches_snapshots(index, year, schedule):
     for sid, expected in series.items():
         points = tracker_series(index, sid, year, schedule).points
         assert [(p.as_of, p.citations, p.documents) for p in points] == expected
+        # The chain sweep and the whole-store sweep give the same rows.
+        assert points == tuple(r for r in table if r.source_id == sid)
 
 
 @pytest.mark.parametrize("seed", [91, 92])
