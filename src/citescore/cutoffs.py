@@ -43,5 +43,8 @@ def default_cutoff(year: int, table: dict | None = None) -> date:
     pinned = table["years"].get(str(year))
     if pinned is not None:
         return parse_date(pinned)
-    month, day = (int(part) for part in table["default_month_day"].split("-"))
-    return date(year + 1, month, day)
+    month_day = table["default_month_day"]
+    try:
+        return parse_date(f"{year + 1:04d}-{month_day}")
+    except ValueError as exc:
+        raise ValueError(f"default_month_day {month_day!r} gives no date in {year + 1}: {exc}") from None

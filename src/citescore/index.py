@@ -2,15 +2,14 @@
 
 Records arrive as line-delimited JSON (one object per line, UTF-8). Ingestion
 is single-writer and builds the full index as the snapshot at ``date.max``.
-It decodes a line with one call of the C JSON scanner, and checks each field
-of a publication with one exact type test; the checks that build a
-rejection's message run only on a field that fails. Each accepted
-publication gets an ordinal, its position in ingest order, and the link loop
-runs inline: a canonical link line is one scanner call, two type tests, two
-ordinal lookups, an article-in-press test and a probe of the dedupe set,
-which holds one int per link (``citing * n_publications + cited``). Any
-other link line goes through the same message-building helpers as the other
-record kinds.
+Publications and links, the bulk record kinds, are read by one rule: a
+canonical line (exactly the kind's keys, each of its exact type, a value at
+offset 0 followed by nothing but JSON whitespace) is one call of the C JSON
+scanner and a few type tests, inline in :func:`ingest`; any other line goes
+through that kind's checked parser, which accepts it or builds the
+rejection's message, as it does for every source line. Each accepted
+publication gets an ordinal, its position in ingest order, and the link
+dedupe set holds one int per link (``citing * n_publications + cited``).
 
 Every snapshot of that index is a cutoff over one shared record store: the
 publication records by ordinal and the links as two ``array("i")`` columns
@@ -30,7 +29,7 @@ from datetime import date
 from functools import cached_property
 from json.scanner import make_scanner
 from types import MappingProxyType
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from .records import (
     DOC_TYPES,
@@ -93,25 +92,17 @@ class _LineError(Exception):
     """Per-line validation failure; the line is rejected and ingestion continues."""
 
 
-_Scanner = Callable[[str, int], tuple[object, int]]
 # One group of the store: publication records and the (citing, cited) ordinal
 # columns of links.
 _Group = tuple[Iterable[PublicationRecord], Iterable[int], Iterable[int]]
 
 
-def _parse_json_line(kind: str, lineno: int, line: str, scan: _Scanner) -> dict:
-    """json.loads(line), for one C scanner call when the line is a value at
-    offset 0 followed by nothing but JSON whitespace. Any other line goes to
-    json.loads itself, which accepts or rejects it with its own message; an
-    error the scanner raises is json.loads's own, from the same call."""
+def _parse_json_line(kind: str, lineno: int, line: str) -> dict:
+    """json.loads(line) as a dict, or the rejection's message. Only the
+    checked parsers call it: every source line, and the publication and link
+    lines that are not canonical (see ingest)."""
     try:
-        try:
-            obj, end = scan(line, 0)
-        except StopIteration:
-            obj = json.loads(line)
-        else:
-            if line[end:].strip(_JSON_SPACE):
-                obj = json.loads(line)
+        obj = json.loads(line)
     except json.JSONDecodeError as exc:
         raise _LineError(f"{kind} line {lineno}: invalid JSON ({exc.msg})") from exc
     except RecursionError as exc:
@@ -155,10 +146,8 @@ def _warn_unknown_fields(obj: dict, known: set[str], kind: str, lineno: int, rep
             report.warn(f"{kind} line {lineno}: ignoring unknown field {key!r}")
 
 
-def _parse_source(lineno: int, line: str, report: IngestReport, scan: _Scanner) -> SourceRecord:
-    # Sources are a small share of the lines, so each field goes through the
-    # message-building checks directly.
-    obj = _parse_json_line("sources", lineno, line, scan)
+def _parse_source(lineno: int, line: str, report: IngestReport) -> SourceRecord:
+    obj = _parse_json_line("sources", lineno, line)
     _warn_unknown_fields(obj, _SOURCE_FIELDS, "sources", lineno, report)
     source_id = _as_int(_require(obj, "source_id", "sources", lineno), "source_id", "sources", lineno)
     title = _as_str(_require(obj, "title", "sources", lineno), "title", "sources", lineno)
@@ -195,51 +184,28 @@ def _parse_source(lineno: int, line: str, report: IngestReport, scan: _Scanner) 
     )
 
 
-# Publications and links are nearly every line, so each of their fields is
-# read with one get() and an exact type test (a JSON true is a bool, not an
-# int). Only a field that fails the test goes through _require and _as_*,
-# which raise the rejection's message.
-
-
-def _load_date(obj: dict, lineno: int, dates: dict[str, date]) -> date:
+def _parse_publication(lineno: int, line: str, report: IngestReport, dates: dict[str, date]) -> PublicationRecord:
+    """The record of a publication line; a load_date string that parses is
+    cached in dates."""
+    obj = _parse_json_line("publications", lineno, line)
+    _warn_unknown_fields(obj, _PUBLICATION_FIELDS, "publications", lineno, report)
+    pub_id = _as_str(_require(obj, "pub_id", "publications", lineno), "pub_id", "publications", lineno)
+    source_id = _as_int(_require(obj, "source_id", "publications", lineno), "source_id", "publications", lineno)
+    sort_year = _as_int(_require(obj, "sort_year", "publications", lineno), "sort_year", "publications", lineno)
     raw_date = _as_str(_require(obj, "load_date", "publications", lineno), "load_date", "publications", lineno)
-    try:
-        load_date = parse_date(raw_date)
-    except ValueError as exc:
-        raise _LineError(f"publications line {lineno}: load_date {exc}") from exc
-    dates[raw_date] = load_date
-    return load_date
-
-
-def _parse_publication(
-    lineno: int, line: str, report: IngestReport, scan: _Scanner, dates: dict[str, date]
-) -> PublicationRecord:
-    obj = _parse_json_line("publications", lineno, line, scan)
-    if not obj.keys() <= _PUBLICATION_FIELDS:
-        _warn_unknown_fields(obj, _PUBLICATION_FIELDS, "publications", lineno, report)
-    pub_id = obj.get("pub_id")
-    if type(pub_id) is not str or not pub_id:
-        pub_id = _as_str(_require(obj, "pub_id", "publications", lineno), "pub_id", "publications", lineno)
-    source_id = obj.get("source_id")
-    if type(source_id) is not int:
-        source_id = _as_int(_require(obj, "source_id", "publications", lineno), "source_id", "publications", lineno)
-    sort_year = obj.get("sort_year")
-    if type(sort_year) is not int:
-        sort_year = _as_int(_require(obj, "sort_year", "publications", lineno), "sort_year", "publications", lineno)
-    try:
-        load_date = dates[obj.get("load_date")]
-    except (KeyError, TypeError):
-        load_date = _load_date(obj, lineno, dates)
-    doc_type = obj.get("doc_type")
-    if type(doc_type) is not str or doc_type not in DOC_TYPES:
-        doc_type = _as_str(_require(obj, "doc_type", "publications", lineno), "doc_type", "publications", lineno)
+    load_date = dates.get(raw_date)
+    if load_date is None:
+        try:
+            load_date = dates[raw_date] = parse_date(raw_date)
+        except ValueError as exc:
+            raise _LineError(f"publications line {lineno}: load_date {exc}") from exc
+    doc_type = _as_str(_require(obj, "doc_type", "publications", lineno), "doc_type", "publications", lineno)
+    if doc_type not in DOC_TYPES:
         raise _LineError(f"publications line {lineno}: unknown doc_type {doc_type!r}")
-    aip = obj.get("is_article_in_press")
-    if type(aip) is not bool:
-        aip = _as_bool(
-            _require(obj, "is_article_in_press", "publications", lineno),
-            "is_article_in_press", "publications", lineno,
-        )
+    aip = _as_bool(
+        _require(obj, "is_article_in_press", "publications", lineno),
+        "is_article_in_press", "publications", lineno,
+    )
     return PublicationRecord(
         pub_id=pub_id,
         source_id=source_id,
@@ -250,17 +216,12 @@ def _parse_publication(
     )
 
 
-def _parse_link(lineno: int, line: str, report: IngestReport, scan: _Scanner) -> tuple[str, str]:
+def _parse_link(lineno: int, line: str, report: IngestReport) -> tuple[str, str]:
     """(citing_pub_id, cited_pub_id) of a link line."""
-    obj = _parse_json_line("links", lineno, line, scan)
-    if not obj.keys() <= _LINK_FIELDS:
-        _warn_unknown_fields(obj, _LINK_FIELDS, "links", lineno, report)
-    citing = obj.get("citing_pub_id")
-    if type(citing) is not str or not citing:
-        citing = _as_str(_require(obj, "citing_pub_id", "links", lineno), "citing_pub_id", "links", lineno)
-    cited = obj.get("cited_pub_id")
-    if type(cited) is not str or not cited:
-        cited = _as_str(_require(obj, "cited_pub_id", "links", lineno), "cited_pub_id", "links", lineno)
+    obj = _parse_json_line("links", lineno, line)
+    _warn_unknown_fields(obj, _LINK_FIELDS, "links", lineno, report)
+    citing = _as_str(_require(obj, "citing_pub_id", "links", lineno), "citing_pub_id", "links", lineno)
+    cited = _as_str(_require(obj, "cited_pub_id", "links", lineno), "cited_pub_id", "links", lineno)
     return citing, cited
 
 
@@ -446,14 +407,12 @@ def ingest(
     and corrupt title chains (cycles, shared predecessors) raise IngestError.
     """
     report = IngestReport()
-    # One scanner and one load-date cache per call: no state outlives it.
-    scan = make_scanner(json.JSONDecoder())
-    dates: dict[str, date] = {}
-
     sources: dict[int, SourceRecord] = {}
-    for lineno, line in _numbered(source_lines):
+    for lineno, line in enumerate(source_lines, start=1):
+        if not line.strip():
+            continue
         try:
-            record = _parse_source(lineno, line, report, scan)
+            record = _parse_source(lineno, line, report)
         except _LineError as exc:
             report.sources_rejected += 1
             report.warn(str(exc))
@@ -465,16 +424,48 @@ def ingest(
 
     successor = _validate_chains(sources, report)
 
+    # One rule reads publications and links. A canonical line is accepted
+    # inline: a value at offset 0 with nothing but JSON whitespace after it,
+    # an object of exactly the kind's keys, each of its exact type (a JSON
+    # true is a bool, not an int), non-empty ids, a known doc_type and a
+    # load_date string already validated. A blank line is skipped, though its
+    # number counts. Any other line goes through the kind's checked parser
+    # (_parse_publication, _parse_link), which accepts or rejects it with the
+    # messages and warnings every kind of line gets. One scanner and one
+    # load-date cache per call: no state outlives it.
+    scan = make_scanner(json.JSONDecoder())
+    dates: dict[str, date] = {}
     # Each accepted publication's ordinal, and the records by ordinal.
     ordinal: dict[str, int] = {}
     records: list[PublicationRecord] = []
-    for lineno, line in _numbered(publication_lines):
+    lineno = 0
+    for line in publication_lines:
+        lineno += 1
         try:
-            record = _parse_publication(lineno, line, report, scan, dates)
-        except _LineError as exc:
-            report.publications_rejected += 1
-            report.warn(str(exc))
+            obj, end = scan(line, 0)
+            pub_id = obj["pub_id"]
+            source_id = obj["source_id"]
+            sort_year = obj["sort_year"]
+            doc_type = obj["doc_type"]
+            aip = obj["is_article_in_press"]
+            load_date = dates[obj["load_date"]]
+        except (StopIteration, ValueError, RecursionError, LookupError, TypeError):
+            # Not a JSON value at offset 0, not an object, a missing field or
+            # a load_date string not yet seen.
+            pub_id = None
+        if (type(pub_id) is str and pub_id and type(source_id) is int and type(sort_year) is int
+                and type(doc_type) is str and doc_type in DOC_TYPES and type(aip) is bool
+                and len(obj) == 6 and not line[end:].strip(_JSON_SPACE)):
+            record = PublicationRecord(pub_id, source_id, sort_year, load_date, doc_type, aip)
+        elif not line.strip():
             continue
+        else:
+            try:
+                record = _parse_publication(lineno, line, report, dates)
+            except _LineError as exc:
+                report.publications_rejected += 1
+                report.warn(str(exc))
+                continue
         if record.pub_id in ordinal:
             raise IngestError(f"publications line {lineno}: duplicate pub_id {record.pub_id!r}")
         if record.source_id not in sources:
@@ -487,11 +478,6 @@ def ingest(
         records.append(record)
     report.publications_accepted = len(records)
 
-    # The link loop is inline. A line that is not a two-key object of two
-    # non-empty id strings, followed by nothing but JSON whitespace, is
-    # skipped when blank (its number still counts) and otherwise goes
-    # through _parse_link, which accepts or rejects it with the messages
-    # and warnings every kind of line gets.
     citing_column, cited_column = array("i"), array("i")
     # One int per accepted link: distinct (citing, cited) ordinal pairs map
     # to distinct keys, since every cited ordinal is below the multiplier.
@@ -513,7 +499,7 @@ def ingest(
             if not line.strip():
                 continue
             try:
-                citing_id, cited_id = _parse_link(lineno, line, report, scan)
+                citing_id, cited_id = _parse_link(lineno, line, report)
             except _LineError as exc:
                 report.links_rejected += 1
                 report.warn(str(exc))
@@ -575,12 +561,6 @@ def _validate_chains(sources: dict[int, SourceRecord], report: IngestReport) -> 
             seen.add(current)
             current = sources[current].predecessor_source_id
     return successor
-
-
-def _numbered(lines: Iterable[str]) -> Iterator[tuple[int, str]]:
-    for lineno, line in enumerate(lines, start=1):
-        if line.strip():
-            yield lineno, line
 
 
 def load_index(

@@ -18,6 +18,7 @@ from decimal import Decimal
 
 from .index import IndexSnapshot, snapshot
 from .metrics import citescore, is_eligible, scores
+from .records import parse_date
 
 
 @dataclass(frozen=True)
@@ -64,13 +65,10 @@ def month_end_schedule(start: str, end: str) -> list[date]:
 
 def _parse_month(text: str) -> tuple[int, int]:
     try:
-        year_part, month_part = text.split("-")
-        year, month = int(year_part), int(month_part)
-    except ValueError as exc:
-        raise ValueError(f"expected YYYY-MM, got {text!r}") from exc
-    if not 1 <= month <= 12:
-        raise ValueError(f"month out of range in {text!r}")
-    return year, month
+        first = parse_date(f"{text}-01")
+    except ValueError:
+        raise ValueError(f"expected YYYY-MM, got {text!r}") from None
+    return first.year, first.month
 
 
 def tracker_value(

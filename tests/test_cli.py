@@ -162,6 +162,28 @@ def test_tracker_reversed_range_is_usage_error(corpus, tmp_path):
     assert excinfo.value.code == 2
 
 
+@pytest.mark.parametrize("flag, month", [
+    ("--from", "2018-1_2"),
+    ("--from", "+2018-1"),
+    ("--from", " 2018-01"),
+    ("--from", "2018-\u0660\u0661"),
+    ("--from", "2018-13"),
+    ("--to", "2018-1_2"),
+    ("--to", "2018-12 "),
+])
+def test_tracker_malformed_month_is_usage_error(corpus, tmp_path, capsys, flag, month):
+    months = {"--from": "2018-01", "--to": "2018-12", flag: month}
+    with pytest.raises(SystemExit) as excinfo:
+        main(["tracker"] + _flags(corpus)
+             + ["--year", "2018", "--from", months["--from"], "--to", months["--to"],
+                "--out", str(tmp_path / "x")])
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.splitlines()[-1] == f"citescore: error: expected YYYY-MM, got {month!r}"
+    assert not (tmp_path / "x").exists()
+
+
 def test_tracker_final_point_matches_compute(corpus, tmp_path):
     compute_out = tmp_path / "annual"
     tracker_out = tmp_path / "tracker"

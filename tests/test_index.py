@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import json
 import random
 from datetime import date, timedelta
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import citescore.index as index_module
 from citescore import (
     CorpusConfig,
     IngestError,
@@ -138,6 +142,27 @@ def test_canonical_link_lines_call_no_link_helper(monkeypatch):
     assert report.links_accepted == 12
     assert report.links_collapsed == 3
     assert len(index.links) == 12
+
+
+def test_canonical_publication_lines_parse_each_load_date_once(monkeypatch):
+    """A canonical publication line takes the checked parser only for the
+    first line of each distinct load_date string, which it validates and
+    caches; a repeated string is never parsed again."""
+    calls = []
+    parse_publication = index_module._parse_publication
+
+    def counting(lineno, line, report, dates):
+        calls.append(lineno)
+        return parse_publication(lineno, line, report, dates)
+
+    monkeypatch.setattr(index_module, "_parse_publication", counting)
+    sources, pubs, links = _clean_corpus()
+    pubs += [pub_line("q0", 2, 2016, load_date="2016-03-01"), pub_line("q1", 3, 2016, load_date="2016-03-01")]
+    index, report = ingest(sources, [line + "\n" for line in pubs], links)
+    assert calls == [1, 11]
+    assert report.publications_accepted == 12
+    assert not report.warnings
+    assert index.publications["q1"].load_date == date(2016, 3, 1)
 
 
 # Golden ingest input, one list per record kind; a comment names each line's
@@ -358,6 +383,105 @@ def test_ingest_golden_lines():
     assert [(link.citing_pub_id, link.cited_pub_id) for link in index.links] == [
         ("b", "a"), ("ac", "a"), ("ad", "b"), ("ad", "a"), ("d", "a"), ("ac", "b"), ("d", "c"), ("ad", "d"),
     ]
+
+
+# Values a mutation puts in a field or an extra key.
+_MUTANT_VALUES = [
+    True, False, 0, 1, 2015, -1, 10**20, 2015.0, 1.5, float("nan"), float("inf"), None,
+    [], ["article"], {}, {"doc_type": "article"}, "", "x", "a", "poem", "article",
+    "2015-01-10", "2015-02-30", "2015/01/10", "2015-1-10", "2015-01-10\n", " 2015-01-10",
+]
+_LEADS = ["", "", "", " ", "\t", "\r", "\x0c", "\x0b", "\ufeff", "\u00a0"]
+_TAILS = ["", "\n", "\n", "\n", " \r\n", "\t\n", "\x0c\n", "\x0b\n", "\ufeff\n", " x\n", "{}\n", ",\n"]
+_ODD_LINES = ["\n", " \x0c \n", "", "[]\n", '"pub"\n', "null\n", "1\n", "{\n", '[{"pub_id": "a"}]\n', "{}\n"]
+_GOLDEN_ACCEPTED_IDS = ["a", "b", "c", "d", "l", "q", "ac", "ad"]
+
+
+def _object_text(items):
+    """A JSON object of (key, value) pairs, in order and with repeated keys."""
+    return "{" + ", ".join(f"{json.dumps(key)}: {json.dumps(value)}" for key, value in items) + "}"
+
+
+@st.composite
+def _mutated_line(draw, items):
+    """The object of items with up to three mutations of its fields, padded,
+    or now and then cut short or replaced by a line that is no such object."""
+    if draw(st.integers(0, 9)) == 0:
+        return draw(st.sampled_from(_ODD_LINES))
+    items = list(items)
+    for _ in range(draw(st.integers(0, 3))):
+        mutation = draw(st.sampled_from(["value", "value", "drop", "extra", "repeat", "shuffle"]))
+        if not items or mutation == "extra":
+            key = draw(st.sampled_from(["x", "source", "pub_id ", "citing"]))
+            items.insert(draw(st.integers(0, len(items))), (key, draw(st.sampled_from(_MUTANT_VALUES))))
+            continue
+        i = draw(st.integers(0, len(items) - 1))
+        if mutation == "value":
+            items[i] = (items[i][0], draw(st.sampled_from(_MUTANT_VALUES)))
+        elif mutation == "drop":
+            del items[i]
+        elif mutation == "repeat":
+            items.insert(draw(st.integers(0, len(items))), (items[i][0], draw(st.sampled_from(_MUTANT_VALUES))))
+        else:
+            items = draw(st.permutations(items))
+    text = draw(st.sampled_from(_LEADS)) + _object_text(items) + draw(st.sampled_from(_TAILS))
+    if draw(st.integers(0, 9)) == 0:
+        text = text[:draw(st.integers(0, len(text)))]
+    return text
+
+
+@st.composite
+def _mutated_streams(draw):
+    """(publication lines, link lines) appended to the golden ones."""
+    pubs = []
+    for i in range(draw(st.integers(0, 12))):
+        pubs.append(draw(_mutated_line([
+            ("pub_id", f"g{i}"),
+            ("source_id", draw(st.sampled_from([1, 2, 10, 777]))),
+            ("sort_year", draw(st.integers(2014, 2017))),
+            ("load_date", draw(st.sampled_from(["2015-01-10", "2016-03-01", "2017-06-30", "2018-02-28"]))),
+            ("doc_type", draw(st.sampled_from(["article", "review", "letter"]))),
+            ("is_article_in_press", draw(st.booleans())),
+        ])))
+    ids = st.sampled_from(_GOLDEN_ACCEPTED_IDS + [f"g{i}" for i in range(len(pubs))] + ["ghost"])
+    links = []
+    for _ in range(draw(st.integers(0, 16))):
+        links.append(draw(_mutated_line([("citing_pub_id", draw(ids)), ("cited_pub_id", draw(ids))])))
+    return pubs, links
+
+
+def _ingest_outcome(pubs, links):
+    """Everything ingest gives for the golden sources and these lines: its
+    error message, or the sources, records, link columns, counts and
+    warnings."""
+    try:
+        index, report = ingest(_GOLDEN_SOURCES, _GOLDEN_PUBLICATIONS + pubs, _GOLDEN_LINKS + links)
+    except IngestError as exc:
+        return str(exc)
+    records, [(_, citing, cited)] = index.record_groups()
+    return dict(index.sources), records, list(citing), list(cited), report.counts(), report.warnings
+
+
+def _no_canonical_line(decoder):
+    """A scanner that reads no line, so ingest takes every line through the
+    checked parsers."""
+    def scan(line, idx):
+        raise StopIteration(idx)
+    return scan
+
+
+@settings(max_examples=200, deadline=None)
+@given(_mutated_streams())
+@example(streams=([], []))
+def test_inline_reading_equals_checked_parsers(streams):
+    """Ingest as it is equals ingest with every line through the checked
+    parsers: the inline canonical-line path decides nothing they would
+    decide otherwise."""
+    pubs, links = streams
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(index_module, "make_scanner", _no_canonical_line)
+        checked = _ingest_outcome(pubs, links)
+    assert _ingest_outcome(pubs, links) == checked
 
 
 def test_snapshot_cutoff_is_inclusive():
