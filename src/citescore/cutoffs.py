@@ -21,7 +21,10 @@ def load_cutoff_table(path: str | None = None) -> dict:
     else:
         with open(path, encoding="utf-8") as handle:
             text = handle.read()
-    table = json.loads(text)
+    try:
+        table = json.loads(text)
+    except RecursionError:
+        raise ValueError("nested too deeply") from None
     if not isinstance(table, dict):
         raise ValueError("cutoff table must be a JSON object")
     if "default_month_day" not in table or "years" not in table:

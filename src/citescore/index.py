@@ -3,10 +3,11 @@
 Records arrive as line-delimited JSON (one object per line, UTF-8). Ingestion
 is single-writer and builds the full index as the snapshot at ``date.max``.
 Publications and links, the bulk record kinds, are read by one rule: a
-canonical line (exactly the kind's keys, each of its exact type, a value at
-offset 0 followed by nothing but JSON whitespace) is one call of the C JSON
-scanner and a few type tests, inline in :func:`ingest`; any other line goes
-through that kind's checked parser, which accepts it or builds the
+canonical line, in the exact bytes ``citescore generate`` writes
+(``json.dumps(obj, sort_keys=True, separators=(",", ":"))``), is one
+``fullmatch`` of the kind's compiled pattern, whose groups are the fields,
+inline in :func:`ingest`; any other line, in whatever valid JSON spelling,
+goes through that kind's checked parser, which accepts it or builds the
 rejection's message, as it does for every source line. Each accepted
 publication gets an ordinal, its position in ingest order, and the link
 dedupe set holds one int per link (``citing * n_publications + cited``).
@@ -23,11 +24,11 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import re
 from array import array
 from dataclasses import dataclass, field
 from datetime import date
 from functools import cached_property
-from json.scanner import make_scanner
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping
 
@@ -40,9 +41,20 @@ from .records import (
     parse_date,
 )
 
-# JSON's whitespace. str.strip() would also drop \f, \v and Unicode spaces,
-# which json.loads rejects as "Extra data".
-_JSON_SPACE = " \t\n\r"
+# Canonical bulk lines, in the generator's bytes: sorted keys, no spaces, then
+# only JSON whitespace (strip() would also take \f, \v and Unicode spaces, which
+# json.loads rejects). An id holds no escape or raw control character, so its
+# group is the decoded id. An int is ASCII (\d takes other scripts' digits) and
+# short, far from int()'s digit limit. Any other line takes the checked parser.
+_ID = r'"([^"\\\x00-\x1f]+)"'
+_INT = r"(-?(?:0|[1-9][0-9]{0,17}))"
+_PUBLICATION_LINE = re.compile(
+    r'\{"doc_type":"(' + "|".join(map(re.escape, sorted(DOC_TYPES))) + r')",'
+    r'"is_article_in_press":(true|false),'
+    r'"load_date":"([0-9]{4}-[0-9]{2}-[0-9]{2})",'
+    r'"pub_id":' + _ID + r',"sort_year":' + _INT + r',"source_id":' + _INT + r"\}[ \t\n\r]*"
+)
+_LINK_LINE = re.compile(r'\{"cited_pub_id":' + _ID + r',"citing_pub_id":' + _ID + r"\}[ \t\n\r]*")
 
 _SOURCE_FIELDS = {
     "source_id",
@@ -425,38 +437,29 @@ def ingest(
     successor = _validate_chains(sources, report)
 
     # One rule reads publications and links. A canonical line is accepted
-    # inline: a value at offset 0 with nothing but JSON whitespace after it,
-    # an object of exactly the kind's keys, each of its exact type (a JSON
-    # true is a bool, not an int), non-empty ids, a known doc_type and a
-    # load_date string already validated. A blank line is skipped, though its
-    # number counts. Any other line goes through the kind's checked parser
-    # (_parse_publication, _parse_link), which accepts or rejects it with the
-    # messages and warnings every kind of line gets. One scanner and one
-    # load-date cache per call: no state outlives it.
-    scan = make_scanner(json.JSONDecoder())
+    # inline once parse_date has taken its load_date string, which is then
+    # cached for this call. A blank line is skipped, though its number counts.
+    # Any other line, or a load_date parse_date rejects, goes through the
+    # kind's checked parser (_parse_publication, _parse_link), which accepts or
+    # rejects it with the messages and warnings every kind of line gets.
+    publication_line = _PUBLICATION_LINE.fullmatch
     dates: dict[str, date] = {}
     # Each accepted publication's ordinal, and the records by ordinal.
     ordinal: dict[str, int] = {}
     records: list[PublicationRecord] = []
-    lineno = 0
-    for line in publication_lines:
-        lineno += 1
-        try:
-            obj, end = scan(line, 0)
-            pub_id = obj["pub_id"]
-            source_id = obj["source_id"]
-            sort_year = obj["sort_year"]
-            doc_type = obj["doc_type"]
-            aip = obj["is_article_in_press"]
-            load_date = dates[obj["load_date"]]
-        except (StopIteration, ValueError, RecursionError, LookupError, TypeError):
-            # Not a JSON value at offset 0, not an object, a missing field or
-            # a load_date string not yet seen.
-            pub_id = None
-        if (type(pub_id) is str and pub_id and type(source_id) is int and type(sort_year) is int
-                and type(doc_type) is str and doc_type in DOC_TYPES and type(aip) is bool
-                and len(obj) == 6 and not line[end:].strip(_JSON_SPACE)):
-            record = PublicationRecord(pub_id, source_id, sort_year, load_date, doc_type, aip)
+    for lineno, line in enumerate(publication_lines, start=1):
+        match = publication_line(line)
+        load_date = None
+        if match is not None:
+            doc_type, aip, raw_date, pub_id, sort_year, source_id = match.groups()
+            load_date = dates.get(raw_date)
+            if load_date is None:
+                try:
+                    load_date = dates[raw_date] = parse_date(raw_date)
+                except ValueError:
+                    pass
+        if load_date is not None:
+            record = PublicationRecord(pub_id, int(source_id), int(sort_year), load_date, doc_type, aip == "true")
         elif not line.strip():
             continue
         else:
@@ -484,20 +487,14 @@ def ingest(
     seen: set[int] = set()
     width = len(records)
     collapsed = 0
-    lineno = 0
-    for line in link_lines:
-        lineno += 1
-        try:
-            obj, end = scan(line, 0)
-            citing_id = obj["citing_pub_id"]
-            cited_id = obj["cited_pub_id"]
-        except (StopIteration, ValueError, RecursionError, LookupError, TypeError):
-            # Not a JSON value at offset 0, not an object, or a missing id.
-            citing_id = None
-        if (type(citing_id) is not str or type(cited_id) is not str or not citing_id or not cited_id
-                or len(obj) != 2 or line[end:].strip(_JSON_SPACE)):
-            if not line.strip():
-                continue
+    link_line = _LINK_LINE.fullmatch
+    for lineno, line in enumerate(link_lines, start=1):
+        match = link_line(line)
+        if match is not None:
+            cited_id, citing_id = match.groups()
+        elif not line.strip():
+            continue
+        else:
             try:
                 citing_id, cited_id = _parse_link(lineno, line, report)
             except _LineError as exc:

@@ -6,7 +6,9 @@ import json
 
 import pytest
 
+import citescore.index as index_module
 from citescore import CorpusConfig, LagModel, generate_corpus, load_index
+from citescore.records import parse_date
 
 
 def _read(path):
@@ -70,6 +72,37 @@ def test_generated_corpora_pass_ingest_cleanly(tmp_path):
         assert counts["links_rejected"] == 0
         assert counts["links_collapsed"] == 0
         assert not report.warnings
+
+
+def test_generated_lines_are_read_inline(tmp_path, monkeypatch):
+    """Every publication and link line the generator writes is read by the
+    inline patterns of ingest, never by the checked parsers, and each
+    distinct load_date string is validated once: the generator's byte form
+    and the reader's patterns agree."""
+    def forbidden(*args):
+        raise AssertionError("checked parser called")
+
+    parsed = []
+
+    def counting_parse_date(text):
+        parsed.append(text)
+        return parse_date(text)
+
+    monkeypatch.setattr(index_module, "_parse_publication", forbidden)
+    monkeypatch.setattr(index_module, "_parse_link", forbidden)
+    monkeypatch.setattr(index_module, "parse_date", counting_parse_date)
+    cfg = CorpusConfig(seed=3, n_journals=12, rename_probability=0.5, aip_fraction=0.4)
+    paths = generate_corpus(cfg, tmp_path / "corpus")
+    index, report = load_index(paths.sources_path, paths.publications_path, paths.links_path)
+
+    pubs = [json.loads(line) for line in paths.publications_path.read_text().splitlines()]
+    assert any(index.successor.values())
+    assert {p["is_article_in_press"] for p in pubs} == {False, True}
+    assert len({p["doc_type"] for p in pubs}) >= 5
+    assert sorted(parsed) == sorted({p["load_date"] for p in pubs})
+    assert report.publications_accepted == len(pubs)
+    assert report.links_accepted == len(paths.links_path.read_text().splitlines())
+    assert not report.warnings
 
 
 def test_invalid_configs_rejected_before_output(tmp_path):

@@ -86,10 +86,12 @@ def test_cli_honours_cutoff_table_flag(tmp_path):
     json.dumps({"default_month_day": "\u0665-31", "years": {}}),
     json.dumps({"default_month_day": "5-3_1", "years": {}}),
     json.dumps({"default_month_day": "02-30", "years": {}}),
+    "[" * 200000,
+    '{"default_month_day": "05-31", "years": {"2016": ' + "9" * 5000 + "}}",
 ], ids=["not-json", "missing-keys", "impossible-date", "not-object", "years-not-object",
         "pinned-non-string", "month-day-not-string", "pinned-basic-format", "pinned-week-date",
         "month-day-leading-space", "month-day-plus-sign", "month-day-arabic-indic-digit",
-        "month-day-underscore", "month-day-impossible"])
+        "month-day-underscore", "month-day-impossible", "nested-too-deeply", "integer-too-long"])
 def test_cli_bad_cutoff_table_is_usage_error(tmp_path, capsys, table_text):
     s, p, l = write_corpus(tmp_path, [source_line(1)], [pub_line("d", 1, 2015)], [])
     table_path = tmp_path / "cutoffs.json"

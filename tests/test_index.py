@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import random
+import re
 from datetime import date, timedelta
 
 import pytest
@@ -21,8 +22,11 @@ from citescore import (
     snapshot,
 )
 from citescore.output import write_metrics_csv, write_standings_csv
+from citescore.records import PublicationRecord, parse_date
 
-from helpers import brute_force_view, build_index, differential_index, link_line, pub_line, source_line
+from helpers import (
+    brute_force_view, build_index, canonical_line, differential_index, link_line, pub_line, source_line,
+)
 
 
 def _clean_corpus():
@@ -128,41 +132,51 @@ def test_article_in_press_cannot_give_citations():
 
 
 def test_canonical_link_lines_call_no_link_helper(monkeypatch):
-    """A two-key link line that is accepted or collapsed never reaches the
-    helpers that parse other lines or build a rejection's message."""
-    import citescore.index as index_module
-
+    """A link line in the generator's form that is accepted or collapsed
+    never reaches the helpers that parse other lines or build a rejection's
+    message."""
     def forbidden(*args):
         raise AssertionError("link helper called")
 
     monkeypatch.setattr(index_module, "_parse_link", forbidden)
     monkeypatch.setattr(index_module, "_link_rejection", forbidden)
     sources, pubs, links = _clean_corpus()
-    index, report = ingest(sources, pubs, [line + "\n" for line in links + links[:3]])
+    lines = [canonical_line(json.loads(line)) + "\n" for line in links + links[:3]]
+    index, report = ingest(sources, pubs, lines)
     assert report.links_accepted == 12
     assert report.links_collapsed == 3
     assert len(index.links) == 12
 
 
 def test_canonical_publication_lines_parse_each_load_date_once(monkeypatch):
-    """A canonical publication line takes the checked parser only for the
-    first line of each distinct load_date string, which it validates and
-    caches; a repeated string is never parsed again."""
-    calls = []
-    parse_publication = index_module._parse_publication
+    """A publication line in the generator's form never takes the checked
+    parser; parse_date validates each distinct load_date string once, on its
+    first line, and the cached date serves every later line."""
+    def forbidden(*args):
+        raise AssertionError("_parse_publication called")
 
-    def counting(lineno, line, report, dates):
-        calls.append(lineno)
-        return parse_publication(lineno, line, report, dates)
+    parsed = []
 
-    monkeypatch.setattr(index_module, "_parse_publication", counting)
+    def counting_parse_date(text):
+        parsed.append(text)
+        return parse_date(text)
+
+    monkeypatch.setattr(index_module, "_parse_publication", forbidden)
+    monkeypatch.setattr(index_module, "parse_date", counting_parse_date)
     sources, pubs, links = _clean_corpus()
     pubs += [pub_line("q0", 2, 2016, load_date="2016-03-01"), pub_line("q1", 3, 2016, load_date="2016-03-01")]
-    index, report = ingest(sources, [line + "\n" for line in pubs], links)
-    assert calls == [1, 11]
+    index, report = ingest(sources, [canonical_line(json.loads(line)) + "\n" for line in pubs], links)
+    assert parsed == ["2015-01-10", "2016-03-01"]
     assert report.publications_accepted == 12
     assert not report.warnings
     assert index.publications["q1"].load_date == date(2016, 3, 1)
+    assert index.publications == {
+        record["pub_id"]: PublicationRecord(
+            record["pub_id"], record["source_id"], record["sort_year"], date.fromisoformat(record["load_date"]),
+            record["doc_type"], record["is_article_in_press"],
+        )
+        for record in map(json.loads, pubs)
+    }
 
 
 # Golden ingest input, one list per record kind; a comment names each line's
@@ -170,6 +184,7 @@ def test_canonical_publication_lines_parse_each_load_date_once(monkeypatch):
 # tails are the valid fields after the ids.
 _SOURCE_TAIL = '"title": "T", "source_type": "journal", "asjc_codes": [1000], "is_actively_indexed": true'
 _PUBLICATION_TAIL = '"sort_year": 2015, "load_date": "2015-01-10", "doc_type": "article", "is_article_in_press": false'
+_GENERATOR_HEAD = '{"doc_type":"article","is_article_in_press":false,"load_date":"2016-03-01",'
 
 _GOLDEN_SOURCES = [
     '{"source_id": 1, "title": "Alpha", "source_type": "journal", "asjc_codes": [1000, 1100, 1000], "is_actively_indexed": true}\n',  # a repeated code
@@ -233,6 +248,25 @@ _GOLDEN_PUBLICATIONS = [
     '[]\n',  # not an object
     '"pub"\n',  # not an object
     '{"pub_id": "ad", "source_id": 2, "sort_year": 2017, "load_date": "2017-06-30", "doc_type": "article", "is_article_in_press": false} \r\n',  # trailing space, CR
+    # The generator's form, read inline, and near misses of it, read by the checked parser.
+    '{"doc_type":"conference-paper","is_article_in_press":false,"load_date":"2016-03-01","pub_id":"ae","sort_year":2016,"source_id":1}\n',  # generator form
+    '{"doc_type":"short-survey","is_article_in_press":true,"load_date":"2018-02-28","pub_id":"af","sort_year":2018,"source_id":12}',  # generator form, a new date, no newline
+    '{"doc_type":"article","is_article_in_press":false,"load_date":"2018-02-29","pub_id":"ag0","sort_year":2018,"source_id":1}\n',  # generator form, impossible date
+    _GENERATOR_HEAD + '"pub_id":"a\\u0067","sort_year":2016,"source_id":1}\n',  # escaped id
+    _GENERATOR_HEAD + '"pub_id":"a\\"h","sort_year":2016,"source_id":1}\n',  # escaped quote in an id
+    _GENERATOR_HEAD + '"pub_id":"a\x01i","sort_year":2016,"source_id":1}\n',  # raw control character in an id
+    _GENERATOR_HEAD + '"pub_id":"ai","sort_year":\u0662\u0660\u0661\u0666,"source_id":1}\n',  # Arabic-Indic digits
+    _GENERATOR_HEAD + '"pub_id":"ai","sort_year":201\u0666,"source_id":1}\n',  # an Arabic-Indic digit after ASCII ones
+    _GENERATOR_HEAD + '"pub_id":"ai","sort_year":02016,"source_id":1}\n',  # leading zero
+    _GENERATOR_HEAD + '"pub_id":"ai","sort_year":1e3,"source_id":1}\n',  # exponent
+    _GENERATOR_HEAD + '"pub_id":"ai","sort_year":2016.0,"source_id":1}\n',  # fraction
+    _GENERATOR_HEAD + '"pub_id":"ai","sort_year":2016,"source_id":1234567890123456789}\n',  # 19 digits: an int, an unknown source
+    _GENERATOR_HEAD + '"pub_id":"ai","sort_year":' + "9" * 5000 + ',"source_id":1}\n',  # integer too long
+    _GENERATOR_HEAD + '"pub_id":"aj","sort_year":-0,"source_id":1} \r\n',  # -0, trailing space and CR
+    _GENERATOR_HEAD + '"pub_id":"ak","sort_year":2016,"source_id":1}\x0c\n',  # trailing form feed
+    '{"doc_type":"poem","is_article_in_press":false,"load_date":"2016-03-01","pub_id":"ak","sort_year":2016,"source_id":1}\n',  # unknown doc_type
+    _GENERATOR_HEAD + '"pub\\u005fid":"ak","sort_year":2016,"source_id":1}\n',  # escaped key
+    _GENERATOR_HEAD + '"pub_id":"al","source_id":1,"sort_year":2016}\n',  # two keys swapped
 ]
 
 _GOLDEN_LINKS = [
@@ -268,6 +302,17 @@ _GOLDEN_LINKS = [
     ' \x0c \n',  # whitespace only: skipped
     '{"citing_pub_id": "ad", "cited_pub_id": "d"}\n',  # accepted after the skipped lines
     '{"citing_pub_id": "b", "cited_pub_id": "ghost"}\n',  # dangling after the skipped lines
+    # The generator's form, read inline, and near misses of it, read by the checked parser.
+    '{"cited_pub_id":"a","citing_pub_id":"ae"}\n',  # generator form
+    '{"cited_pub_id":"a","citing_pub_id":"a\\u0067"}\n',  # escaped id
+    '{"cited_pub_id":"a\\"h","citing_pub_id":"ae"}\n',  # escaped quote in an id
+    '{"cited_pub_id":"a\x01","citing_pub_id":"ae"}\n',  # raw control character in an id
+    '{"cited_pub_id":"a","citing_pub_id":"ae"}',  # duplicate: collapsed, no newline
+    '{"cited_pub_id":"af","citing_pub_id":"aj"}\r\n',  # cites an article-in-press: fine
+    '{"cited_pub_id":"a","citing_pub_id":"af"}\n',  # citing_aip
+    '{"citing_pub_id":"ae","cited_pub_id":"b"}\n',  # keys swapped
+    '{"cited_pub_id":"","citing_pub_id":"ae"}\n',  # empty id
+    '{"cited_pub_id":"b","citing_pub_id":"ae"} x\n',  # trailing garbage
 ]
 
 
@@ -325,6 +370,17 @@ def test_ingest_golden_lines():
         "publications line 32: load_date '2015-01-10\\n': Invalid isoformat string: '2015-01-10\\n'",
         'publications line 34: expected an object',
         'publications line 35: expected an object',
+        "publications line 39: load_date '2018-02-29': day is out of range for month",
+        'publications line 42: invalid JSON (Invalid control character at)',
+        'publications line 43: invalid JSON (Expecting value)',
+        "publications line 44: invalid JSON (Expecting ',' delimiter)",
+        "publications line 45: invalid JSON (Expecting ',' delimiter)",
+        "publications line 46: field 'sort_year' must be an integer",
+        "publications line 47: field 'sort_year' must be an integer",
+        'publications line 48: unknown source_id 1234567890123456789, record rejected',
+        'publications line 49: invalid JSON (integer too long)',
+        'publications line 51: invalid JSON (Extra data)',
+        "publications line 52: unknown doc_type 'poem'",
         'links line 5: invalid JSON (Unterminated string starting at)',
         "links line 6: missing field 'cited_pub_id'",
         "links line 7: ignoring unknown field 'cited'",
@@ -350,11 +406,15 @@ def test_ingest_golden_lines():
         "links line 26: missing field 'citing_pub_id'",
         "links line 27: citing publication 'c' is an article-in-press and cannot give citations, link rejected",
         "links line 32: dangling endpoint 'ghost', link rejected",
+        'links line 36: invalid JSON (Invalid control character at)',
+        "links line 39: citing publication 'af' is an article-in-press and cannot give citations, link rejected",
+        "links line 41: field 'cited_pub_id' must be a non-empty string",
+        'links line 42: invalid JSON (Extra data)',
     ]
     assert report.counts() == {
         "sources_accepted": 6, "sources_rejected": 14,
-        "publications_accepted": 8, "publications_rejected": 26,
-        "links_accepted": 8, "links_rejected": 20, "links_collapsed": 2,
+        "publications_accepted": 15, "publications_rejected": 37,
+        "links_accepted": 13, "links_rejected": 24, "links_collapsed": 3,
     }
     assert [
         (r.source_id, r.title, r.source_type, sorted(r.asjc_codes), r.is_actively_indexed, r.predecessor_source_id)
@@ -379,9 +439,17 @@ def test_ingest_golden_lines():
         ('q', 1, 2015, '2015-01-10', 'article', False),
         ('ac', 2, 2016, '2017-06-30', 'article', False),
         ('ad', 2, 2017, '2017-06-30', 'article', False),
+        ('ae', 1, 2016, '2016-03-01', 'conference-paper', False),
+        ('af', 12, 2018, '2018-02-28', 'short-survey', True),
+        ('ag', 1, 2016, '2016-03-01', 'article', False),
+        ('a"h', 1, 2016, '2016-03-01', 'article', False),
+        ('aj', 1, 0, '2016-03-01', 'article', False),
+        ('ak', 1, 2016, '2016-03-01', 'article', False),
+        ('al', 1, 2016, '2016-03-01', 'article', False),
     ]
     assert [(link.citing_pub_id, link.cited_pub_id) for link in index.links] == [
         ("b", "a"), ("ac", "a"), ("ad", "b"), ("ad", "a"), ("d", "a"), ("ac", "b"), ("d", "c"), ("ad", "d"),
+        ("ae", "a"), ("ag", "a"), ("ae", 'a"h'), ("aj", "af"), ("ae", "b"),
     ]
 
 
@@ -391,40 +459,73 @@ _MUTANT_VALUES = [
     [], ["article"], {}, {"doc_type": "article"}, "", "x", "a", "poem", "article",
     "2015-01-10", "2015-02-30", "2015/01/10", "2015-1-10", "2015-01-10\n", " 2015-01-10",
 ]
+
+
+class _Text(str):
+    """A key or value put into the line as it is, not through json.dumps."""
+
+
+# Spellings json.dumps never writes, each near the canonical patterns, for a
+# string field and for a number field: escapes, raw control characters and
+# digits of other scripts; leading zeros, an exponent, a fraction, -0 and
+# ints past the patterns' 18 digits, one of them past int()'s digit limit.
+_MUTANT_STRINGS = [_Text(text) for text in [
+    '"a\\"b"', '"\\u0070"', '"a\\u0063"', '"\\\\"', '"a\x01"', '"\x1f"', '"a\tb"', '"\x00"', '"\u0661"',
+    '"2015-01-1\u0660"', '"\\u0032015-01-10"', '"artic\\u006ce"', "true", "null",
+]]
+_MUTANT_NUMBERS = [_Text(text) for text in [
+    "\u0662\u0660\u0661\u0665", "201\u0665", "1\u0660", "02015", "00", "1e3", "2015.0", "-0", "-1",
+    "123456789012345678", "1234567890123456789", "-1234567890123456789", "9" * 4400, "false",
+]]
+_MUTANT_KEYS = ["x", "source", "pub_id ", "citing", _Text('"pub\\u005fid"'), _Text('"cited_pub\\u005fid"')]
 _LEADS = ["", "", "", " ", "\t", "\r", "\x0c", "\x0b", "\ufeff", "\u00a0"]
 _TAILS = ["", "\n", "\n", "\n", " \r\n", "\t\n", "\x0c\n", "\x0b\n", "\ufeff\n", " x\n", "{}\n", ",\n"]
 _ODD_LINES = ["\n", " \x0c \n", "", "[]\n", '"pub"\n', "null\n", "1\n", "{\n", '[{"pub_id": "a"}]\n', "{}\n"]
-_GOLDEN_ACCEPTED_IDS = ["a", "b", "c", "d", "l", "q", "ac", "ad"]
+_GOLDEN_ACCEPTED_IDS = ["a", "b", "c", "d", "l", "q", "ac", "ad", "ae", "af", "ag", 'a"h', "aj", "ak", "al"]
 
 
-def _object_text(items):
-    """A JSON object of (key, value) pairs, in order and with repeated keys."""
-    return "{" + ", ".join(f"{json.dumps(key)}: {json.dumps(value)}" for key, value in items) + "}"
+def _object_text(items, compact):
+    """A JSON object of (key, value) pairs, in order and with repeated keys;
+    compact is the generator's spelling, with no spaces."""
+    separators = (",", ":") if compact else (", ", ": ")
+
+    def text(part):
+        return part if isinstance(part, _Text) else json.dumps(part, separators=separators)
+
+    return "{" + separators[0].join(text(key) + separators[1] + text(value) for key, value in items) + "}"
 
 
 @st.composite
 def _mutated_line(draw, items):
-    """The object of items with up to three mutations of its fields, padded,
-    or now and then cut short or replaced by a line that is no such object."""
+    """The object of items, in two draws of three in the generator's form
+    (keys sorted, no spaces); in half the draws as it is, else with one to
+    three mutations of its keys, values or spelling; padded, or now and then
+    cut short or replaced by a line that is no such object."""
     if draw(st.integers(0, 9)) == 0:
         return draw(st.sampled_from(_ODD_LINES))
-    items = list(items)
-    for _ in range(draw(st.integers(0, 3))):
-        mutation = draw(st.sampled_from(["value", "value", "drop", "extra", "repeat", "shuffle"]))
+    compact = draw(st.integers(0, 2)) > 0
+    items = sorted(items) if compact else list(items)
+    for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2, 3]))):
+        mutation = draw(st.sampled_from(["value", "value", "text", "text", "drop", "extra", "repeat", "shuffle"]))
         if not items or mutation == "extra":
-            key = draw(st.sampled_from(["x", "source", "pub_id ", "citing"]))
+            key = draw(st.sampled_from(_MUTANT_KEYS))
             items.insert(draw(st.integers(0, len(items))), (key, draw(st.sampled_from(_MUTANT_VALUES))))
             continue
         i = draw(st.integers(0, len(items) - 1))
         if mutation == "value":
             items[i] = (items[i][0], draw(st.sampled_from(_MUTANT_VALUES)))
+        elif mutation == "text":
+            texts = _MUTANT_STRINGS if isinstance(items[i][1], str) else _MUTANT_NUMBERS
+            items[i] = (items[i][0], draw(st.sampled_from(texts)))
         elif mutation == "drop":
             del items[i]
         elif mutation == "repeat":
             items.insert(draw(st.integers(0, len(items))), (items[i][0], draw(st.sampled_from(_MUTANT_VALUES))))
         else:
             items = draw(st.permutations(items))
-    text = draw(st.sampled_from(_LEADS)) + _object_text(items) + draw(st.sampled_from(_TAILS))
+    lead = draw(st.sampled_from(_LEADS)) if draw(st.booleans()) else ""
+    tail = draw(st.sampled_from(_TAILS)) if draw(st.booleans()) else "\n"
+    text = lead + _object_text(items, compact) + tail
     if draw(st.integers(0, 9)) == 0:
         text = text[:draw(st.integers(0, len(text)))]
     return text
@@ -439,8 +540,8 @@ def _mutated_streams(draw):
             ("pub_id", f"g{i}"),
             ("source_id", draw(st.sampled_from([1, 2, 10, 777]))),
             ("sort_year", draw(st.integers(2014, 2017))),
-            ("load_date", draw(st.sampled_from(["2015-01-10", "2016-03-01", "2017-06-30", "2018-02-28"]))),
-            ("doc_type", draw(st.sampled_from(["article", "review", "letter"]))),
+            ("load_date", draw(st.sampled_from(["2015-01-10", "2016-03-01", "2017-06-30", "2018-02-28", "2018-02-29"]))),
+            ("doc_type", draw(st.sampled_from(["article", "review", "letter", "erratum"]))),
             ("is_article_in_press", draw(st.booleans())),
         ])))
     ids = st.sampled_from(_GOLDEN_ACCEPTED_IDS + [f"g{i}" for i in range(len(pubs))] + ["ghost"])
@@ -462,14 +563,6 @@ def _ingest_outcome(pubs, links):
     return dict(index.sources), records, list(citing), list(cited), report.counts(), report.warnings
 
 
-def _no_canonical_line(decoder):
-    """A scanner that reads no line, so ingest takes every line through the
-    checked parsers."""
-    def scan(line, idx):
-        raise StopIteration(idx)
-    return scan
-
-
 @settings(max_examples=200, deadline=None)
 @given(_mutated_streams())
 @example(streams=([], []))
@@ -479,7 +572,9 @@ def test_inline_reading_equals_checked_parsers(streams):
     decide otherwise."""
     pubs, links = streams
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(index_module, "make_scanner", _no_canonical_line)
+        # Patterns that match no line.
+        patch.setattr(index_module, "_PUBLICATION_LINE", re.compile(r"(?!)"))
+        patch.setattr(index_module, "_LINK_LINE", re.compile(r"(?!)"))
         checked = _ingest_outcome(pubs, links)
     assert _ingest_outcome(pubs, links) == checked
 
