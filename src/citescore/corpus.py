@@ -18,6 +18,10 @@ from datetime import date, timedelta
 from itertools import accumulate
 from pathlib import Path
 
+# One record as a line of the generator's byte form (sorted keys, no spaces):
+# the input form index.ingest reads by pattern, and every other one more slowly.
+canonical_line = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
 _DOC_TYPE_CHOICES = [
     ("article", 0.68),
     ("review", 0.08),
@@ -337,5 +341,4 @@ def generate_corpus(config: CorpusConfig, out_dir: str | Path) -> GeneratedCorpu
 def _write_jsonl(path: Path, records: list[dict]) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
         for record in records:
-            handle.write(json.dumps(record, sort_keys=True, separators=(",", ":")))
-            handle.write("\n")
+            handle.write(canonical_line(record) + "\n")

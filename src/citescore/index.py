@@ -3,11 +3,11 @@
 Records arrive as line-delimited JSON (one object per line, UTF-8). Ingestion
 is single-writer and builds the full index as the snapshot at ``date.max``.
 Publications and links, the bulk record kinds, are read by one rule: a
-canonical line, in the exact bytes ``citescore generate`` writes
-(``json.dumps(obj, sort_keys=True, separators=(",", ":"))``), is one
-``fullmatch`` of the kind's compiled pattern, whose groups are the fields,
-inline in :func:`ingest`; any other line, in whatever valid JSON spelling,
-goes through that kind's checked parser, which accepts it or builds the
+canonical line, in the byte form ``citescore generate`` writes
+(:func:`citescore.corpus.canonical_line`), is one ``fullmatch`` of the
+kind's compiled pattern, whose groups are the fields, inline in
+:func:`ingest`; any other line, in whatever valid JSON spelling, goes
+through that kind's checked parser, which accepts it or builds the
 rejection's message, as it does for every source line. Each accepted
 publication gets an ordinal, its position in ingest order, and the link
 dedupe set holds one int per link (``citing * n_publications + cited``).
@@ -41,7 +41,7 @@ from .records import (
     parse_date,
 )
 
-# Canonical bulk lines, in the generator's bytes: sorted keys, no spaces, then
+# Canonical bulk lines, in the byte form corpus.canonical_line defines, then
 # only JSON whitespace (strip() would also take \f, \v and Unicode spaces, which
 # json.loads rejects). An id holds no escape or raw control character, so its
 # group is the decoded id. An int is ASCII (\d takes other scripts' digits) and
@@ -436,12 +436,9 @@ def ingest(
 
     successor = _validate_chains(sources, report)
 
-    # One rule reads publications and links. A canonical line is accepted
-    # inline once parse_date has taken its load_date string, which is then
-    # cached for this call. A blank line is skipped, though its number counts.
-    # Any other line, or a load_date parse_date rejects, goes through the
-    # kind's checked parser (_parse_publication, _parse_link), which accepts or
-    # rejects it with the messages and warnings every kind of line gets.
+    # One rule reads publications and links: a canonical line is accepted inline
+    # once parse_date has taken its load_date string (cached for this call); any
+    # other line, or a date parse_date rejects, goes to the kind's checked parser.
     publication_line = _PUBLICATION_LINE.fullmatch
     dates: dict[str, date] = {}
     # Each accepted publication's ordinal, and the records by ordinal.

@@ -58,11 +58,6 @@ def link_line(citing, cited, **extra):
     return json.dumps(obj)
 
 
-def canonical_line(obj):
-    """obj as `citescore generate` writes it: sorted keys, no spaces."""
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
-
-
 def build_index(sources, pubs, links):
     return ingest(sources, pubs, links)
 

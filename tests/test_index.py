@@ -21,11 +21,12 @@ from citescore import (
     load_index,
     snapshot,
 )
+from citescore.corpus import canonical_line
 from citescore.output import write_metrics_csv, write_standings_csv
 from citescore.records import PublicationRecord, parse_date
 
 from helpers import (
-    brute_force_view, build_index, canonical_line, differential_index, link_line, pub_line, source_line,
+    brute_force_view, build_index, differential_index, link_line, pub_line, source_line,
 )
 
 
