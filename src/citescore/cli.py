@@ -353,13 +353,11 @@ def cmd_snapshot_info(args, parser) -> int:
     index, report = _load_and_report(args)
     view = snapshot(index, cutoff)
 
-    by_year: dict[int, int] = {}
-    for record in view.publications.values():
-        by_year[record.sort_year] = by_year.get(record.sort_year, 0) + 1
+    by_year = view.sort_year_counts
     info = {
         "cutoff": cutoff.isoformat(),
         "sources": len(view.sources),
-        "publications": len(view.publications),
+        "publications": sum(by_year.values()),
         "links": view.link_count,
         "publications_by_sort_year": {str(y): by_year[y] for y in sorted(by_year)},
         "ingest": report.counts(),

@@ -4,20 +4,26 @@ Records arrive as line-delimited JSON (one object per line, UTF-8). Ingestion
 is single-writer and builds the full index as the snapshot at ``date.max``.
 Publications and links, the bulk record kinds, are read by one rule: a
 canonical line, in the byte form ``citescore generate`` writes
-(:func:`citescore.corpus.canonical_line`), is one ``fullmatch`` of the
-kind's compiled pattern, whose groups are the fields, inline in
+(:func:`citescore.corpus.canonical_line`), is matched by the kind's compiled
+pattern, whose groups are the fields, and accepted inline in
 :func:`ingest`; any other line, in whatever valid JSON spelling, goes
 through that kind's checked parser, which accepts it or builds the
-rejection's message, as it does for every source line. Each accepted
-publication gets an ordinal, its position in ingest order, and the link
-dedupe set holds one int per link (``citing * n_publications + cited``).
+rejection's message, as it does for every source line. The pattern runs
+one ``findall`` per block of whole lines (about ``_BLOCK_CHARS`` characters
+of file text, or one line item that ends in its only newline), and its
+catch-all alternative gives every other line, whole, to the checked
+parser, so each line still has its number. Each accepted publication gets
+an ordinal, its position in ingest order, and the link dedupe set holds one
+int per link (``citing * n_publications + cited``).
 
-Every snapshot of that index is a cutoff over one shared record store: the
-publication records by ordinal and the links as two ``array("i")`` columns
-of (citing, cited) ordinals. Taking a snapshot copies nothing, and a view
-filters the store into its own publications and ``CitationLink`` objects on
-first read. Views are immutable (read-only mappings, tuple of links), so
-they can be shared freely across metric computations.
+Every snapshot of that index is a cutoff over one shared record store:
+publication columns by ordinal and the links as two ``array("i")`` columns
+of (citing, cited) ordinals. Ingest builds no ``PublicationRecord``; the
+store builds the records, once, when ``publications`` is first read.
+Taking a snapshot copies nothing, and a view filters the store into its own
+publications and ``CitationLink`` objects on first read. Views are
+immutable (read-only mappings, tuple of links), so they can be shared
+freely across metric computations.
 """
 
 from __future__ import annotations
@@ -26,11 +32,13 @@ import dataclasses
 import json
 import re
 from array import array
+from collections import Counter
 from dataclasses import dataclass, field
 from datetime import date
 from functools import cached_property
+from itertools import chain, compress
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, TextIO
 
 from .records import (
     DOC_TYPES,
@@ -42,19 +50,37 @@ from .records import (
 )
 
 # Canonical bulk lines, in the byte form corpus.canonical_line defines, then
-# only JSON whitespace (strip() would also take \f, \v and Unicode spaces, which
+# only JSON whitespace to the line's end (strip() would also take \f, \v and Unicode spaces, which
 # json.loads rejects). An id holds no escape or raw control character, so its
 # group is the decoded id. An int is ASCII (\d takes other scripts' digits) and
 # short, far from int()'s digit limit. Any other line takes the checked parser.
 _ID = r'"([^"\\\x00-\x1f]+)"'
 _INT = r"(-?(?:0|[1-9][0-9]{0,17}))"
-_PUBLICATION_LINE = re.compile(
-    r'\{"doc_type":"(' + "|".join(map(re.escape, sorted(DOC_TYPES))) + r')",'
+_DOC_TYPE_NAMES = tuple(sorted(DOC_TYPES))
+_DOC_TYPE_CODES = {name: code for code, name in enumerate(_DOC_TYPE_NAMES)}
+_PUBLICATION_CANONICAL = (
+    r'\{"doc_type":"(' + "|".join(map(re.escape, _DOC_TYPE_NAMES)) + r')",'
     r'"is_article_in_press":(true|false),'
     r'"load_date":"([0-9]{4}-[0-9]{2}-[0-9]{2})",'
-    r'"pub_id":' + _ID + r',"sort_year":' + _INT + r',"source_id":' + _INT + r"\}[ \t\n\r]*"
+    r'"pub_id":' + _ID + r',"sort_year":' + _INT + r',"source_id":' + _INT + r"\}"
 )
-_LINK_LINE = re.compile(r'\{"cited_pub_id":' + _ID + r',"citing_pub_id":' + _ID + r"\}[ \t\n\r]*")
+_LINK_CANONICAL = r'\{"cited_pub_id":' + _ID + r',"citing_pub_id":' + _ID + r"\}"
+
+
+def _block_pattern(canonical: str) -> re.Pattern:
+    """The pattern whose findall over a block of whole lines gives one row per
+    line: the canonical groups, each non-empty, and an empty last group for a
+    canonical line, else empty canonical groups and the whole line, newline
+    included, as the last. A line is the text up to and including a newline,
+    or a last line without one; an empty block has none."""
+    return re.compile(r"^(?!\Z)(?:" + canonical + r"[ \t\r]*$\n?|(.*\n?))", re.M)
+
+
+_PUBLICATION_LINE = _block_pattern(_PUBLICATION_CANONICAL)
+_LINK_LINE = _block_pattern(_LINK_CANONICAL)
+# Characters of text per findall: enough to make the per-block cost nothing,
+# few enough that the rows of one block stay small next to the index.
+_BLOCK_CHARS = 1 << 16
 
 _SOURCE_FIELDS = {
     "source_id",
@@ -104,9 +130,13 @@ class _LineError(Exception):
     """Per-line validation failure; the line is rejected and ingestion continues."""
 
 
-# One group of the store: publication records and the (citing, cited) ordinal
-# columns of links.
-_Group = tuple[Iterable[PublicationRecord], Iterable[int], Iterable[int]]
+# One group of the store: publication ordinals and the (citing, cited)
+# ordinal columns of links.
+_Group = tuple[Iterable[int], Iterable[int], Iterable[int]]
+# A row of a bulk kind's pattern: its canonical groups, then the catch-all.
+_Row = tuple[str, ...]
+# (pub_id, source_id, sort_year, load day ordinal, doc_type code, is_article_in_press)
+_Publication = tuple[str, int, int, int, int, bool]
 
 
 def _parse_json_line(kind: str, lineno: int, line: str) -> dict:
@@ -196,21 +226,27 @@ def _parse_source(lineno: int, line: str, report: IngestReport) -> SourceRecord:
     )
 
 
-def _parse_publication(lineno: int, line: str, report: IngestReport, dates: dict[str, date]) -> PublicationRecord:
-    """The record of a publication line; a load_date string that parses is
-    cached in dates."""
+def _load_day(raw_date: str, lineno: int, days: dict[str, int]) -> int:
+    """The day ordinal of a load_date string, which parse_date validates
+    once per string; days caches it."""
+    day = days.get(raw_date)
+    if day is None:
+        try:
+            day = days[raw_date] = parse_date(raw_date).toordinal()
+        except ValueError as exc:
+            raise _LineError(f"publications line {lineno}: load_date {exc}") from exc
+    return day
+
+
+def _parse_publication(lineno: int, line: str, report: IngestReport, days: dict[str, int]) -> _Publication:
+    """The fields of a publication line, in store column form."""
     obj = _parse_json_line("publications", lineno, line)
     _warn_unknown_fields(obj, _PUBLICATION_FIELDS, "publications", lineno, report)
     pub_id = _as_str(_require(obj, "pub_id", "publications", lineno), "pub_id", "publications", lineno)
     source_id = _as_int(_require(obj, "source_id", "publications", lineno), "source_id", "publications", lineno)
     sort_year = _as_int(_require(obj, "sort_year", "publications", lineno), "sort_year", "publications", lineno)
     raw_date = _as_str(_require(obj, "load_date", "publications", lineno), "load_date", "publications", lineno)
-    load_date = dates.get(raw_date)
-    if load_date is None:
-        try:
-            load_date = dates[raw_date] = parse_date(raw_date)
-        except ValueError as exc:
-            raise _LineError(f"publications line {lineno}: load_date {exc}") from exc
+    day = _load_day(raw_date, lineno, days)
     doc_type = _as_str(_require(obj, "doc_type", "publications", lineno), "doc_type", "publications", lineno)
     if doc_type not in DOC_TYPES:
         raise _LineError(f"publications line {lineno}: unknown doc_type {doc_type!r}")
@@ -218,14 +254,7 @@ def _parse_publication(lineno: int, line: str, report: IngestReport, dates: dict
         _require(obj, "is_article_in_press", "publications", lineno),
         "is_article_in_press", "publications", lineno,
     )
-    return PublicationRecord(
-        pub_id=pub_id,
-        source_id=source_id,
-        sort_year=sort_year,
-        load_date=load_date,
-        doc_type=doc_type,
-        is_article_in_press=aip,
-    )
+    return pub_id, source_id, sort_year, day, _DOC_TYPE_CODES[doc_type], aip
 
 
 def _parse_link(lineno: int, line: str, report: IngestReport) -> tuple[str, str]:
@@ -252,25 +281,44 @@ def _link_rejection(lineno: int, citing_id: str, cited_id: str, citing_known: bo
     )
 
 
+@dataclass(eq=False)
 class _Store:
     """The publications and links of one ingest, shared by every view of it.
 
-    A publication's ordinal is its position in ingest order, and ``records``
-    holds the records by ordinal. Each link is a row of the two
-    ``array("i")`` columns ``citing`` and ``cited``: the ordinals of its two
-    endpoints, in ingest order. Ints in arrays are nothing the garbage
-    collector walks. The pub_id mapping, the CitationLink objects and the
-    per-source groups are built on first read, each once per store."""
+    A publication's ordinal is its position in ingest order. The store keeps
+    its fields in columns by ordinal: ``pub_ids``; ``source_ids``,
+    ``sort_years`` and ``load_days`` (the load date's ordinal), plain lists
+    that share one int object per distinct value read inline; ``doc_types``,
+    a bytearray of codes into ``_DOC_TYPE_NAMES``; and ``in_press``, a list
+    of bools. Each link is a row of the two ``array("i")`` columns
+    ``citing`` and ``cited``: the ordinals of its two endpoints, in ingest
+    order. Nothing in a column is a container the garbage collector walks.
+    The PublicationRecords, the pub_id mapping, the CitationLink objects and
+    the per-source groups are built on first read, each once per store."""
 
-    def __init__(self, records: tuple[PublicationRecord, ...], citing: array, cited: array):
-        self.records = records
-        self.citing = citing
-        self.cited = cited
+    pub_ids: list[str]
+    source_ids: list[int]
+    sort_years: list[int]
+    load_days: list[int]
+    doc_types: bytearray
+    in_press: list[bool]
+    citing: array
+    cited: array
+
+    @cached_property
+    def records(self) -> tuple[PublicationRecord, ...]:
+        """Every publication as a PublicationRecord, by ordinal."""
+        dates = {day: date.fromordinal(day) for day in set(self.load_days)}
+        return tuple(map(
+            PublicationRecord, self.pub_ids, self.source_ids, self.sort_years,
+            map(dates.__getitem__, self.load_days), map(_DOC_TYPE_NAMES.__getitem__, self.doc_types),
+            self.in_press,
+        ))
 
     @cached_property
     def publications(self) -> Mapping[str, PublicationRecord]:
         """Every record by pub_id, in ordinal order."""
-        return MappingProxyType({record.pub_id: record for record in self.records})
+        return MappingProxyType(dict(zip(self.pub_ids, self.records)))
 
     @cached_property
     def links(self) -> tuple[CitationLink, ...]:
@@ -279,21 +327,19 @@ class _Store:
 
     def citation_links(self, rows: Iterable[tuple[int, int]]) -> tuple[CitationLink, ...]:
         """CitationLinks of (citing, cited) ordinal rows."""
-        records = self.records
-        return tuple(CitationLink(records[citing].pub_id, records[cited].pub_id) for citing, cited in rows)
+        pub_ids = self.pub_ids
+        return tuple(CitationLink(pub_ids[citing], pub_ids[cited]) for citing, cited in rows)
 
     @cached_property
-    def by_source(self) -> dict[int, tuple[list[PublicationRecord], dict[int, tuple[array, array]]]]:
-        """Each source's publications and, by the citing publication's
-        sort_year, the citing and cited ordinals of the links whose cited
-        publication it published, all in store order. Built on the first
-        per-source read."""
-        records = self.records
-        source_of = [record.source_id for record in records]
-        year_of = [record.sort_year for record in records]
+    def by_source(self) -> dict[int, tuple[list[int], dict[int, tuple[array, array]]]]:
+        """Each source's publication ordinals and, by the citing
+        publication's sort_year, the citing and cited ordinals of the links
+        whose cited publication it published, all in store order. Built on
+        the first per-source read."""
+        source_of, year_of = self.source_ids, self.sort_years
         groups = {source_id: ([], {}) for source_id in dict.fromkeys(source_of)}
-        for source_id, record in zip(source_of, records):
-            groups[source_id][0].append(record)
+        for ordinal, source_id in enumerate(source_of):
+            groups[source_id][0].append(ordinal)
         for citing, cited in zip(self.citing, self.cited):
             by_year = groups[source_of[cited]][1]
             columns = by_year.get(year_of[citing])
@@ -305,7 +351,7 @@ class _Store:
 
 
 _NO_LINKS: tuple[tuple[int, ...], tuple[int, ...]] = ((), ())
-_NO_SOURCE: tuple[tuple[PublicationRecord, ...], dict] = ((), {})
+_NO_SOURCE: tuple[tuple[int, ...], dict] = ((), {})
 
 
 @dataclass(frozen=True)
@@ -317,9 +363,10 @@ class IndexSnapshot:
     built by :func:`ingest` is the snapshot at ``date.max``; :func:`snapshot`
     narrows any view to an earlier cutoff. Every view of one index shares
     that index's record store: ``publications`` and ``links`` are filtered
-    from it on first read, in store order, the links as CitationLink objects
-    built from the store's ordinal columns, and ``link_count`` counts them
-    on those columns without building any. When every publication has loaded
+    from it on first read, in store order, as PublicationRecord and
+    CitationLink objects built from the store's columns, and ``link_count``
+    and ``sort_year_counts`` count on those columns without building any
+    object. When every publication has loaded
     by the cutoff they are the store's own mapping and its one cached tuple
     of links. Immutable and safe to share across concurrent readers.
     """
@@ -333,8 +380,8 @@ class IndexSnapshot:
     def _loaded(self) -> bytearray | None:
         """Per ordinal, 1 when the publication has loaded by the cutoff;
         None when every publication has."""
-        cutoff = self.cutoff
-        loaded = bytearray(record.load_date <= cutoff for record in self._store.records)
+        cutoff = self.cutoff.toordinal()
+        loaded = bytearray(day <= cutoff for day in self._store.load_days)
         return loaded if 0 in loaded else None
 
     def _link_rows(self) -> Iterator[tuple[int, int]]:
@@ -350,9 +397,7 @@ class IndexSnapshot:
         store, loaded = self._store, self._loaded
         if loaded is None:
             return store.publications
-        return MappingProxyType({
-            record.pub_id: record for record, kept in zip(store.records, loaded) if kept
-        })
+        return MappingProxyType(dict(compress(zip(store.pub_ids, store.records), loaded)))
 
     @cached_property
     def links(self) -> tuple[CitationLink, ...]:
@@ -365,27 +410,34 @@ class IndexSnapshot:
         return sum(1 for _ in self._link_rows())
 
     @cached_property
+    def sort_year_counts(self) -> Counter[int]:
+        """How many of the view's publications each sort_year holds, counted
+        on the store's columns without building a record."""
+        years, loaded = self._store.sort_years, self._loaded
+        return Counter(years if loaded is None else compress(years, loaded))
+
+    @cached_property
     def _tallies(self) -> dict:
         """Per-view memo of the metrics module's chain tallies."""
         return {}
 
     def record_groups(
         self, source_ids: Iterable[int] | None = None, citing_year: int | None = None
-    ) -> tuple[tuple[PublicationRecord, ...], list[_Group]]:
-        """The shared store's publication records by ordinal, and its
-        (publications, citing ordinals, cited ordinals) groups, in store
-        order and not narrowed to this view's cutoff: one group for the
-        whole store or, given source_ids, one per source of its publications
-        and the links whose cited publication it published and whose citing
-        publication's sort_year is citing_year."""
+    ) -> tuple[_Store, list[_Group]]:
+        """The shared store, whose publication columns the groups' ordinals
+        index, and its (publication ordinals, citing ordinals, cited
+        ordinals) groups, in store order and not narrowed to this view's
+        cutoff: one group for the whole store or, given source_ids, one per
+        source of its publications and the links whose cited publication it
+        published and whose citing publication's sort_year is citing_year."""
         store = self._store
         if source_ids is None:
-            return store.records, [(store.records, store.citing, store.cited)]
+            return store, [(range(len(store.pub_ids)), store.citing, store.cited)]
         groups = []
         for source_id in source_ids:
-            publications, links = store.by_source.get(source_id, _NO_SOURCE)
-            groups.append((publications, *links.get(citing_year, _NO_LINKS)))
-        return store.records, groups
+            ordinals, links = store.by_source.get(source_id, _NO_SOURCE)
+            groups.append((ordinals, *links.get(citing_year, _NO_LINKS)))
+        return store, groups
 
     def resolve_title_chain(self, source_id: int) -> frozenset[int]:
         """The source itself plus the transitive closure of its predecessors."""
@@ -412,12 +464,43 @@ def ingest(
     link_lines: Iterable[str],
 ) -> tuple[IndexSnapshot, IngestReport]:
     """Build the full index (the snapshot at ``date.max``) from line-delimited
-    record streams.
+    record streams. Each item of a stream is one numbered line, with or
+    without its newline.
 
     Malformed lines, dangling references, and invariant-violating links are
     rejected with a warning and ingestion continues. Duplicate identifiers
     and corrupt title chains (cycles, shared predecessors) raise IngestError.
     """
+    return _ingest(
+        source_lines, _line_rows(_PUBLICATION_LINE, publication_lines), _line_rows(_LINK_LINE, link_lines)
+    )
+
+
+def _line_rows(pattern: re.Pattern, lines: Iterable[str]) -> Iterator[list[_Row]]:
+    """The pattern's rows of line items, one per item: an item that ends in
+    its only newline is matched as a block of one line; any other item (no
+    newline, or one inside it) is one catch-all row, so it goes whole to the
+    checked parser."""
+    no_fields = ("",) * (pattern.groups - 1)
+    for line in lines:
+        if line[-1:] == "\n" and line.find("\n") == len(line) - 1:
+            yield pattern.findall(line)
+        else:
+            yield [(*no_fields, line)]
+
+
+def _file_rows(pattern: re.Pattern, handle: TextIO) -> Iterator[list[_Row]]:
+    """The pattern's rows of a text file, one per line, a block of about
+    _BLOCK_CHARS characters extended to the next newline at a time."""
+    while block := handle.read(_BLOCK_CHARS):
+        yield pattern.findall(block + handle.readline())
+
+
+def _ingest(
+    source_lines: Iterable[str],
+    publication_rows: Iterable[list[_Row]],
+    link_rows: Iterable[list[_Row]],
+) -> tuple[IndexSnapshot, IngestReport]:
     report = IngestReport()
     sources: dict[int, SourceRecord] = {}
     for lineno, line in enumerate(source_lines, start=1):
@@ -436,62 +519,68 @@ def ingest(
 
     successor = _validate_chains(sources, report)
 
-    # One rule reads publications and links: a canonical line is accepted inline
-    # once parse_date has taken its load_date string (cached for this call); any
-    # other line, or a date parse_date rejects, goes to the kind's checked parser.
-    publication_line = _PUBLICATION_LINE.fullmatch
-    dates: dict[str, date] = {}
-    # Each accepted publication's ordinal, and the records by ordinal.
+    # One rule reads publications and links: a row whose canonical groups are
+    # set (each is non-empty when it matches) is a canonical line, accepted
+    # inline once parse_date has taken its load_date string (cached for this
+    # call); the last group of any other row is its whole line, for the kind's
+    # checked parser. Inline ints are shared: one object per source, per
+    # sort_year string and per load_date string.
+    days: dict[str, int] = {}
+    years: dict[str, int] = {}
+    source_of_text = {str(source_id): source_id for source_id in sources}
+    # Each accepted publication's ordinal, and its fields by ordinal.
     ordinal: dict[str, int] = {}
-    records: list[PublicationRecord] = []
-    for lineno, line in enumerate(publication_lines, start=1):
-        match = publication_line(line)
-        load_date = None
-        if match is not None:
-            doc_type, aip, raw_date, pub_id, sort_year, source_id = match.groups()
-            load_date = dates.get(raw_date)
-            if load_date is None:
-                try:
-                    load_date = dates[raw_date] = parse_date(raw_date)
-                except ValueError:
-                    pass
-        if load_date is not None:
-            record = PublicationRecord(pub_id, int(source_id), int(sort_year), load_date, doc_type, aip == "true")
-        elif not line.strip():
-            continue
-        else:
-            try:
-                record = _parse_publication(lineno, line, report, dates)
-            except _LineError as exc:
-                report.publications_rejected += 1
-                report.warn(str(exc))
+    pub_ids: list[str] = []
+    source_ids: list[int] = []
+    sort_years: list[int] = []
+    load_days: list[int] = []
+    doc_types = bytearray()
+    in_press: list[bool] = []
+    rows = chain.from_iterable(publication_rows)
+    for lineno, (doc_text, aip_text, date_text, pub_text, year_text, source_text, line) in enumerate(rows, 1):
+        try:
+            if doc_text:
+                day = days.get(date_text)
+                if day is None:
+                    day = _load_day(date_text, lineno, days)
+                sort_year = years.get(year_text)
+                if sort_year is None:
+                    sort_year = years[year_text] = int(year_text)
+                pub_id, source_id = pub_text, source_of_text.get(source_text) or int(source_text)
+                doc_code, aip = _DOC_TYPE_CODES[doc_text], aip_text == "true"
+            elif not line.strip():
                 continue
-        if record.pub_id in ordinal:
-            raise IngestError(f"publications line {lineno}: duplicate pub_id {record.pub_id!r}")
-        if record.source_id not in sources:
+            else:
+                pub_id, source_id, sort_year, day, doc_code, aip = _parse_publication(lineno, line, report, days)
+        except _LineError as exc:
             report.publications_rejected += 1
-            report.warn(
-                f"publications line {lineno}: unknown source_id {record.source_id}, record rejected"
-            )
+            report.warn(str(exc))
             continue
-        ordinal[record.pub_id] = len(records)
-        records.append(record)
-    report.publications_accepted = len(records)
+        if pub_id in ordinal:
+            raise IngestError(f"publications line {lineno}: duplicate pub_id {pub_id!r}")
+        if source_id not in sources:
+            report.publications_rejected += 1
+            report.warn(f"publications line {lineno}: unknown source_id {source_id}, record rejected")
+            continue
+        ordinal[pub_id] = len(pub_ids)
+        pub_ids.append(pub_id)
+        source_ids.append(source_id)
+        sort_years.append(sort_year)
+        load_days.append(day)
+        doc_types.append(doc_code)
+        in_press.append(aip)
+    report.publications_accepted = len(pub_ids)
 
     citing_column, cited_column = array("i"), array("i")
     # One int per accepted link: distinct (citing, cited) ordinal pairs map
     # to distinct keys, since every cited ordinal is below the multiplier.
     seen: set[int] = set()
-    width = len(records)
+    width = len(pub_ids)
     collapsed = 0
-    link_line = _LINK_LINE.fullmatch
-    for lineno, line in enumerate(link_lines, start=1):
-        match = link_line(line)
-        if match is not None:
-            cited_id, citing_id = match.groups()
-        elif not line.strip():
-            continue
-        else:
+    for lineno, (cited_id, citing_id, line) in enumerate(chain.from_iterable(link_rows), start=1):
+        if not cited_id:
+            if not line.strip():
+                continue
             try:
                 citing_id, cited_id = _parse_link(lineno, line, report)
             except _LineError as exc:
@@ -500,7 +589,7 @@ def ingest(
                 continue
         citing = ordinal.get(citing_id)
         cited = ordinal.get(cited_id)
-        if citing is None or cited is None or citing == cited or records[citing].is_article_in_press:
+        if citing is None or cited is None or citing == cited or in_press[citing]:
             report.links_rejected += 1
             report.warn(_link_rejection(lineno, citing_id, cited_id, citing is not None, cited is not None))
             continue
@@ -514,11 +603,12 @@ def ingest(
     report.links_accepted = len(citing_column)
     report.links_collapsed = collapsed
 
+    store = _Store(pub_ids, source_ids, sort_years, load_days, doc_types, in_press, citing_column, cited_column)
     index = IndexSnapshot(
         cutoff=date.max,
         sources=MappingProxyType(sources),
         successor=MappingProxyType(successor),
-        _store=_Store(tuple(records), citing_column, cited_column),
+        _store=store,
     )
     return index, report
 
@@ -562,11 +652,12 @@ def load_index(
     publications_path: str,
     links_path: str,
 ) -> tuple[IndexSnapshot, IngestReport]:
-    """Ingest the three record files from disk into the full index."""
+    """Ingest the three record files from disk into the full index, reading
+    publications and links a block of text at a time."""
     with open(sources_path, encoding="utf-8") as src, \
             open(publications_path, encoding="utf-8") as pubs, \
             open(links_path, encoding="utf-8") as links:
-        return ingest(src, pubs, links)
+        return _ingest(src, _file_rows(_PUBLICATION_LINE, pubs), _file_rows(_LINK_LINE, links))
 
 
 def snapshot(index: IndexSnapshot, cutoff: date) -> IndexSnapshot:

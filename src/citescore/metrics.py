@@ -244,48 +244,49 @@ def sweep_counts(
                 terminal = index.successor[terminal]
             terminal_of[source_id] = terminal
         terminals = [source_id for source_id, terminal in terminal_of.items() if source_id == terminal]
-        records, groups = index.record_groups()
+        store, groups = index.record_groups()
     else:
         terminal_of = dict.fromkeys(index.resolve_title_chain(chain_of), chain_of)
         terminals = [chain_of]
-        records, groups = index.record_groups(terminal_of, year)
+        store, groups = index.record_groups(terminal_of, year)
+    source_of, year_of, day_of, in_press = store.source_ids, store.sort_years, store.load_days, store.in_press
 
     n = len(schedule)
+    days = [as_of.toordinal() for as_of in schedule]
     window = cited_window(year)
-    # The store's records, read without the view's filtered copy: a record
+    # The store's columns, read without the view's filtered copy: a record
     # that loads after the view's cutoff or the last schedule date never counts.
-    last = min(schedule[-1], index.cutoff)
+    last = min(schedule[-1], index.cutoff).toordinal()
     # What each schedule date adds, by terminal title.
     documents = [defaultdict(int) for _ in schedule]
     citations = [defaultdict(int) for _ in schedule]
     cited_documents = [defaultdict(int) for _ in schedule]
 
-    for publications, _, _ in groups:
-        for record in publications:
-            if record.is_article_in_press or record.sort_year not in window or record.load_date > last:
+    for ordinals, _, _ in groups:
+        for ordinal in ordinals:
+            if in_press[ordinal] or year_of[ordinal] not in window or day_of[ordinal] > last:
                 continue
-            documents[bisect_left(schedule, record.load_date)][terminal_of[record.source_id]] += 1
+            documents[bisect_left(days, day_of[ordinal])][terminal_of[source_of[ordinal]]] += 1
 
     # Ordinal -> (first date index, terminal title) of each cited document.
     first_cited: dict[int, tuple[int, int]] = {}
     never = (n, 0)
     for _, citing_ordinals, cited_ordinals in groups:
-        for citing_ordinal, cited_ordinal in zip(citing_ordinals, cited_ordinals):
-            citing = records[citing_ordinal]
-            if citing.sort_year != year or citing.is_article_in_press:
+        for citing, cited in zip(citing_ordinals, cited_ordinals):
+            if year_of[citing] != year or in_press[citing]:
                 continue
-            cited = records[cited_ordinal]
-            if cited.sort_year not in window or cited.is_article_in_press:
+            if year_of[cited] not in window or in_press[cited]:
                 continue
             # The link is in the index once its later endpoint has loaded.
-            loaded = cited.load_date if cited.load_date > citing.load_date else citing.load_date
+            cited_day, citing_day = day_of[cited], day_of[citing]
+            loaded = cited_day if cited_day > citing_day else citing_day
             if loaded > last:
                 continue
-            bucket = bisect_left(schedule, loaded)
-            terminal = terminal_of[cited.source_id]
+            bucket = bisect_left(days, loaded)
+            terminal = terminal_of[source_of[cited]]
             citations[bucket][terminal] += 1
-            if bucket < first_cited.get(cited_ordinal, never)[0]:
-                first_cited[cited_ordinal] = (bucket, terminal)
+            if bucket < first_cited.get(cited, never)[0]:
+                first_cited[cited] = (bucket, terminal)
     for bucket, terminal in first_cited.values():
         cited_documents[bucket][terminal] += 1
 

@@ -7,7 +7,10 @@ from datetime import date, timedelta
 
 import pytest
 
+import citescore.index as index_module
+from citescore import load_index, tracker_value
 from citescore.cli import main
+from citescore.corpus import canonical_line
 from citescore.manifest import file_digest
 
 from helpers import link_line, pub_line, source_line, write_corpus
@@ -338,6 +341,74 @@ def test_snapshot_info_counts_equal_brute_force(corpus, capsys):
         assert info["publications"] == sum(day <= cutoff for day in loaded.values())
         assert info["links"] == sum(loaded[citing] <= cutoff and loaded[cited] <= cutoff for citing, cited in links)
     assert info["links"] == len(links) > 0
+
+
+def test_commands_and_queries_build_no_publication_record(corpus, tmp_path, capsys, monkeypatch):
+    """Ingest keeps publications in columns; compute, tracker, snapshot-info
+    and tracker_value read only those, and a record is built only when a
+    view's publications are read."""
+    def forbidden(*args):
+        raise AssertionError("a PublicationRecord was built")
+
+    monkeypatch.setattr(index_module, "PublicationRecord", forbidden)
+    assert main(["compute"] + _flags(corpus) + ["--year", "2017", "--out", str(tmp_path / "compute")]) == 0
+    assert main(["tracker"] + _flags(corpus) + ["--year", "2018", "--from", "2018-01", "--to", "2018-12",
+                                               "--stability-report", "--out", str(tmp_path / "tracker")]) == 0
+    assert main(["snapshot-info"] + _flags(corpus) + ["--year", "2016"]) == 0
+    assert json.loads(capsys.readouterr().out)["publications"] > 0
+    index, _ = load_index(corpus["--sources"], corpus["--pubs"], corpus["--links"])
+    values = [tracker_value(index, source_id, 2018, date(2018, 9, 30)) for source_id in index.sources]
+    assert any(value is not None for value in values)
+    with pytest.raises(AssertionError, match="PublicationRecord"):
+        index.publications
+
+
+def test_integers_past_64_bits_ingest_count_and_score(tmp_path, capsys):
+    """A source_id of 10**20 and a sort_year of 10**19, past the canonical
+    pattern's 18 digits, are read by the checked parser into the columns,
+    then counted and scored like any other value; an 18-digit sort_year is
+    read inline."""
+    big, far, near = 10**20, 10**19, 10**17
+
+    def source(source_id):
+        return canonical_line({"source_id": source_id, "title": f"J{source_id}", "source_type": "journal",
+                               "asjc_codes": [1000], "is_actively_indexed": True})
+
+    def pub(pub_id, source_id, sort_year, load_date="2017-03-01"):
+        return canonical_line({"pub_id": pub_id, "source_id": source_id, "sort_year": sort_year,
+                               "load_date": load_date, "doc_type": "article", "is_article_in_press": False})
+
+    paths = write_corpus(
+        tmp_path,
+        [source(big), source(1)],
+        [pub("p1", big, 2016, "2016-05-01"), pub("p2", big, 2015, "2015-05-01"), pub("p3", 1, 2017),
+         pub("p4", 1, 2014), pub("far", big, far), pub("far2", 1, far), pub("near", 1, near)],
+        [canonical_line({"citing_pub_id": citing, "cited_pub_id": cited})
+         for citing, cited in [("p3", "p1"), ("p3", "p2"), ("far", "p1"), ("p3", "p4")]],
+    )
+    flags = ["--sources", str(paths[0]), "--pubs", str(paths[1]), "--links", str(paths[2])]
+    out = tmp_path / "run"
+    assert main(["compute"] + flags + ["--year", "2017", "--cutoff", "2018-04-30", "--out", str(out)]) == 0
+    assert (out / "metrics.csv").read_text().splitlines() == [
+        "source_id,title,year,citescore,citations,documents,percent_cited",
+        "1,J1,2017,1.00,1,1,100",
+        f"{big},J{big},2017,1.00,2,2,100",
+    ]
+    assert (out / "standings.csv").read_text().splitlines()[1:] == ["1,1000,1,2,50,2", f"{big},1000,1,2,50,2"]
+    assert main(["snapshot-info"] + flags + ["--cutoff", "2018-04-30"]) == 0
+    info = json.loads(capsys.readouterr().out)
+    assert (info["publications"], info["links"]) == (7, 4)
+    assert info["publications_by_sort_year"] == {
+        str(far): 2, "2014": 1, "2015": 1, "2016": 1, "2017": 1, str(near): 1,
+    }
+    index, report = load_index(*paths)
+    assert report.counts()["publications_rejected"] == report.counts()["links_rejected"] == 0
+    assert [(r.pub_id, r.source_id, r.sort_year) for r in index.publications.values()] == [
+        ("p1", big, 2016), ("p2", big, 2015), ("p3", 1, 2017), ("p4", 1, 2014), ("far", big, far), ("far2", 1, far),
+        ("near", 1, near),
+    ]
+    assert str(tracker_value(index, big, 2017, date(2018, 1, 31))) == "1.00"
+    assert str(tracker_value(index, big, 2017, date(2017, 2, 1))) == "0.00"
 
 
 def test_snapshot_info_needs_exactly_one_cutoff_choice(corpus, tmp_path):

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import json
 import random
-import re
 from datetime import date, timedelta
 
 import pytest
@@ -552,6 +551,13 @@ def _mutated_streams(draw):
     return pubs, links
 
 
+def _force_checked_parsers(patch):
+    """Patch both bulk patterns so that every line is a catch-all row."""
+    for name, canonical in [("_PUBLICATION_LINE", index_module._PUBLICATION_CANONICAL),
+                            ("_LINK_LINE", index_module._LINK_CANONICAL)]:
+        patch.setattr(index_module, name, index_module._block_pattern("(?!)" + canonical))
+
+
 def _ingest_outcome(pubs, links):
     """Everything ingest gives for the golden sources and these lines: its
     error message, or the sources, records, link columns, counts and
@@ -560,8 +566,8 @@ def _ingest_outcome(pubs, links):
         index, report = ingest(_GOLDEN_SOURCES, _GOLDEN_PUBLICATIONS + pubs, _GOLDEN_LINKS + links)
     except IngestError as exc:
         return str(exc)
-    records, [(_, citing, cited)] = index.record_groups()
-    return dict(index.sources), records, list(citing), list(cited), report.counts(), report.warnings
+    store, [(_, citing, cited)] = index.record_groups()
+    return dict(index.sources), store.records, list(citing), list(cited), report.counts(), report.warnings
 
 
 @settings(max_examples=200, deadline=None)
@@ -573,11 +579,113 @@ def test_inline_reading_equals_checked_parsers(streams):
     decide otherwise."""
     pubs, links = streams
     with pytest.MonkeyPatch.context() as patch:
-        # Patterns that match no line.
-        patch.setattr(index_module, "_PUBLICATION_LINE", re.compile(r"(?!)"))
-        patch.setattr(index_module, "_LINK_LINE", re.compile(r"(?!)"))
+        # Patterns whose canonical alternative matches no line.
+        _force_checked_parsers(patch)
         checked = _ingest_outcome(pubs, links)
     assert _ingest_outcome(pubs, links) == checked
+
+
+def _columns_outcome(index, report):
+    """The sources, every store column, counts and warnings of one ingest."""
+    store, _ = index.record_groups()
+    columns = [store.pub_ids, store.source_ids, store.sort_years, store.load_days, store.doc_types,
+               store.in_press, store.citing, store.cited]
+    return dict(index.sources), [list(column) for column in columns], report.counts(), report.warnings
+
+
+def _generated_pub(i, source_id=1):
+    return canonical_line({
+        "pub_id": f"z{i}", "source_id": source_id, "sort_year": 2015 + i % 3, "load_date": f"2016-0{1 + i % 9}-1{i % 10}",
+        "doc_type": ["article", "review", "letter"][i % 3], "is_article_in_press": i % 7 == 0,
+    })
+
+
+def _generated_link(citing, cited):
+    return canonical_line({"citing_pub_id": citing, "cited_pub_id": cited})
+
+
+@pytest.mark.parametrize("block_chars", [1, 7, 64, 300])
+def test_block_reading_equals_line_items(tmp_path, monkeypatch, block_chars):
+    """load_index reads publications and links a block of text at a time.
+    With blocks far smaller than the files, so that the golden dirty lines
+    straddle block edges, it gives the columns, counts and warnings (text
+    and order) of ingest over the same files' readlines(). The links file
+    has no final newline; the raw \r of the golden lines stay in the files,
+    where text mode reads them as line ends."""
+    pubs = []
+    for i, line in enumerate(_GOLDEN_PUBLICATIONS):
+        pubs += [_generated_pub(i) + "\n", line]
+    links = []
+    for i, line in enumerate(_GOLDEN_LINKS):
+        links += [_generated_link(f"z{i + 1}", f"z{i}") + "\n", line]
+    links += [_generated_link("z1", "a") + "\n", _generated_link("z2", "ghost")]
+    paths = []
+    for name, lines in [("sources", _GOLDEN_SOURCES), ("publications", pubs), ("links", links)]:
+        path = tmp_path / f"{name}.jsonl"
+        with open(path, "w", encoding="utf-8", newline="") as handle:
+            handle.writelines(lines)
+        paths.append(path)
+    assert not links[-1].endswith("\n") and paths[2].stat().st_size > 10 * block_chars
+
+    def readlines(path):
+        with open(path, encoding="utf-8") as handle:
+            return handle.readlines()
+
+    expected = _columns_outcome(*ingest(*map(readlines, paths)))
+    assert expected[2]["publications_accepted"] > len(_GOLDEN_PUBLICATIONS)
+    assert expected[3][-1] == f"links line {len(readlines(paths[2]))}: dangling endpoint 'ghost', link rejected"
+    monkeypatch.setattr(index_module, "_BLOCK_CHARS", block_chars)
+    assert _columns_outcome(*load_index(*paths)) == expected
+
+
+def test_line_items_other_than_one_ended_line():
+    """Each item ingest gets is one numbered line, with or without its
+    newline, even when it holds a lone \r or an inner newline; an item that
+    is not one line ending in its only newline goes whole to the checked
+    parser, which decides it as it decides any line."""
+    pub = [_generated_pub(i) for i in range(8)]
+    pubs = [
+        pub[0] + "\n",
+        pub[1],  # no newline: accepted
+        pub[2] + "\r",  # a lone \r: accepted
+        pub[3] + "\n" + pub[4] + "\n",  # an inner newline: one line, extra data
+        "\r",  # blank
+        "",  # blank
+        pub[5] + "\r\n",
+        pub[6] + "\r" + pub[7] + "\n",  # a \r inside: extra data
+        "{bad\n",
+        pub[7] + "\n",
+        '{"pub_id": "z8\n',  # the checked parser sees the newline: a control character, not an unterminated string
+    ]
+    links = [
+        _generated_link("z1", "z0") + "\n",
+        _generated_link("z2", "z0"),
+        _generated_link("z2", "z1") + "\r",
+        _generated_link("z5", "z0") + "\n" + _generated_link("z5", "z1") + "\n",
+        "",
+        _generated_link("z7", "ghost") + "\n",
+        _generated_link("z5", "z1") + "\r\n",
+        _generated_link("z1", "z0") + "\n",
+    ]
+    outcome = _columns_outcome(*ingest([source_line(1)], pubs, links))
+    assert outcome[1][0] == ["z0", "z1", "z2", "z5", "z7"]
+    assert outcome[1][6:] == [[1, 2, 2, 3], [0, 0, 1, 1]]
+    assert outcome[2] == {
+        "sources_accepted": 1, "sources_rejected": 0,
+        "publications_accepted": 5, "publications_rejected": 4,
+        "links_accepted": 4, "links_rejected": 2, "links_collapsed": 1,
+    }
+    assert outcome[3] == [
+        "publications line 4: invalid JSON (Extra data)",
+        "publications line 8: invalid JSON (Extra data)",
+        "publications line 9: invalid JSON (Expecting property name enclosed in double quotes)",
+        "publications line 11: invalid JSON (Invalid control character at)",
+        "links line 4: invalid JSON (Extra data)",
+        "links line 6: dangling endpoint 'ghost', link rejected",
+    ]
+    with pytest.MonkeyPatch.context() as patch:
+        _force_checked_parsers(patch)
+        assert _columns_outcome(*ingest([source_line(1)], pubs, links)) == outcome
 
 
 def test_snapshot_cutoff_is_inclusive():
