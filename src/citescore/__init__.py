@@ -33,7 +33,7 @@ from .metrics import (
     rank_in_category,
 )
 from .oracle import OracleDataError, oracle_metrics
-from .records import CitationLink, PublicationRecord, SourceRecord
+from .records import PublicationRecord, SourceRecord
 from .tracker import (
     TrackerRow,
     TrackerSeries,
@@ -46,7 +46,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CategoryStanding",
-    "CitationLink",
     "CorpusConfig",
     "GeneratedCorpus",
     "IndexSnapshot",

@@ -18,12 +18,10 @@ int per link (``citing * n_publications + cited``).
 
 Every snapshot of that index is a cutoff over one shared record store:
 publication columns by ordinal and the links as two ``array("i")`` columns
-of (citing, cited) ordinals. Ingest builds no ``PublicationRecord``; the
-store builds the records, once, when ``publications`` is first read.
-Taking a snapshot copies nothing, and a view filters the store into its own
-publications and ``CitationLink`` objects on first read. Views are
-immutable (read-only mappings, tuple of links), so they can be shared
-freely across metric computations.
+of (citing, cited) ordinals. Taking a snapshot copies nothing; a view builds
+its own publication records and link pairs from the columns on first read.
+Views are immutable, so they can be shared freely across metric
+computations.
 """
 
 from __future__ import annotations
@@ -43,7 +41,6 @@ from typing import Iterable, Iterator, Mapping, TextIO
 from .records import (
     DOC_TYPES,
     SOURCE_TYPES,
-    CitationLink,
     PublicationRecord,
     SourceRecord,
     parse_date,
@@ -102,7 +99,8 @@ _LINK_FIELDS = {"citing_pub_id", "cited_pub_id"}
 
 
 class IngestError(Exception):
-    """Hard ingestion failure: duplicate identifiers or a corrupt title chain."""
+    """Hard ingestion failure: duplicate identifiers, a corrupt title chain or
+    a file that is not UTF-8."""
 
 
 @dataclass
@@ -293,8 +291,7 @@ class _Store:
     of bools. Each link is a row of the two ``array("i")`` columns
     ``citing`` and ``cited``: the ordinals of its two endpoints, in ingest
     order. Nothing in a column is a container the garbage collector walks.
-    The PublicationRecords, the pub_id mapping, the CitationLink objects and
-    the per-source groups are built on first read, each once per store."""
+    The per-source groups are built on first read, once per store."""
 
     pub_ids: list[str]
     source_ids: list[int]
@@ -304,31 +301,6 @@ class _Store:
     in_press: list[bool]
     citing: array
     cited: array
-
-    @cached_property
-    def records(self) -> tuple[PublicationRecord, ...]:
-        """Every publication as a PublicationRecord, by ordinal."""
-        dates = {day: date.fromordinal(day) for day in set(self.load_days)}
-        return tuple(map(
-            PublicationRecord, self.pub_ids, self.source_ids, self.sort_years,
-            map(dates.__getitem__, self.load_days), map(_DOC_TYPE_NAMES.__getitem__, self.doc_types),
-            self.in_press,
-        ))
-
-    @cached_property
-    def publications(self) -> Mapping[str, PublicationRecord]:
-        """Every record by pub_id, in ordinal order."""
-        return MappingProxyType(dict(zip(self.pub_ids, self.records)))
-
-    @cached_property
-    def links(self) -> tuple[CitationLink, ...]:
-        """Every link as a CitationLink, in store order."""
-        return self.citation_links(zip(self.citing, self.cited))
-
-    def citation_links(self, rows: Iterable[tuple[int, int]]) -> tuple[CitationLink, ...]:
-        """CitationLinks of (citing, cited) ordinal rows."""
-        pub_ids = self.pub_ids
-        return tuple(CitationLink(pub_ids[citing], pub_ids[cited]) for citing, cited in rows)
 
     @cached_property
     def by_source(self) -> dict[int, tuple[list[int], dict[int, tuple[array, array]]]]:
@@ -362,13 +334,11 @@ class IndexSnapshot:
     those links whose two endpoints both survive the filter. The full index
     built by :func:`ingest` is the snapshot at ``date.max``; :func:`snapshot`
     narrows any view to an earlier cutoff. Every view of one index shares
-    that index's record store: ``publications`` and ``links`` are filtered
-    from it on first read, in store order, as PublicationRecord and
-    CitationLink objects built from the store's columns, and ``link_count``
-    and ``sort_year_counts`` count on those columns without building any
-    object. When every publication has loaded
-    by the cutoff they are the store's own mapping and its one cached tuple
-    of links. Immutable and safe to share across concurrent readers.
+    that index's record store. On first read, ``publications`` builds the
+    view's PublicationRecords by pub_id and ``links`` its (citing_pub_id,
+    cited_pub_id) pairs, both in store order; ``link_count`` and
+    ``sort_year_counts`` count on the columns without building either.
+    Immutable and safe to share across concurrent readers.
     """
 
     cutoff: date
@@ -377,44 +347,48 @@ class IndexSnapshot:
     _store: _Store = field(repr=False)
 
     @cached_property
-    def _loaded(self) -> bytearray | None:
-        """Per ordinal, 1 when the publication has loaded by the cutoff;
-        None when every publication has."""
+    def _loaded(self) -> bytearray:
+        """Per ordinal, 1 when the publication has loaded by the cutoff."""
         cutoff = self.cutoff.toordinal()
-        loaded = bytearray(day <= cutoff for day in self._store.load_days)
-        return loaded if 0 in loaded else None
+        return bytearray(day <= cutoff for day in self._store.load_days)
 
     def _link_rows(self) -> Iterator[tuple[int, int]]:
         """(citing, cited) ordinals of the view's links, in store order."""
         store, loaded = self._store, self._loaded
         rows = zip(store.citing, store.cited)
-        if loaded is None:
-            return rows
         return ((citing, cited) for citing, cited in rows if loaded[citing] and loaded[cited])
 
     @cached_property
     def publications(self) -> Mapping[str, PublicationRecord]:
         store, loaded = self._store, self._loaded
-        if loaded is None:
-            return store.publications
-        return MappingProxyType(dict(compress(zip(store.pub_ids, store.records), loaded)))
+        pub_ids, source_ids, sort_years, days, doc_codes, in_press = (
+            list(compress(column, loaded)) for column in (
+                store.pub_ids, store.source_ids, store.sort_years, store.load_days, store.doc_types,
+                store.in_press,
+            )
+        )
+        dates = {day: date.fromordinal(day) for day in set(days)}
+        return MappingProxyType(dict(zip(pub_ids, map(
+            PublicationRecord, pub_ids, source_ids, sort_years, map(dates.__getitem__, days),
+            map(_DOC_TYPE_NAMES.__getitem__, doc_codes), in_press,
+        ))))
 
     @cached_property
-    def links(self) -> tuple[CitationLink, ...]:
-        store = self._store
-        return store.links if self._loaded is None else store.citation_links(self._link_rows())
+    def links(self) -> tuple[tuple[str, str], ...]:
+        """(citing_pub_id, cited_pub_id) of the view's links, in store order."""
+        pub_ids = self._store.pub_ids
+        return tuple((pub_ids[citing], pub_ids[cited]) for citing, cited in self._link_rows())
 
     @cached_property
     def link_count(self) -> int:
-        """len(self.links), counted without building a CitationLink."""
+        """len(self.links), counted without building a pair."""
         return sum(1 for _ in self._link_rows())
 
     @cached_property
     def sort_year_counts(self) -> Counter[int]:
         """How many of the view's publications each sort_year holds, counted
         on the store's columns without building a record."""
-        years, loaded = self._store.sort_years, self._loaded
-        return Counter(years if loaded is None else compress(years, loaded))
+        return Counter(compress(self._store.sort_years, self._loaded))
 
     @cached_property
     def _tallies(self) -> dict:
@@ -653,11 +627,32 @@ def load_index(
     links_path: str,
 ) -> tuple[IndexSnapshot, IngestReport]:
     """Ingest the three record files from disk into the full index, reading
-    publications and links a block of text at a time."""
-    with open(sources_path, encoding="utf-8") as src, \
-            open(publications_path, encoding="utf-8") as pubs, \
-            open(links_path, encoding="utf-8") as links:
-        return _ingest(src, _file_rows(_PUBLICATION_LINE, pubs), _file_rows(_LINK_LINE, links))
+    publications and links a block of text at a time. A file that is not
+    UTF-8 raises IngestError, which names the first line that is not."""
+    try:
+        with open(sources_path, encoding="utf-8") as src, \
+                open(publications_path, encoding="utf-8") as pubs, \
+                open(links_path, encoding="utf-8") as links:
+            return _ingest(src, _file_rows(_PUBLICATION_LINE, pubs), _file_rows(_LINK_LINE, links))
+    except UnicodeDecodeError:
+        for kind, path in (("sources", sources_path), ("publications", publications_path), ("links", links_path)):
+            _check_utf8(kind, path)
+        raise
+
+
+def _check_utf8(kind: str, path: str) -> None:
+    """Raise IngestError at the file's first line that is not UTF-8, numbered
+    as ingest numbers it: a newline, a carriage return or both end a line."""
+    with open(path, "rb") as handle:
+        lines = chain.from_iterable(line.splitlines() for line in handle)
+        for lineno, line in enumerate(lines, start=1):
+            try:
+                line.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise IngestError(
+                    f"{kind} line {lineno}: not valid UTF-8 "
+                    f"(byte {line[exc.start]:#04x} at offset {exc.start}: {exc.reason})"
+                ) from None
 
 
 def snapshot(index: IndexSnapshot, cutoff: date) -> IndexSnapshot:

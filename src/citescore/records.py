@@ -1,4 +1,4 @@
-"""Domain records: serial sources, publications, and citation links."""
+"""Domain records: serial sources and publications."""
 
 from __future__ import annotations
 
@@ -80,11 +80,3 @@ class PublicationRecord:
     load_date: date
     doc_type: str
     is_article_in_press: bool
-
-
-@dataclass(frozen=True)
-class CitationLink:
-    """A resolved citing -> cited edge between publication identifiers."""
-
-    citing_pub_id: str
-    cited_pub_id: str

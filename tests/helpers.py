@@ -112,8 +112,8 @@ def differential_index(tmp_path, seed):
     pubs = index.publications
     assert any(index.successor.values())
     assert any(record.is_article_in_press for record in pubs.values())
-    assert any(pubs[l.citing_pub_id].load_date > pubs[l.cited_pub_id].load_date for l in index.links)
-    assert any(pubs[l.citing_pub_id].load_date < pubs[l.cited_pub_id].load_date for l in index.links)
+    assert any(pubs[citing].load_date > pubs[cited].load_date for citing, cited in index.links)
+    assert any(pubs[citing].load_date < pubs[cited].load_date for citing, cited in index.links)
     loads = sorted({record.load_date for record in pubs.values()})
     cutoffs = [
         loads[0] - timedelta(days=1),
@@ -131,5 +131,5 @@ def brute_force_view(index, cutoff):
     publications = [(pid, record) for pid, record in index.publications.items()
                     if record.load_date <= cutoff]
     kept = dict(publications)
-    links = [link for link in index.links if link.citing_pub_id in kept and link.cited_pub_id in kept]
+    links = [(citing, cited) for citing, cited in index.links if citing in kept and cited in kept]
     return publications, links

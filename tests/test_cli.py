@@ -438,13 +438,17 @@ def test_quiet_suppresses_warnings(tmp_path, capsys):
     ["snapshot-info", "--year", "2017"],
 ])
 def test_invalid_utf8_input_is_data_error(corpus, tmp_path, capsys, command):
+    with open(corpus["--links"], "rb") as handle:
+        bad_line = len(handle.read().splitlines()) + 1
     with open(corpus["--links"], "ab") as handle:
         handle.write(b'\xff\xfe{"citing_pub_id": "a", "cited_pub_id": "b"}\n')
     code = main(command + _flags(corpus) + ["--out", str(tmp_path / "run")])
     assert code == 1
     lines = capsys.readouterr().err.splitlines()
     assert [line for line in lines if not line.startswith("WARNING")] == [lines[-1]]
-    assert lines[-1].startswith("ERROR: 'utf-8' codec can't decode byte 0xff")
+    assert lines[-1] == (
+        f"ERROR: ingest failed: links line {bad_line}: not valid UTF-8 (byte 0xff at offset 0: invalid start byte)"
+    )
 
 
 def _assert_compute_and_verify(corpus, tmp_path, capsys, warning, counter):

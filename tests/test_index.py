@@ -447,7 +447,7 @@ def test_ingest_golden_lines():
         ('ak', 1, 2016, '2016-03-01', 'article', False),
         ('al', 1, 2016, '2016-03-01', 'article', False),
     ]
-    assert [(link.citing_pub_id, link.cited_pub_id) for link in index.links] == [
+    assert list(index.links) == [
         ("b", "a"), ("ac", "a"), ("ad", "b"), ("ad", "a"), ("d", "a"), ("ac", "b"), ("d", "c"), ("ad", "d"),
         ("ae", "a"), ("ag", "a"), ("ae", 'a"h'), ("aj", "af"), ("ae", "b"),
     ]
@@ -566,8 +566,9 @@ def _ingest_outcome(pubs, links):
         index, report = ingest(_GOLDEN_SOURCES, _GOLDEN_PUBLICATIONS + pubs, _GOLDEN_LINKS + links)
     except IngestError as exc:
         return str(exc)
-    store, [(_, citing, cited)] = index.record_groups()
-    return dict(index.sources), store.records, list(citing), list(cited), report.counts(), report.warnings
+    _, [(_, citing, cited)] = index.record_groups()
+    records = list(index.publications.values())
+    return dict(index.sources), records, list(citing), list(cited), report.counts(), report.warnings
 
 
 @settings(max_examples=200, deadline=None)
@@ -637,6 +638,39 @@ def test_block_reading_equals_line_items(tmp_path, monkeypatch, block_chars):
     monkeypatch.setattr(index_module, "_BLOCK_CHARS", block_chars)
     assert _columns_outcome(*load_index(*paths)) == expected
 
+
+
+@pytest.mark.parametrize("kind", ["sources", "publications", "links"])
+def test_undecodable_line_is_named_as_ingest_numbers_it(tmp_path, kind):
+    """A file that is not UTF-8 fails the load with an IngestError that
+    names the first undecodable line of the first such file in ingest order.
+    The line has the number a warning about it would carry: \r\n, a lone
+    \r and \n each end one line."""
+    files = {
+        "sources": [source_line(1)],
+        "publications": [pub_line("a", 1, 2015), pub_line("b", 1, 2016)],
+        "links": [link_line("b", "a")],
+    }
+
+    def load(last_line):
+        """load_index over the files, each its lines joined by \r\n, then a
+        blank line, then last_line in this kind's file and every later one."""
+        paths, later = [], False
+        for name, lines in files.items():
+            later = later or name == kind
+            path = tmp_path / f"{name}.jsonl"
+            path.write_bytes("\r\n".join(lines).encode() + b"\r\r\n" + (last_line if later else b""))
+            paths.append(path)
+        return load_index(*paths)
+
+    number = len(files[kind]) + 2
+    _, report = load(b"{x}\n")
+    assert f"{kind} line {number}: invalid JSON (Expecting property name enclosed in double quotes)" in report.warnings
+    with pytest.raises(IngestError) as failure:
+        load(b'{"\xc3(": 1}\n')
+    assert str(failure.value) == (
+        f"{kind} line {number}: not valid UTF-8 (byte 0xc3 at offset 2: invalid continuation byte)"
+    )
 
 def test_line_items_other_than_one_ended_line():
     """Each item ingest gets is one numbered line, with or without its
@@ -728,8 +762,8 @@ def test_snapshot_filters_match_brute_force():
 
     expected_pubs = {p for p in index.publications if index.publications[p].load_date <= cutoff}
     expected_links = [
-        l for l in index.links
-        if l.citing_pub_id in expected_pubs and l.cited_pub_id in expected_pubs
+        (citing, cited) for citing, cited in index.links
+        if citing in expected_pubs and cited in expected_pubs
     ]
     assert len(view.publications) == 60
     assert set(view.publications) == expected_pubs
@@ -752,10 +786,27 @@ def test_views_equal_brute_force_filter(tmp_path, seed):
         assert view.link_count == len(links)
         assert view.sources is index.sources
     assert not snapshot(index, cutoffs[0]).publications
-    # On or after the last load a view is the full index's own records, not a copy.
+    # On or after the last load a view holds every record and link of the full index.
     for cutoff in cutoffs[-3:]:
-        assert snapshot(index, cutoff).publications is index.publications
-        assert snapshot(index, cutoff).links is index.links
+        assert snapshot(index, cutoff).publications == index.publications
+        assert snapshot(index, cutoff).links == index.links
+
+
+def test_narrowed_view_builds_only_its_own_records(monkeypatch):
+    """Reading a narrowed view's publications builds one record for each
+    of its publications and none for the rest of the store."""
+    pubs = [pub_line(f"p{i}", 1, 2015, load_date=f"{2015 + i % 3}-03-01") for i in range(30)]
+    index, _ = ingest([source_line(1)], pubs, [])
+    built = []
+
+    def counting_record(*fields):
+        built.append(fields[0])
+        return PublicationRecord(*fields)
+
+    monkeypatch.setattr(index_module, "PublicationRecord", counting_record)
+    view = snapshot(index, date(2015, 12, 31))
+    pub_ids = list(view.publications)
+    assert built == pub_ids == [f"p{i}" for i in range(0, 30, 3)]
 
 
 def test_snapshot_determinism_and_byte_identical_metrics(tmp_path):
@@ -795,9 +846,9 @@ def test_snapshot_link_closure(tmp_path):
     paths = generate_corpus(cfg, tmp_path / "corpus")
     index, _ = load_index(paths.sources_path, paths.publications_path, paths.links_path)
     view = snapshot(index, date(2016, 2, 1))
-    for link in view.links:
-        assert link.citing_pub_id in view.publications
-        assert link.cited_pub_id in view.publications
+    for citing, cited in view.links:
+        assert citing in view.publications
+        assert cited in view.publications
 
 
 def test_resolve_chain_identity_without_predecessor():

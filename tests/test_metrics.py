@@ -92,9 +92,9 @@ def test_citations_brute_force_over_small_corpus():
     view, _ = build_snapshot(sources, pubs, links)
 
     expected = 0
-    for link in view.links:
-        citing = view.publications[link.citing_pub_id]
-        cited = view.publications[link.cited_pub_id]
+    for citing_id, cited_id in view.links:
+        citing = view.publications[citing_id]
+        cited = view.publications[cited_id]
         if (
             citing.sort_year == 2017
             and not citing.is_article_in_press
@@ -459,11 +459,11 @@ def _brute_force_tallies(index, cutoff, source_id, year):
 
     documents = sum(in_basket(record) for record in pubs.values())
     cited = [
-        link.cited_pub_id
-        for link in links
-        if pubs[link.citing_pub_id].sort_year == year
-        and not pubs[link.citing_pub_id].is_article_in_press
-        and in_basket(pubs[link.cited_pub_id])
+        cited_id
+        for citing_id, cited_id in links
+        if pubs[citing_id].sort_year == year
+        and not pubs[citing_id].is_article_in_press
+        and in_basket(pubs[cited_id])
     ]
     source = index.sources[source_id]
     eligible = (
