@@ -2,15 +2,15 @@
 
 Subcommands: compute, tracker, generate, verify, snapshot-info.
 Exit codes: 0 ok, 1 data error, 2 usage error, 3 verification mismatch.
-Diagnostics go to stderr only; data outputs are files (or stdout JSON for
-snapshot-info), so output stays machine-consumable.
+Diagnostics go to stderr only, as ``WARNING: <message>`` lines in file
+order and at most one ``ERROR: <message>`` line; data outputs are files (or
+stdout JSON for snapshot-info), so output stays machine-consumable.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import logging
 import sys
 from datetime import date
 from pathlib import Path
@@ -32,12 +32,14 @@ from .output import (
 from .records import parse_date
 from .tracker import month_end_schedule, stability_report, tracker_table
 
-logger = logging.getLogger("citescore")
-
 EXIT_OK = 0
 EXIT_DATA_ERROR = 1
 EXIT_USAGE = 2
 EXIT_MISMATCH = 3
+
+# Warnings per stderr write: one write for a usual run, and a bounded copy
+# of the report's warnings for a file with millions of rejected lines.
+_WARNINGS_PER_WRITE = 1 << 14
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -122,44 +124,56 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    handler = logging.StreamHandler(sys.stderr)
-    handler.setFormatter(logging.Formatter("%(levelname)s: %(message)s"))
-    logger.addHandler(handler)
-    logger.propagate = False
-    logger.setLevel(logging.ERROR if getattr(args, "quiet", False) else logging.WARNING)
     try:
         return args.handler(args, parser)
     except IngestError as exc:
-        logger.error("ingest failed: %s", exc)
+        _write_stderr(f"ERROR: ingest failed: {exc}\n")
         return EXIT_DATA_ERROR
     except OracleDataError as exc:
-        logger.error("oracle rejected input: %s", exc)
+        _write_stderr(f"ERROR: oracle rejected input: {exc}\n")
         return EXIT_DATA_ERROR
     except (OSError, UnicodeDecodeError) as exc:
-        logger.error("%s", exc)
+        _write_stderr(f"ERROR: {exc}\n")
         return EXIT_DATA_ERROR
-    finally:
-        logger.removeHandler(handler)
+
+
+def _write_stderr(text: str) -> None:
+    """Write diagnostics to stderr; as for argparse's own messages, a closed
+    or broken stderr loses them rather than ending in a traceback."""
+    try:
+        sys.stderr.write(text)
+        sys.stderr.flush()
+    except (AttributeError, OSError):
+        pass
 
 
 def _parse_cutoff(args, parser: argparse.ArgumentParser) -> tuple[date, str]:
     table_path = getattr(args, "cutoff_table", None)
     try:
         table = load_cutoff_table(table_path) if table_path else None
-        if not args.cutoff:
-            return default_cutoff(args.year, table), "cutoff-table" if table_path else "default-table"
     except ValueError as exc:
-        parser.error(f"cutoff table {table_path or '(bundled)'}: {exc}")
+        parser.error(f"cutoff table {table_path}: {exc}")
+    if args.cutoff:
+        try:
+            return parse_date(args.cutoff), "flag"
+        except ValueError:
+            parser.error(f"--cutoff {args.cutoff!r} is not a valid YYYY-MM-DD date")
     try:
-        return parse_date(args.cutoff), "flag"
-    except ValueError:
-        parser.error(f"--cutoff {args.cutoff!r} is not a valid YYYY-MM-DD date")
+        return default_cutoff(args.year, table), "cutoff-table" if table_path else "default-table"
+    except ValueError as exc:
+        # The default rule's date falls in year + 1, which a date may not hold.
+        if not date.min.year <= args.year + 1 <= date.max.year:
+            parser.error(f"--year {args.year} has no default cutoff: {args.year + 1} is not a year from 0001 to 9999")
+        parser.error(f"cutoff table {table_path or '(bundled)'}: {exc}")
 
 
 def _load_and_report(args) -> tuple:
     index, report = load_index(args.sources, args.pubs, args.links)
-    for warning in report.warnings:
-        logger.warning("%s", warning)
+    if not args.quiet:
+        warnings = report.warnings
+        for start in range(0, len(warnings), _WARNINGS_PER_WRITE):
+            chunk = warnings[start:start + _WARNINGS_PER_WRITE]
+            _write_stderr("".join(f"WARNING: {warning}\n" for warning in chunk))
     return index, report
 
 
@@ -337,10 +351,8 @@ def cmd_verify(args, parser) -> int:
         with open(report_path, "w", encoding="utf-8", newline="\n") as handle:
             for line in differences[:50]:
                 handle.write(line + "\n")
-        logger.error(
-            "engine and oracle outputs differ (%d row diffs reported in %s)",
-            len(differences[:50]),
-            report_path,
+        _write_stderr(
+            f"ERROR: engine and oracle outputs differ ({len(differences[:50])} row diffs reported in {report_path})\n"
         )
         return EXIT_MISMATCH
     return EXIT_OK

@@ -2,19 +2,19 @@
 
 Records arrive as line-delimited JSON (one object per line, UTF-8). Ingestion
 is single-writer and builds the full index as the snapshot at ``date.max``.
-Publications and links, the bulk record kinds, are read by one rule: a
-canonical line, in the byte form ``citescore generate`` writes
+Sources, publications and links are read by one rule: a canonical line, in
+the byte form ``citescore generate`` writes
 (:func:`citescore.corpus.canonical_line`), is matched by the kind's compiled
 pattern, whose groups are the fields, and accepted inline in
 :func:`ingest`; any other line, in whatever valid JSON spelling, goes
 through that kind's checked parser, which accepts it or builds the
-rejection's message, as it does for every source line. The pattern runs
-one ``findall`` per block of whole lines (about ``_BLOCK_CHARS`` characters
-of file text, or one line item that ends in its only newline), and its
-catch-all alternative gives every other line, whole, to the checked
-parser, so each line still has its number. Each accepted publication gets
-an ordinal, its position in ingest order, and the link dedupe set holds one
-int per link (``citing * n_publications + cited``).
+rejection's message. The pattern runs one ``findall`` per block of whole
+lines (about ``_BLOCK_CHARS`` characters of file text, or one line item
+that ends in its only newline), and its catch-all alternative gives every
+other line, whole, to the checked parser, so each line still has its
+number. Each accepted publication gets an ordinal, its position in ingest
+order, and the link dedupe set holds one int per link
+(``citing * n_publications + cited``).
 
 Every snapshot of that index is a cutoff over one shared record store:
 publication columns by ordinal and the links as two ``array("i")`` columns
@@ -46,11 +46,12 @@ from .records import (
     parse_date,
 )
 
-# Canonical bulk lines, in the byte form corpus.canonical_line defines, then
-# only JSON whitespace to the line's end (strip() would also take \f, \v and Unicode spaces, which
-# json.loads rejects). An id holds no escape or raw control character, so its
-# group is the decoded id. An int is ASCII (\d takes other scripts' digits) and
-# short, far from int()'s digit limit. Any other line takes the checked parser.
+# Canonical lines of each kind, in the byte form corpus.canonical_line
+# defines, then only JSON whitespace to the line's end (strip() would also
+# take \f, \v and Unicode spaces, which json.loads rejects). An id holds no
+# escape or raw control character, so its group is the decoded id. An int is
+# ASCII (\d takes other scripts' digits) and short, far from int()'s digit
+# limit. Any other line takes the checked parser.
 _ID = r'"([^"\\\x00-\x1f]+)"'
 _INT = r"(-?(?:0|[1-9][0-9]{0,17}))"
 _DOC_TYPE_NAMES = tuple(sorted(DOC_TYPES))
@@ -62,17 +63,30 @@ _PUBLICATION_CANONICAL = (
     r'"pub_id":' + _ID + r',"sort_year":' + _INT + r',"source_id":' + _INT + r"\}"
 )
 _LINK_CANONICAL = r'\{"cited_pub_id":' + _ID + r',"citing_pub_id":' + _ID + r"\}"
+# A title is non-empty and holds no escape, raw control character or lone
+# surrogate (which UTF-8 output cannot encode); ASJC codes are 4-digit ints;
+# predecessor_source_id is optional, its group empty when the key is absent.
+_SOURCE_CANONICAL = (
+    r'\{"asjc_codes":\[([1-9][0-9]{3}(?:,[1-9][0-9]{3})*)\],'
+    r'"is_actively_indexed":(true|false),'
+    r'(?:"predecessor_source_id":' + _INT + r',)?'
+    r'"source_id":' + _INT + r','
+    r'"source_type":"(' + "|".join(map(re.escape, sorted(SOURCE_TYPES))) + r')",'
+    r'"title":"([^"\\\x00-\x1f\ud800-\udfff]+)"\}'
+)
 
 
 def _block_pattern(canonical: str) -> re.Pattern:
     """The pattern whose findall over a block of whole lines gives one row per
-    line: the canonical groups, each non-empty, and an empty last group for a
-    canonical line, else empty canonical groups and the whole line, newline
-    included, as the last. A line is the text up to and including a newline,
-    or a last line without one; an empty block has none."""
+    line: the canonical groups, the first of them non-empty, and an empty last
+    group for a canonical line, else empty canonical groups and the whole
+    line, newline included, as the last. A line is the text up to and
+    including a newline, or a last line without one; an empty block has
+    none."""
     return re.compile(r"^(?!\Z)(?:" + canonical + r"[ \t\r]*$\n?|(.*\n?))", re.M)
 
 
+_SOURCE_LINE = _block_pattern(_SOURCE_CANONICAL)
 _PUBLICATION_LINE = _block_pattern(_PUBLICATION_CANONICAL)
 _LINK_LINE = _block_pattern(_LINK_CANONICAL)
 # Characters of text per findall: enough to make the per-block cost nothing,
@@ -131,7 +145,7 @@ class _LineError(Exception):
 # One group of the store: publication ordinals and the (citing, cited)
 # ordinal columns of links.
 _Group = tuple[Iterable[int], Iterable[int], Iterable[int]]
-# A row of a bulk kind's pattern: its canonical groups, then the catch-all.
+# A row of a kind's pattern: its canonical groups, then the catch-all.
 _Row = tuple[str, ...]
 # (pub_id, source_id, sort_year, load day ordinal, doc_type code, is_article_in_press)
 _Publication = tuple[str, int, int, int, int, bool]
@@ -139,8 +153,8 @@ _Publication = tuple[str, int, int, int, int, bool]
 
 def _parse_json_line(kind: str, lineno: int, line: str) -> dict:
     """json.loads(line) as a dict, or the rejection's message. Only the
-    checked parsers call it: every source line, and the publication and link
-    lines that are not canonical (see ingest)."""
+    checked parsers call it, on the lines that are not canonical (see
+    ingest)."""
     try:
         obj = json.loads(line)
     except json.JSONDecodeError as exc:
@@ -446,7 +460,9 @@ def ingest(
     and corrupt title chains (cycles, shared predecessors) raise IngestError.
     """
     return _ingest(
-        source_lines, _line_rows(_PUBLICATION_LINE, publication_lines), _line_rows(_LINK_LINE, link_lines)
+        _line_rows(_SOURCE_LINE, source_lines),
+        _line_rows(_PUBLICATION_LINE, publication_lines),
+        _line_rows(_LINK_LINE, link_lines),
     )
 
 
@@ -471,21 +487,36 @@ def _file_rows(pattern: re.Pattern, handle: TextIO) -> Iterator[list[_Row]]:
 
 
 def _ingest(
-    source_lines: Iterable[str],
+    source_rows: Iterable[list[_Row]],
     publication_rows: Iterable[list[_Row]],
     link_rows: Iterable[list[_Row]],
 ) -> tuple[IndexSnapshot, IngestReport]:
+    # One rule reads every kind: a row whose first canonical group is set (it
+    # is non-empty when it matches) is a canonical line, accepted inline; the
+    # last group of any other row is its whole line, for the kind's checked
+    # parser.
     report = IngestReport()
     sources: dict[int, SourceRecord] = {}
-    for lineno, line in enumerate(source_lines, start=1):
-        if not line.strip():
+    # One frozenset per distinct asjc_codes text.
+    code_sets: dict[str, frozenset[int]] = {}
+    rows = chain.from_iterable(source_rows)
+    for lineno, (codes_text, active_text, pred_text, id_text, type_text, title, line) in enumerate(rows, 1):
+        if codes_text:
+            codes = code_sets.get(codes_text)
+            if codes is None:
+                codes = code_sets[codes_text] = frozenset(map(int, codes_text.split(",")))
+            record = SourceRecord(
+                int(id_text), title, type_text, codes, active_text == "true", int(pred_text) if pred_text else None
+            )
+        elif not line.strip():
             continue
-        try:
-            record = _parse_source(lineno, line, report)
-        except _LineError as exc:
-            report.sources_rejected += 1
-            report.warn(str(exc))
-            continue
+        else:
+            try:
+                record = _parse_source(lineno, line, report)
+            except _LineError as exc:
+                report.sources_rejected += 1
+                report.warn(str(exc))
+                continue
         if record.source_id in sources:
             raise IngestError(f"sources line {lineno}: duplicate source_id {record.source_id}")
         sources[record.source_id] = record
@@ -493,12 +524,9 @@ def _ingest(
 
     successor = _validate_chains(sources, report)
 
-    # One rule reads publications and links: a row whose canonical groups are
-    # set (each is non-empty when it matches) is a canonical line, accepted
-    # inline once parse_date has taken its load_date string (cached for this
-    # call); the last group of any other row is its whole line, for the kind's
-    # checked parser. Inline ints are shared: one object per source, per
-    # sort_year string and per load_date string.
+    # A canonical publication line is accepted once parse_date has taken its
+    # load_date string (cached for this call). Inline ints are shared: one
+    # object per source, per sort_year string and per load_date string.
     days: dict[str, int] = {}
     years: dict[str, int] = {}
     source_of_text = {str(source_id): source_id for source_id in sources}
@@ -627,13 +655,15 @@ def load_index(
     links_path: str,
 ) -> tuple[IndexSnapshot, IngestReport]:
     """Ingest the three record files from disk into the full index, reading
-    publications and links a block of text at a time. A file that is not
-    UTF-8 raises IngestError, which names the first line that is not."""
+    each a block of text at a time. A file that is not UTF-8 raises
+    IngestError, which names the first line that is not."""
     try:
         with open(sources_path, encoding="utf-8") as src, \
                 open(publications_path, encoding="utf-8") as pubs, \
                 open(links_path, encoding="utf-8") as links:
-            return _ingest(src, _file_rows(_PUBLICATION_LINE, pubs), _file_rows(_LINK_LINE, links))
+            return _ingest(
+                _file_rows(_SOURCE_LINE, src), _file_rows(_PUBLICATION_LINE, pubs), _file_rows(_LINK_LINE, links)
+            )
     except UnicodeDecodeError:
         for kind, path in (("sources", sources_path), ("publications", publications_path), ("links", links_path)):
             _check_utf8(kind, path)

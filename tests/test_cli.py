@@ -2,14 +2,22 @@
 
 from __future__ import annotations
 
+import io
 import json
+import os
+import subprocess
+import sys
 from datetime import date, timedelta
+from pathlib import Path
 
 import pytest
 
+import citescore
+import citescore.cli as cli_module
 import citescore.index as index_module
 from citescore import load_index, tracker_value
 from citescore.cli import main
+from citescore.oracle import OracleDataError
 from citescore.corpus import canonical_line
 from citescore.manifest import file_digest
 
@@ -67,21 +75,27 @@ def test_unknown_flag_is_usage_error():
     assert excinfo.value.code == 2
 
 
-@pytest.mark.parametrize("cutoff", ["2018-02-30", "30/04/2018", "20180430", "2018-W18-1", "2018-04-30\n"],
-                         ids=["impossible", "not-iso", "basic-format", "week-date", "trailing-newline"])
+@pytest.mark.parametrize("flags, message", [
+    *((["--cutoff", cutoff], f"--cutoff {cutoff!r} is not a valid YYYY-MM-DD date")
+      for cutoff in ["2018-02-30", "30/04/2018", "20180430", "2018-W18-1", "2018-04-30\n"]),
+    *((["--year", str(year)], f"--year {year} has no default cutoff: {year + 1} is not a year from 0001 to 9999")
+      for year in [9999, -3, -1]),
+], ids=["impossible", "not-iso", "basic-format", "week-date", "trailing-newline",
+        "year-9999", "year-minus-3", "year-minus-1"])
 @pytest.mark.parametrize("command", ["compute", "verify", "snapshot-info"])
-def test_bad_cutoff_flag_is_usage_error(corpus, tmp_path, capsys, command, cutoff):
+def test_bad_cutoff_flag_is_usage_error(corpus, tmp_path, capsys, command, flags, message):
     # Python 3.11's date.fromisoformat takes the basic and week forms; the
-    # flag takes YYYY-MM-DD only, on every version.
-    flags = ["--cutoff", cutoff]
+    # flag takes YYYY-MM-DD only, on every version. The default rule's
+    # cutoff falls in year + 1: when no date holds that year, the error
+    # names --year, not the cutoff table.
     if command != "snapshot-info":
-        flags += ["--year", "2017", "--out", str(tmp_path / "x")]
+        flags = flags + (["--year", "2017"] if "--year" not in flags else []) + ["--out", str(tmp_path / "x")]
     with pytest.raises(SystemExit) as excinfo:
         main([command] + _flags(corpus) + flags)
     assert excinfo.value.code == 2
     err_lines = capsys.readouterr().err.splitlines()
-    assert err_lines[-1] == f"citescore: error: --cutoff {cutoff!r} is not a valid YYYY-MM-DD date"
-    assert not any(line.startswith("Traceback") for line in err_lines)
+    assert err_lines[-1] == f"citescore: error: {message}"
+    assert not any(line.startswith(("Traceback", "ERROR")) for line in err_lines)
 
 
 def test_compute_only_flag_restricts_outputs(corpus, tmp_path):
@@ -289,7 +303,7 @@ def test_verify_passes_on_generated_corpus(corpus, tmp_path):
     assert not (out / "diff_report.txt").exists()
 
 
-def test_verify_detects_corrupted_row(corpus, tmp_path):
+def test_verify_detects_corrupted_row(corpus, tmp_path, capsys):
     out = tmp_path / "verify"
     assert main(["verify"] + _flags(corpus) + ["--year", "2017", "--out", str(out)]) == 0
 
@@ -300,12 +314,16 @@ def test_verify_detects_corrupted_row(corpus, tmp_path):
     lines[1] = ",".join(fields)
     metrics.write_text("\n".join(lines) + "\n")
 
+    capsys.readouterr()
     code = main(["verify"] + _flags(corpus)
                 + ["--year", "2017", "--compare-only", "--out", str(out)])
     assert code == 3
     report = (out / "diff_report.txt").read_text().splitlines()
     assert len(report) == 1
     assert report[0].startswith("metrics.csv: row")
+    assert capsys.readouterr().err == (
+        f"ERROR: engine and oracle outputs differ (1 row diffs reported in {out / 'diff_report.txt'})\n"
+    )
 
 
 def test_snapshot_info_reports_counts(corpus, tmp_path, capsys):
@@ -511,3 +529,117 @@ def test_unhashable_type_field_is_rejected_not_a_crash(corpus, tmp_path, capsys,
         handle.write(line + "\n")
     _assert_compute_and_verify(corpus, tmp_path, capsys, warning, counter)
     assert "Traceback" not in capsys.readouterr().err  # verify's own stderr
+
+
+def _dirty(corpus):
+    """Append lines to each corpus file that ingest rejects, or accepts with
+    a warning, in every kind."""
+    extra = {
+        "--sources": ['{"source_id": 1, "title": "Ga', source_line(999_998, publisher="x"),
+                      source_line(999_997, predecessor=5), "[4]"],
+        "--pubs": [pub_line("dirty-1", 999_999, 2016), pub_line("dirty-2", 10001, 2016, load_date="2016-02-30"),
+                   "{bad"],
+        "--links": [link_line("ghost", "p0000001"), link_line("p0000002", "p0000002"), '{"citing_pub_id": 5}'],
+    }
+    for flag, lines in extra.items():
+        with open(corpus[flag], "a", encoding="utf-8") as handle:
+            handle.write("".join(line + "\n" for line in lines))
+
+
+class _CountedWrites(io.StringIO):
+    """A stderr that counts its write calls."""
+
+    calls = 0
+
+    def write(self, text):
+        self.calls += 1
+        return super().write(text)
+
+
+@pytest.mark.parametrize("command", [
+    ["compute", "--year", "2017"],
+    ["tracker", "--year", "2017", "--from", "2017-01", "--to", "2017-03", "--stability-report"],
+    ["verify", "--year", "2017"],
+    ["snapshot-info", "--year", "2017"],
+], ids=["compute", "tracker", "verify", "snapshot-info"])
+def test_stderr_is_the_ingest_warnings_in_file_order(corpus, tmp_path, capsys, monkeypatch, command):
+    """On a dirty corpus a run's stderr is exactly one WARNING line per
+    ingest warning, in the report's order, written in one write per
+    _WARNINGS_PER_WRITE warnings; --quiet leaves it empty."""
+    _dirty(corpus)
+    _, report = load_index(corpus["--sources"], corpus["--pubs"], corpus["--links"])
+    assert len(report.warnings) == 10
+    expected = "".join(f"WARNING: {warning}\n" for warning in report.warnings)
+    argv = command + _flags(corpus) + ["--out", str(tmp_path / "run")]
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.err == expected
+    assert main(argv + ["--quiet"]) == 0
+    assert capsys.readouterr().err == ""
+
+    stderr = _CountedWrites()
+    monkeypatch.setattr(sys, "stderr", stderr)
+    monkeypatch.setattr(cli_module, "_WARNINGS_PER_WRITE", 4)
+    assert main(argv) == 0
+    assert (stderr.getvalue(), stderr.calls) == (expected, 3)
+
+
+def _exit_1_case(case, tmp_path):
+    """The input flags of a compute run that ends with exit 1, and its whole
+    stderr."""
+    def files(sources, pubs=(), links=()):
+        return [flag for pair in zip(["--sources", "--pubs", "--links"],
+                                     map(str, write_corpus(tmp_path, sources, pubs, links))) for flag in pair]
+
+    out = str(tmp_path / "run")
+    if case == "duplicate-pub-id":
+        flags = files([source_line(1)], [pub_line("a", 1, 2015), pub_line("a", 1, 2016)])
+        return flags, "ERROR: ingest failed: publications line 2: duplicate pub_id 'a'\n"
+    if case == "duplicate-source-id":
+        return files([source_line(1), source_line(1)]), "ERROR: ingest failed: sources line 2: duplicate source_id 1\n"
+    if case == "predecessor-cycle":
+        flags = files([source_line(1, predecessor=2), source_line(2, predecessor=1)])
+        return flags, "ERROR: ingest failed: predecessor cycle detected at source 1\n"
+    if case == "shared-predecessor":
+        flags = files([source_line(1), source_line(2, predecessor=1), source_line(3, predecessor=1)])
+        return flags, "ERROR: ingest failed: sources 2 and 3 share predecessor 1; title chains must be linear\n"
+    if case == "missing-file":
+        missing = str(tmp_path / "missing.jsonl")
+        return (["--sources", missing, "--pubs", missing, "--links", missing],
+                f"ERROR: [Errno 2] No such file or directory: {missing!r}\n")
+    if case == "out-is-a-file":
+        Path(out).write_text("")
+        return files([source_line(1)]), f"ERROR: [Errno 17] File exists: {out!r}\n"
+    return (files([source_line(1)]) + ["--cutoff-table", str(tmp_path)],
+            f"ERROR: [Errno 21] Is a directory: {str(tmp_path)!r}\n")
+
+
+@pytest.mark.parametrize("case", [
+    "duplicate-pub-id", "duplicate-source-id", "predecessor-cycle", "shared-predecessor", "missing-file",
+    "out-is-a-file", "cutoff-table-is-a-directory",
+])
+def test_data_error_is_one_exact_error_line(tmp_path, capsys, case):
+    flags, expected = _exit_1_case(case, tmp_path)
+    assert main(["compute", "--year", "2017", *flags, "--out", str(tmp_path / "run")]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", expected)
+
+
+def test_oracle_data_error_is_one_exact_error_line(corpus, tmp_path, capsys, monkeypatch):
+    # Ingest raises first on every input the oracle rejects, so the oracle
+    # is made to reject a clean one.
+    def rejecting(*args):
+        raise OracleDataError("duplicate pub_id 'a'")
+
+    monkeypatch.setattr(cli_module, "oracle_metrics", rejecting)
+    assert main(["verify", "--year", "2017"] + _flags(corpus) + ["--out", str(tmp_path / "run")]) == 1
+    assert capsys.readouterr().err == "ERROR: oracle rejected input: duplicate pub_id 'a'\n"
+
+
+def test_cli_import_leaves_logging_out():
+    """The CLI writes its diagnostics itself; importing it loads no logging
+    module (-S keeps site hooks from loading one)."""
+    code = "import sys, citescore.cli; print('logging' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(Path(citescore.__file__).parents[1])}
+    result = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert result.stdout == "False\n"

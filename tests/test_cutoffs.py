@@ -86,12 +86,14 @@ def test_cli_honours_cutoff_table_flag(tmp_path):
     json.dumps({"default_month_day": "\u0665-31", "years": {}}),
     json.dumps({"default_month_day": "5-3_1", "years": {}}),
     json.dumps({"default_month_day": "02-30", "years": {}}),
+    json.dumps({"default_month_day": "02-29", "years": {}}),
     "[" * 200000,
     '{"default_month_day": "05-31", "years": {"2016": ' + "9" * 5000 + "}}",
 ], ids=["not-json", "missing-keys", "impossible-date", "not-object", "years-not-object",
         "pinned-non-string", "month-day-not-string", "pinned-basic-format", "pinned-week-date",
         "month-day-leading-space", "month-day-plus-sign", "month-day-arabic-indic-digit",
-        "month-day-underscore", "month-day-impossible", "nested-too-deeply", "integer-too-long"])
+        "month-day-underscore", "month-day-impossible", "month-day-leap-day-in-common-year",
+        "nested-too-deeply", "integer-too-long"])
 def test_cli_bad_cutoff_table_is_usage_error(tmp_path, capsys, table_text):
     s, p, l = write_corpus(tmp_path, [source_line(1)], [pub_line("d", 1, 2015)], [])
     table_path = tmp_path / "cutoffs.json"
@@ -111,3 +113,14 @@ def test_cli_bad_cutoff_table_is_usage_error(tmp_path, capsys, table_text):
     err_lines = capsys.readouterr().err.splitlines()
     assert err_lines[-1].startswith(f"citescore: error: cutoff table {table_path}: ")
     assert not any(line.startswith(("Traceback", "ERROR")) for line in err_lines)
+
+
+def test_year_9999_pinned_in_the_table_has_its_cutoff(tmp_path):
+    # Only the default rule puts the cutoff in year + 1; a pinned year keeps its date.
+    s, p, l = write_corpus(tmp_path, [source_line(1)], [pub_line("d", 1, 2015)], [])
+    table_path = tmp_path / "cutoffs.json"
+    table_path.write_text(json.dumps({"default_month_day": "05-31", "years": {"9999": "9999-12-31"}}))
+    out = tmp_path / "run"
+    assert main(["compute", "--sources", str(s), "--pubs", str(p), "--links", str(l), "--year", "9999",
+                 "--cutoff-table", str(table_path), "--out", str(out)]) == 0
+    assert json.loads((out / "manifest.json").read_text())["parameters"]["cutoff"] == "9999-12-31"

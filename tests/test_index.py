@@ -22,7 +22,7 @@ from citescore import (
 )
 from citescore.corpus import canonical_line
 from citescore.output import write_metrics_csv, write_standings_csv
-from citescore.records import PublicationRecord, parse_date
+from citescore.records import PublicationRecord, SourceRecord, parse_date
 
 from helpers import (
     brute_force_view, build_index, differential_index, link_line, pub_line, source_line,
@@ -177,6 +177,54 @@ def test_canonical_publication_lines_parse_each_load_date_once(monkeypatch):
         )
         for record in map(json.loads, pubs)
     }
+
+
+# Source lines in the generator's form (keys sorted, no spaces) with values
+# the generator never writes: a raw non-ASCII title, DEL and U+2028 in a
+# title, a repeated code, a source_id of -0, and predecessors that are 0 or
+# negative.
+_CANONICAL_SOURCE_EDGES = [
+    '{"asjc_codes":[2200,1000,2200],"is_actively_indexed":false,"source_id":900,"source_type":"book-series","title":"B\u00eata \u2603"}\n',
+    '{"asjc_codes":[9999],"is_actively_indexed":true,"predecessor_source_id":900,"source_id":901,"source_type":"standalone-book","title":" x\x7f\u2028 "}\n',
+    '{"asjc_codes":[1000],"is_actively_indexed":true,"predecessor_source_id":0,"source_id":902,"source_type":"journal","title":"zero"}\n',
+    '{"asjc_codes":[1000],"is_actively_indexed":true,"predecessor_source_id":-7,"source_id":-0,"source_type":"journal","title":"minus"}',
+]
+
+
+def _json_source(obj, ids):
+    """The SourceRecord that json's reading of a source line gives, its
+    predecessor dropped unless it is one of ids."""
+    predecessor = obj.get("predecessor_source_id")
+    return SourceRecord(
+        obj["source_id"], obj["title"], obj["source_type"], frozenset(obj["asjc_codes"]),
+        obj["is_actively_indexed"], predecessor if predecessor in ids else None,
+    )
+
+
+def test_canonical_source_lines_call_no_source_helper(tmp_path, monkeypatch):
+    """A source line in the generator's form never takes the checked
+    parser, through load_index or ingest, and gives the record that json's
+    reading of it gives; only a dangling predecessor warns."""
+    def forbidden(*args):
+        raise AssertionError("_parse_source called")
+
+    paths = generate_corpus(CorpusConfig(seed=11, n_journals=30, rename_probability=0.5), tmp_path)
+    lines = paths.sources_path.read_text(encoding="utf-8").splitlines(keepends=True) + _CANONICAL_SOURCE_EDGES
+    paths.sources_path.write_text("".join(lines), encoding="utf-8")
+    objects = [json.loads(line) for line in lines]
+    ids = {obj["source_id"] for obj in objects}
+    expected = {obj["source_id"]: _json_source(obj, ids) for obj in objects}
+    assert any(record.predecessor_source_id for record in expected.values())
+    monkeypatch.setattr(index_module, "_parse_source", forbidden)
+    files = paths.sources_path, paths.publications_path, paths.links_path
+    # The last line has no newline: load_index reads it inline, and ingest
+    # would give such an item to the checked parser, so it gets one there.
+    for index, report in [load_index(*files), ingest(lines[:-1] + [lines[-1] + "\n"], [], [])]:
+        assert dict(index.sources) == expected
+        assert report.sources_accepted == len(lines)
+        assert report.warnings == ["source 0: predecessor_source_id -7 does not exist, pointer dropped"]
+    assert index.sources[900].asjc_codes == {1000, 2200}
+    assert index.sources[902].predecessor_source_id == 0
 
 
 # Golden ingest input, one list per record kind; a comment names each line's
@@ -531,9 +579,39 @@ def _mutated_line(draw, items):
     return text
 
 
+# Source field values, clean (each read inline in the generator's form) and
+# near the source pattern: titles that are empty, escaped, or hold a raw lone
+# surrogate (or two, a pair split in code units); code lists that hold 999,
+# 10000 or a leading zero, or are empty; predecessors that are null, 0,
+# negative or dangling.
+_ABSENT = object()
+_SOURCE_FIELDS = {
+    "title": (["T", _Text('"B\u00eata \u2603"')],
+              ["", "B\u00eata", _Text('"a\\"b"'), _Text('"J \ud800 x"'), _Text('"\ud83d\ude00"'),
+               _Text('"\\ud83d\\ude00"')]),
+    "source_type": (["journal", "book-series"], ["standalone-book", "magazine"]),
+    "asjc_codes": ([[1000], [1000, 2200], [2200, 1000, 2200]],
+                   [[999], [10000], [], _Text("[1000,0100]"), [1000.0]]),
+    "predecessor_source_id": ([_ABSENT, 9, 30, 31], [None, 0, -3, 99]),
+}
+
+
+def _source_field(draw, name):
+    """A clean value of the field three draws in four, else a near one."""
+    clean, near = _SOURCE_FIELDS[name]
+    return draw(st.sampled_from(near if draw(st.integers(0, 3)) == 0 else clean))
+
+
 @st.composite
 def _mutated_streams(draw):
-    """(publication lines, link lines) appended to the golden ones."""
+    """(source lines, publication lines, link lines) appended to the golden
+    ones."""
+    sources = []
+    for i in range(draw(st.integers(0, 8))):
+        items = [("source_id", draw(st.sampled_from([30 + i] * 6 + [0, -5, 31, 10**20])))]
+        items += [(name, _source_field(draw, name)) for name in _SOURCE_FIELDS]
+        items.append(("is_actively_indexed", draw(st.booleans())))
+        sources.append(draw(_mutated_line([(key, value) for key, value in items if value is not _ABSENT])))
     pubs = []
     for i in range(draw(st.integers(0, 12))):
         pubs.append(draw(_mutated_line([
@@ -548,22 +626,22 @@ def _mutated_streams(draw):
     links = []
     for _ in range(draw(st.integers(0, 16))):
         links.append(draw(_mutated_line([("citing_pub_id", draw(ids)), ("cited_pub_id", draw(ids))])))
-    return pubs, links
+    return sources, pubs, links
 
 
 def _force_checked_parsers(patch):
-    """Patch both bulk patterns so that every line is a catch-all row."""
-    for name, canonical in [("_PUBLICATION_LINE", index_module._PUBLICATION_CANONICAL),
+    """Patch the three kinds' patterns so that every line is a catch-all row."""
+    for name, canonical in [("_SOURCE_LINE", index_module._SOURCE_CANONICAL),
+                            ("_PUBLICATION_LINE", index_module._PUBLICATION_CANONICAL),
                             ("_LINK_LINE", index_module._LINK_CANONICAL)]:
         patch.setattr(index_module, name, index_module._block_pattern("(?!)" + canonical))
 
 
-def _ingest_outcome(pubs, links):
-    """Everything ingest gives for the golden sources and these lines: its
-    error message, or the sources, records, link columns, counts and
-    warnings."""
+def _ingest_outcome(sources, pubs, links):
+    """Everything ingest gives for the golden lines and these: its error
+    message, or the sources, records, link columns, counts and warnings."""
     try:
-        index, report = ingest(_GOLDEN_SOURCES, _GOLDEN_PUBLICATIONS + pubs, _GOLDEN_LINKS + links)
+        index, report = ingest(_GOLDEN_SOURCES + sources, _GOLDEN_PUBLICATIONS + pubs, _GOLDEN_LINKS + links)
     except IngestError as exc:
         return str(exc)
     _, [(_, citing, cited)] = index.record_groups()
@@ -573,17 +651,22 @@ def _ingest_outcome(pubs, links):
 
 @settings(max_examples=200, deadline=None)
 @given(_mutated_streams())
-@example(streams=([], []))
+@example(streams=([], [], []))
+@example(streams=(_CANONICAL_SOURCE_EDGES + [
+    # The generator's form with a raw lone surrogate, an escape or a null.
+    '{"asjc_codes":[1000],"is_actively_indexed":true,"source_id":40,"source_type":"journal","title":"J \ud800 x"}\n',
+    '{"asjc_codes":[1000],"is_actively_indexed":true,"source_id":41,"source_type":"journal","title":"J \\u00e9"}\n',
+    '{"asjc_codes":[1000],"is_actively_indexed":true,"predecessor_source_id":null,"source_id":42,"source_type":"journal","title":"J"}\n',
+], [], []))
 def test_inline_reading_equals_checked_parsers(streams):
     """Ingest as it is equals ingest with every line through the checked
     parsers: the inline canonical-line path decides nothing they would
     decide otherwise."""
-    pubs, links = streams
     with pytest.MonkeyPatch.context() as patch:
         # Patterns whose canonical alternative matches no line.
         _force_checked_parsers(patch)
-        checked = _ingest_outcome(pubs, links)
-    assert _ingest_outcome(pubs, links) == checked
+        checked = _ingest_outcome(*streams)
+    assert _ingest_outcome(*streams) == checked
 
 
 def _columns_outcome(index, report):
@@ -605,14 +688,26 @@ def _generated_link(citing, cited):
     return canonical_line({"citing_pub_id": citing, "cited_pub_id": cited})
 
 
+def _generated_source(i):
+    """Source 100 + i; each odd one renames the one before it."""
+    return canonical_line({
+        "source_id": 100 + i, "title": f"Generated {i}", "source_type": "journal",
+        "asjc_codes": [1000 + 100 * (i % 3)], "is_actively_indexed": i % 4 != 0,
+        **({"predecessor_source_id": 99 + i} if i % 2 else {}),
+    })
+
+
 @pytest.mark.parametrize("block_chars", [1, 7, 64, 300])
 def test_block_reading_equals_line_items(tmp_path, monkeypatch, block_chars):
-    """load_index reads publications and links a block of text at a time.
-    With blocks far smaller than the files, so that the golden dirty lines
-    straddle block edges, it gives the columns, counts and warnings (text
-    and order) of ingest over the same files' readlines(). The links file
-    has no final newline; the raw \r of the golden lines stay in the files,
+    """load_index reads each file a block of text at a time. With blocks far
+    smaller than the files, so that the golden dirty lines straddle block
+    edges, it gives the sources, columns, counts and warnings (text and
+    order) of ingest over the same files' readlines(). The links file has
+    no final newline; the raw \r of the golden lines stay in the files,
     where text mode reads them as line ends."""
+    sources = []
+    for i, line in enumerate(_GOLDEN_SOURCES):
+        sources += [_generated_source(i) + "\n", line]
     pubs = []
     for i, line in enumerate(_GOLDEN_PUBLICATIONS):
         pubs += [_generated_pub(i) + "\n", line]
@@ -621,18 +716,19 @@ def test_block_reading_equals_line_items(tmp_path, monkeypatch, block_chars):
         links += [_generated_link(f"z{i + 1}", f"z{i}") + "\n", line]
     links += [_generated_link("z1", "a") + "\n", _generated_link("z2", "ghost")]
     paths = []
-    for name, lines in [("sources", _GOLDEN_SOURCES), ("publications", pubs), ("links", links)]:
+    for name, lines in [("sources", sources), ("publications", pubs), ("links", links)]:
         path = tmp_path / f"{name}.jsonl"
         with open(path, "w", encoding="utf-8", newline="") as handle:
             handle.writelines(lines)
         paths.append(path)
-    assert not links[-1].endswith("\n") and paths[2].stat().st_size > 10 * block_chars
+    assert not links[-1].endswith("\n") and all(p.stat().st_size > 10 * block_chars for p in paths)
 
     def readlines(path):
         with open(path, encoding="utf-8") as handle:
             return handle.readlines()
 
     expected = _columns_outcome(*ingest(*map(readlines, paths)))
+    assert expected[2]["sources_accepted"] > len(_GOLDEN_SOURCES)
     assert expected[2]["publications_accepted"] > len(_GOLDEN_PUBLICATIONS)
     assert expected[3][-1] == f"links line {len(readlines(paths[2]))}: dangling endpoint 'ghost', link rejected"
     monkeypatch.setattr(index_module, "_BLOCK_CHARS", block_chars)
