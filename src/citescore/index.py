@@ -20,8 +20,11 @@ Every snapshot of that index is a cutoff over one shared record store:
 publication columns by ordinal and the links as two ``array("i")`` columns
 of (citing, cited) ordinals. Taking a snapshot copies nothing; a view builds
 its own publication records and link pairs from the columns on first read.
-Views are immutable, so they can be shared freely across metric
-computations.
+The store also keeps, once per citing year, the per-source event timelines
+the metrics read (:meth:`IndexSnapshot.timelines`): built from the whole
+store on the first read for that year, never during ingest, and read by
+every view at its own cutoff. Views are immutable, so they can be shared
+freely across metric computations.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ from datetime import date
 from functools import cached_property
 from itertools import chain, compress
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping, TextIO
+from typing import Callable, Iterable, Iterator, Mapping, TextIO, TypeVar
 
 from .records import (
     DOC_TYPES,
@@ -142,9 +145,7 @@ class _LineError(Exception):
     """Per-line validation failure; the line is rejected and ingestion continues."""
 
 
-# One group of the store: publication ordinals and the (citing, cited)
-# ordinal columns of links.
-_Group = tuple[Iterable[int], Iterable[int], Iterable[int]]
+_T = TypeVar("_T")
 # A row of a kind's pattern: its canonical groups, then the catch-all.
 _Row = tuple[str, ...]
 # (pub_id, source_id, sort_year, load day ordinal, doc_type code, is_article_in_press)
@@ -305,7 +306,8 @@ class _Store:
     of bools. Each link is a row of the two ``array("i")`` columns
     ``citing`` and ``cited``: the ordinals of its two endpoints, in ingest
     order. Nothing in a column is a container the garbage collector walks.
-    The per-source groups are built on first read, once per store."""
+    ``timelines`` keeps, per citing year, what IndexSnapshot.timelines
+    builds from the columns on its first call for that year."""
 
     pub_ids: list[str]
     source_ids: list[int]
@@ -315,29 +317,7 @@ class _Store:
     in_press: list[bool]
     citing: array
     cited: array
-
-    @cached_property
-    def by_source(self) -> dict[int, tuple[list[int], dict[int, tuple[array, array]]]]:
-        """Each source's publication ordinals and, by the citing
-        publication's sort_year, the citing and cited ordinals of the links
-        whose cited publication it published, all in store order. Built on
-        the first per-source read."""
-        source_of, year_of = self.source_ids, self.sort_years
-        groups = {source_id: ([], {}) for source_id in dict.fromkeys(source_of)}
-        for ordinal, source_id in enumerate(source_of):
-            groups[source_id][0].append(ordinal)
-        for citing, cited in zip(self.citing, self.cited):
-            by_year = groups[source_of[cited]][1]
-            columns = by_year.get(year_of[citing])
-            if columns is None:
-                columns = by_year[year_of[citing]] = (array("i"), array("i"))
-            columns[0].append(citing)
-            columns[1].append(cited)
-        return groups
-
-
-_NO_LINKS: tuple[tuple[int, ...], tuple[int, ...]] = ((), ())
-_NO_SOURCE: tuple[tuple[int, ...], dict] = ((), {})
+    timelines: dict[int, object] = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -352,7 +332,11 @@ class IndexSnapshot:
     view's PublicationRecords by pub_id and ``links`` its (citing_pub_id,
     cited_pub_id) pairs, both in store order; ``link_count`` and
     ``sort_year_counts`` count on the columns without building either.
-    Immutable and safe to share across concurrent readers.
+    Immutable and safe to share across concurrent readers: what is filled
+    lazily (a view's cached properties, the store's per-year timelines,
+    which every view shares) is computed from columns that never change, so
+    two threads that race on a first read compute equal values and either
+    one is kept.
     """
 
     cutoff: date
@@ -404,28 +388,17 @@ class IndexSnapshot:
         on the store's columns without building a record."""
         return Counter(compress(self._store.sort_years, self._loaded))
 
-    @cached_property
-    def _tallies(self) -> dict:
-        """Per-view memo of the metrics module's chain tallies."""
-        return {}
-
-    def record_groups(
-        self, source_ids: Iterable[int] | None = None, citing_year: int | None = None
-    ) -> tuple[_Store, list[_Group]]:
-        """The shared store, whose publication columns the groups' ordinals
-        index, and its (publication ordinals, citing ordinals, cited
-        ordinals) groups, in store order and not narrowed to this view's
-        cutoff: one group for the whole store or, given source_ids, one per
-        source of its publications and the links whose cited publication it
-        published and whose citing publication's sort_year is citing_year."""
-        store = self._store
-        if source_ids is None:
-            return store, [(range(len(store.pub_ids)), store.citing, store.cited)]
-        groups = []
-        for source_id in source_ids:
-            ordinals, links = store.by_source.get(source_id, _NO_SOURCE)
-            groups.append((ordinals, *links.get(citing_year, _NO_LINKS)))
-        return store, groups
+    def timelines(self, year: int, build: Callable[[_Store, int], _T]) -> _T:
+        """build(store, year) over the whole shared record store, run on the
+        first call for the citing year and kept on the store, so every view
+        of this index reads the same result; it never depends on a view's
+        cutoff, which readers apply themselves. Two threads that both make
+        the first call each build, and store, equal results."""
+        memo = self._store.timelines
+        built = memo.get(year)
+        if built is None:
+            built = memo[year] = build(self._store, year)
+        return built
 
     def resolve_title_chain(self, source_id: int) -> frozenset[int]:
         """The source itself plus the transitive closure of its predecessors."""

@@ -5,18 +5,27 @@ All arithmetic is exact. The score is the citation count divided by the
 document count as a rational number, rounded half-away-from-zero to exactly
 two decimal places; no binary floating point is involved anywhere, so output
 is reproducible bit-for-bit across platforms.
+
+Every tally comes from one structure: per citing year, each source's sorted
+load days of its counted documents, citations and cited documents
+(_event_timelines), built from the whole store on the first read for that
+year and shared by every view of the index. A title chain's tally at a date
+is a bisect_right of each member's three lists at the earlier of the date
+and the view's cutoff. So the first call for a citing year pays one pass
+over the whole store, and every later call, at any date, costs at most three
+bisects per chain member.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from collections import Counter, defaultdict
+from collections import defaultdict
 from dataclasses import dataclass
 from datetime import date
 from decimal import Decimal
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .index import IndexSnapshot
+from .index import IndexSnapshot, _Store
 from .records import ELIGIBLE_SOURCE_TYPES
 
 # The cited publication period spans the three years before the citing year.
@@ -78,13 +87,9 @@ def score_from_counts(citations: int, documents: int) -> Decimal:
 
 
 def _chain_counts(snapshot: IndexSnapshot, source_id: int, year: int) -> SourceYearCounts:
-    """The sweep's tallies of the source's title chain at the view's cutoff,
-    counted once per view, source and year."""
-    key = (source_id, year)
-    memo = snapshot._tallies
-    if key not in memo:
-        memo[key] = sweep_counts(snapshot, year, [snapshot.cutoff], source_id)[0][source_id]
-    return memo[key]
+    """The tallies of the source's title chain at the view's cutoff."""
+    members = snapshot.resolve_title_chain(source_id)
+    return _tally(snapshot.timelines(year, _event_timelines), members, snapshot.cutoff.toordinal())
 
 
 def _scored_counts(snapshot: IndexSnapshot, source_id: int, year: int) -> SourceYearCounts:
@@ -210,107 +215,90 @@ class SourceYearCounts:
     cited_documents: int
 
 
-def sweep_counts(
-    index: IndexSnapshot, year: int, schedule: Sequence[date], chain_of: int | None = None
-) -> list[dict[int, SourceYearCounts]]:
-    """Tallies of every current title at each date of an ascending schedule,
-    in one pass over the index. These two loops are the one place that
-    decides which documents, citations and cited documents count.
+# For one citing year, the events of each source, in three maps from source
+# id to an ascending list of load day ordinals: its counted documents, the
+# citations of them, and its cited documents.
+_Timelines = tuple[dict[int, list[int]], dict[int, list[int]], dict[int, list[int]]]
 
-    The index is append-only: a publication counts from the first schedule
-    date on or after its load_date, and a link from the first date on or
-    after the later of its two endpoints' load dates. Each qualifying
-    document, citation and first-cited document is counted once under that
-    date, and running totals give the tallies at every date: item i equals
-    aggregate_counts(snapshot(index, schedule[i]), year). Records that load
-    after the last date, or after the index's cutoff, are never counted, so
-    the tallies stay flat from the cutoff on.
 
-    Given chain_of, the sweep reads only the record groups of that source's
-    title chain (itself and its predecessors), of their links only those
-    whose citing publication's sort_year is year, and keeps the chain's
-    tallies under it, the chain's newest member, whether or not it is
-    current.
+def _event_timelines(store: _Store, year: int) -> _Timelines:
+    """The timelines of the citing year, from the whole store. These two
+    loops are the one place that decides which documents, citations and
+    cited documents count.
+
+    The index is append-only, so an event counts at every date on or after
+    the day it entered the index: a document's load day; for a citation,
+    the later of its two endpoints' load days; for a cited document, the
+    first day any of its citations counts. A view's tally at a date is the
+    number of its chain's events up to the earlier of the date and its
+    cutoff (_tally).
     """
+    source_of, year_of, day_of, in_press = store.source_ids, store.sort_years, store.load_days, store.in_press
+    window = cited_window(year)
+    documents, citations, cited_documents = defaultdict(list), defaultdict(list), defaultdict(list)
+    counted = bytearray(len(source_of))
+    for ordinal, (source_id, sort_year, day, aip) in enumerate(zip(source_of, year_of, day_of, in_press)):
+        if not aip and sort_year in window:
+            counted[ordinal] = 1
+            documents[source_id].append(day)
+
+    # Ordinal -> the first day a citation of that document counts.
+    first_cited: dict[int, int] = {}
+    for citing, cited in zip(store.citing, store.cited):
+        if year_of[citing] != year or in_press[citing] or not counted[cited]:
+            continue
+        # The link is in the index once its later endpoint has loaded.
+        cited_day, citing_day = day_of[cited], day_of[citing]
+        day = cited_day if cited_day > citing_day else citing_day
+        citations[source_of[cited]].append(day)
+        if day < first_cited.get(cited, day + 1):
+            first_cited[cited] = day
+    for cited, day in first_cited.items():
+        cited_documents[source_of[cited]].append(day)
+    timelines = dict(documents), dict(citations), dict(cited_documents)
+    for events in timelines:
+        for days in events.values():
+            days.sort()
+    return timelines
+
+
+def _tally(timelines: _Timelines, members: Iterable[int], day: int) -> SourceYearCounts:
+    """A title chain's tallies at a day ordinal: its members' events up to
+    and including that day, three bisects per member."""
+    documents, citations, cited_documents = timelines
+    n_documents = n_citations = n_cited = 0
+    for member in members:
+        n_documents += bisect_right(documents.get(member, ()), day)
+        n_citations += bisect_right(citations.get(member, ()), day)
+        n_cited += bisect_right(cited_documents.get(member, ()), day)
+    return SourceYearCounts(n_citations, n_documents, n_cited)
+
+
+def _days(index: IndexSnapshot, schedule: Sequence[date]) -> list[int]:
+    """The day ordinal each date of an ascending schedule is read at: the
+    date or, past it, the index's cutoff."""
     if any(later <= earlier for earlier, later in zip(schedule, schedule[1:])):
         raise ValueError("schedule dates must be strictly ascending")
-    if not schedule:
-        return []
-    if chain_of is None:
-        terminal_of: dict[int, int] = {}
-        for source_id in index.sources:
-            terminal = source_id
-            while terminal in index.successor:
-                terminal = index.successor[terminal]
-            terminal_of[source_id] = terminal
-        terminals = [source_id for source_id, terminal in terminal_of.items() if source_id == terminal]
-        store, groups = index.record_groups()
-    else:
-        terminal_of = dict.fromkeys(index.resolve_title_chain(chain_of), chain_of)
-        terminals = [chain_of]
-        store, groups = index.record_groups(terminal_of, year)
-    source_of, year_of, day_of, in_press = store.source_ids, store.sort_years, store.load_days, store.in_press
+    return [min(as_of, index.cutoff).toordinal() for as_of in schedule]
 
-    n = len(schedule)
-    days = [as_of.toordinal() for as_of in schedule]
-    window = cited_window(year)
-    # The store's columns, read without the view's filtered copy: a record
-    # that loads after the view's cutoff or the last schedule date never counts.
-    last = min(schedule[-1], index.cutoff).toordinal()
-    # What each schedule date adds, by terminal title.
-    documents = [defaultdict(int) for _ in schedule]
-    citations = [defaultdict(int) for _ in schedule]
-    cited_documents = [defaultdict(int) for _ in schedule]
 
-    for ordinals, _, _ in groups:
-        for ordinal in ordinals:
-            if in_press[ordinal] or year_of[ordinal] not in window or day_of[ordinal] > last:
-                continue
-            documents[bisect_left(days, day_of[ordinal])][terminal_of[source_of[ordinal]]] += 1
-
-    # Ordinal -> (first date index, terminal title) of each cited document.
-    first_cited: dict[int, tuple[int, int]] = {}
-    never = (n, 0)
-    for _, citing_ordinals, cited_ordinals in groups:
-        for citing, cited in zip(citing_ordinals, cited_ordinals):
-            if year_of[citing] != year or in_press[citing]:
-                continue
-            if year_of[cited] not in window or in_press[cited]:
-                continue
-            # The link is in the index once its later endpoint has loaded.
-            cited_day, citing_day = day_of[cited], day_of[citing]
-            loaded = cited_day if cited_day > citing_day else citing_day
-            if loaded > last:
-                continue
-            bucket = bisect_left(days, loaded)
-            terminal = terminal_of[source_of[cited]]
-            citations[bucket][terminal] += 1
-            if bucket < first_cited.get(cited, never)[0]:
-                first_cited[cited] = (bucket, terminal)
-    for bucket, terminal in first_cited.values():
-        cited_documents[bucket][terminal] += 1
-
-    tallies: list[dict[int, SourceYearCounts]] = []
-    documents_to_date, citations_to_date, cited_to_date = Counter(), Counter(), Counter()
-    for i in range(n):
-        documents_to_date.update(documents[i])
-        citations_to_date.update(citations[i])
-        cited_to_date.update(cited_documents[i])
-        tallies.append({
-            terminal: SourceYearCounts(
-                citations=citations_to_date[terminal],
-                documents=documents_to_date[terminal],
-                cited_documents=cited_to_date[terminal],
-            )
-            for terminal in terminals
-        })
-    return tallies
+def sweep_counts(index: IndexSnapshot, year: int, schedule: Sequence[date]) -> list[dict[int, SourceYearCounts]]:
+    """Tallies of every current title at each date of an ascending schedule:
+    item i equals aggregate_counts(snapshot(index, schedule[i]), year), and
+    the tallies stay flat from the index's cutoff on."""
+    days = _days(index, schedule)
+    chains = {
+        source_id: index.resolve_title_chain(source_id)
+        for source_id in index.sources
+        if source_id not in index.successor
+    }
+    timelines = index.timelines(year, _event_timelines)
+    return [{terminal: _tally(timelines, members, day) for terminal, members in chains.items()} for day in days]
 
 
 def aggregate_counts(snapshot: IndexSnapshot, year: int) -> dict[int, SourceYearCounts]:
-    """Numerator/denominator tallies for every current title: the sweep at
-    the one date snapshot.cutoff, by which every record of the view has
-    loaded. The engine itself reads the sweep through scores(); this is the
+    """Numerator/denominator tallies for every current title at the view's
+    cutoff. The engine itself reads tallies through scores(); this is the
     one-date reading kept for tests and the benchmark.
     """
     return sweep_counts(snapshot, year, [snapshot.cutoff])[0]
@@ -321,14 +309,17 @@ def scores(
 ) -> Iterator[tuple[int, date, SourceYearCounts, Decimal]]:
     """The one rule that turns tallies into scores: (source_id, as_of, tally,
     score) for every eligible source with at least one document, in
-    (source_id, as_of) order, from one sweep_counts over the schedule.
+    (source_id, as_of) order, each tally read from the timelines when it is
+    yielded. Given chain_of, only that source is scored (tracker_series).
     """
-    tallies = sweep_counts(index, year, schedule, chain_of)
-    for source_id in sorted(tallies[0]) if tallies else ():
+    days = _days(index, schedule)
+    timelines = index.timelines(year, _event_timelines)
+    for source_id in sorted(index.sources) if chain_of is None else [chain_of]:
         if not source_eligible(index, source_id):
             continue
-        for as_of, counts in zip(schedule, tallies):
-            tally = counts[source_id]
+        members = index.resolve_title_chain(source_id)
+        for as_of, day in zip(schedule, days):
+            tally = _tally(timelines, members, day)
             if tally.documents >= 1:
                 yield source_id, as_of, tally, score_from_counts(tally.citations, tally.documents)
 

@@ -1,9 +1,11 @@
 """The in-progress current-year score, rebuilt on a monthly schedule.
 
 A tracker point is the annual formula over the index as it stood at an
-earlier cutoff. Every point comes from metrics.scores, the one rule that
-scores the load-date sweep's tallies: tracker_table reads it over the whole
-store, tracker_series over the source's title chain, and compute_annual at
+earlier cutoff. Every tally is read by bisection from the index's per-source
+load-day timelines for the tracker year, built once per index and year
+(metrics._event_timelines). Every point comes from metrics.scores, the one
+rule that scores those tallies: tracker_table reads it for every current
+title, tracker_series for the source's title chain, and compute_annual at
 the annual cutoff, so the final tracker point and the annual value coincide
 once everything has loaded. tracker_value is the per-source path.
 """
@@ -99,9 +101,9 @@ def tracker_table(
     index: IndexSnapshot, tracker_year: int, schedule: list[date], chain_of: int | None = None
 ) -> list[TrackerRow]:
     """Tracker points for every scoreable source, for the batch output file,
-    in (source_id, as_of) order. One load-date sweep gives the tallies at
-    every schedule date; no snapshot is built. Given chain_of, the sweep
-    reads only that source's title chain (tracker_series).
+    in (source_id, as_of) order. No snapshot is built, and no tally is kept
+    past its row. Given chain_of, only that source's title chain is read
+    (tracker_series).
     """
     return [
         TrackerRow(source_id, tracker_year, as_of, tally.citations, tally.documents, value)

@@ -644,9 +644,9 @@ def _ingest_outcome(sources, pubs, links):
         index, report = ingest(_GOLDEN_SOURCES + sources, _GOLDEN_PUBLICATIONS + pubs, _GOLDEN_LINKS + links)
     except IngestError as exc:
         return str(exc)
-    _, [(_, citing, cited)] = index.record_groups()
+    store = index._store
     records = list(index.publications.values())
-    return dict(index.sources), records, list(citing), list(cited), report.counts(), report.warnings
+    return dict(index.sources), records, list(store.citing), list(store.cited), report.counts(), report.warnings
 
 
 @settings(max_examples=200, deadline=None)
@@ -671,7 +671,7 @@ def test_inline_reading_equals_checked_parsers(streams):
 
 def _columns_outcome(index, report):
     """The sources, every store column, counts and warnings of one ingest."""
-    store, _ = index.record_groups()
+    store = index._store
     columns = [store.pub_ids, store.source_ids, store.sort_years, store.load_days, store.doc_types,
                store.in_press, store.citing, store.cited]
     return dict(index.sources), [list(column) for column in columns], report.counts(), report.warnings

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 from datetime import date
 from decimal import Decimal
 from fractions import Fraction
@@ -391,25 +392,45 @@ def test_percent_cited_positive_iff_citations_positive(tmp_path):
 
 
 def test_snapshot_safe_for_concurrent_readers(tmp_path):
-    """Per-source computations over one shared snapshot give the same answers
-    from a thread pool as from the serial batch path."""
+    """Per-source computations over one shared index give the same answers
+    from a thread pool, starting from a cold store whose timelines the
+    threads build, as serially on a second index of the same files, and as
+    the batch path."""
     from concurrent.futures import ThreadPoolExecutor
 
     cfg = CorpusConfig(seed=2024, n_journals=30, rename_probability=0.3)
     paths = generate_corpus(cfg, tmp_path / "corpus")
-    index, _ = load_index(paths.sources_path, paths.publications_path, paths.links_path)
+    files = (paths.sources_path, paths.publications_path, paths.links_path)
+    index, _ = load_index(*files)
     view = snapshot(index, date(2018, 5, 31))
+    cutoffs = [date(2017, 3, 31), date(2017, 12, 31), date(2018, 5, 31), date(2019, 4, 30), date.max]
+    tasks = [(sid, year, as_of) for sid in sorted(index.sources) for year in (2017, 2018) for as_of in cutoffs]
+    random.Random(5).shuffle(tasks)
+
+    def worker(index, view, task):
+        sid, year, as_of = task
+        return (tracker_value(index, sid, year, as_of),
+                count_citations(view, sid, 2017), count_documents(view, sid, 2017))
+
+    assert not index._store.timelines
+    # Switch threads often, so that several of them build a year's timelines at once.
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            threaded = list(pool.map(lambda task: worker(index, view, task), tasks, timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    assert sorted(index._store.timelines) == [2017, 2018]
+    serial_index, _ = load_index(*files)
+    serial_view = snapshot(serial_index, date(2018, 5, 31))
+    assert threaded == [worker(serial_index, serial_view, task) for task in tasks]
+    assert any(value is not None for value, _, _ in threaded)
+
     counts = aggregate_counts(view, 2017)
-
-    def worker(sid):
-        return sid, count_citations(view, sid, 2017), count_documents(view, sid, 2017)
-
-    with ThreadPoolExecutor(max_workers=8) as pool:
-        results = dict(
-            (sid, (a, b)) for sid, a, b in pool.map(worker, sorted(counts))
-        )
-    for sid, tally in counts.items():
-        assert results[sid] == (tally.citations, tally.documents)
+    for (sid, _, _), (_, citations, documents) in zip(tasks, threaded):
+        if sid in counts:
+            assert (citations, documents) == (counts[sid].citations, counts[sid].documents)
 
 
 def test_percentile_bound_properties(tmp_path):
@@ -479,43 +500,70 @@ def _half_up_hundredths(numerator, denominator):
     return math.floor(Fraction(100 * numerator, denominator) + Fraction(1, 2))
 
 
+def _assert_view_equals_brute_force(index, view):
+    """Every per-source function on the view, for every source and the years
+    2016-2018, against brute-force counts; returns how many scores were
+    eligible."""
+    scored = 0
+    for source_id in index.sources:
+        for year in (2016, 2017, 2018):
+            documents, citations, cited, eligible = _brute_force_tallies(index, view.cutoff, source_id, year)
+            assert count_documents(view, source_id, year) == documents
+            assert count_citations(view, source_id, year) == citations
+            assert is_eligible(view, source_id, year) is eligible
+            expected = tracker_value(index, source_id, year, view.cutoff)
+            if documents:
+                hundredths = _half_up_hundredths(citations, documents)
+                assert percent_cited(view, source_id, year) == _half_up_hundredths(cited, documents)
+                assert citescore(view, source_id, year) == Decimal(hundredths).scaleb(-2)
+                scored += eligible
+                assert expected == (citescore(view, source_id, year) if eligible else None)
+            else:
+                for metric in (percent_cited, citescore):
+                    with pytest.raises(IneligibleError):
+                        metric(view, source_id, year)
+                assert expected is None
+    return scored
+
+
+def _assert_sweeps_equal_brute_force(index, cutoffs):
+    """The whole-store sweep, read at every cutoff, for every current title."""
+    for year in (2016, 2017, 2018):
+        for cutoff, tallies in zip(cutoffs, sweep_counts(index, year, cutoffs), strict=True):
+            terminals = [source_id for source_id in index.sources if index.is_chain_terminal(source_id)]
+            assert list(tallies) == terminals
+            for source_id, tally in tallies.items():
+                documents, citations, cited, _ = _brute_force_tallies(index, cutoff, source_id, year)
+                assert tally == SourceYearCounts(citations, documents, cited), (source_id, year)
+
+
 @pytest.mark.parametrize("seed", [41, 42])
 def test_per_source_scans_equal_brute_force(tmp_path, seed):
     index, empty, cutoffs = differential_index(tmp_path, seed)
     views = [snapshot(index, cutoff) for cutoff in cutoffs]
     views += [snapshot(snapshot(index, cutoffs[5]), cutoffs[2]),
               snapshot(snapshot(index, cutoffs[2]), cutoffs[5])]
-    # The whole-store sweep, read at every cutoff: every view's cutoff is one of them.
-    sweeps = {year: dict(zip(cutoffs, sweep_counts(index, year, cutoffs), strict=True))
-              for year in (2016, 2017, 2018)}
-    scored = 0
-    for view in views:
-        for source_id in index.sources:
-            for year in (2016, 2017, 2018):
-                documents, citations, cited, eligible = _brute_force_tallies(
-                    index, view.cutoff, source_id, year)
-                if index.is_chain_terminal(source_id):
-                    tally = sweeps[year][view.cutoff][source_id]
-                    assert tally == SourceYearCounts(citations, documents, cited), (source_id, year)
-                assert count_documents(view, source_id, year) == documents
-                assert count_citations(view, source_id, year) == citations
-                assert is_eligible(view, source_id, year) is eligible
-                expected = tracker_value(index, source_id, year, view.cutoff)
-                if documents:
-                    hundredths = _half_up_hundredths(citations, documents)
-                    assert percent_cited(view, source_id, year) == _half_up_hundredths(cited, documents)
-                    assert citescore(view, source_id, year) == Decimal(hundredths).scaleb(-2)
-                    scored += eligible
-                    assert expected == (citescore(view, source_id, year) if eligible else None)
-                else:
-                    for metric in (percent_cited, citescore):
-                        with pytest.raises(IneligibleError):
-                            metric(view, source_id, year)
-                    assert expected is None
-    assert scored
+    # The sweep reads the full index first, so the store's timelines are built
+    # under its latest view; then every view is read, earliest first.
+    _assert_sweeps_equal_brute_force(index, cutoffs)
+    assert sum(_assert_view_equals_brute_force(index, view) for view in views)
     assert not any(count_documents(view, empty, 2017) for view in views)
     for metric in (count_documents, count_citations, percent_cited, is_eligible, citescore):
         with pytest.raises(KeyError):
             metric(views[3], 10**9, 2017)
     with pytest.raises(KeyError):
         tracker_value(index, 10**9, 2017, cutoffs[3])
+
+    # A fresh index of the same files, whose timelines are first built under
+    # an early, nested view; its views are then read from the latest cutoff
+    # to the earliest, and the sweep last.
+    corpus = tmp_path / "corpus"
+    fresh, _ = load_index(corpus / "sources.jsonl", corpus / "publications.jsonl", corpus / "links.jsonl")
+    assert not fresh._store.timelines
+    nested = snapshot(snapshot(fresh, cutoffs[5]), cutoffs[2])
+    _assert_view_equals_brute_force(fresh, nested)
+    assert sorted(fresh._store.timelines) == [2016, 2017, 2018]
+    for cutoff in reversed(cutoffs):
+        _assert_view_equals_brute_force(fresh, snapshot(fresh, cutoff))
+    _assert_view_equals_brute_force(fresh, snapshot(snapshot(fresh, cutoffs[2]), cutoffs[5]))
+    _assert_sweeps_equal_brute_force(fresh, cutoffs)

@@ -28,6 +28,7 @@ from citescore import (
     tracker_series,
     tracker_value,
 )
+from citescore import metrics
 from citescore.metrics import aggregate_counts, sweep_counts
 from citescore.tracker import _spearman, month_end, tracker_table
 
@@ -326,3 +327,36 @@ def test_tracker_series_unknown_source():
     index = _index_with_staggered_loads()
     with pytest.raises(KeyError):
         tracker_series(index, 99, 2018, month_end_schedule("2018-01", "2018-12"))
+
+
+def test_timelines_are_built_once_per_citing_year(tmp_path, monkeypatch):
+    """150 point queries over six month-ends build the citing year's
+    timelines once; a second citing year builds its own, once; a view, the
+    batch path and the sweep reuse both."""
+    cfg = CorpusConfig(seed=17, n_journals=12, rename_probability=0.3)
+    paths = generate_corpus(cfg, tmp_path / "corpus")
+    index, _ = load_index(paths.sources_path, paths.publications_path, paths.links_path)
+    builds = []
+    build = metrics._event_timelines
+
+    def counting_build(store, year):
+        builds.append(year)
+        return build(store, year)
+
+    monkeypatch.setattr(metrics, "_event_timelines", counting_build)
+    schedule = month_end_schedule("2018-01", "2018-12")[1::2]
+    sources = sorted(index.sources)
+    rng = random.Random(17)
+    queries = [(rng.choice(sources), rng.choice(schedule)) for _ in range(150)]
+    values = [tracker_value(index, sid, 2018, as_of) for sid, as_of in queries]
+    assert builds == [2018]
+    assert any(value is not None for value in values)
+    for sid, as_of in queries[:20]:
+        tracker_value(index, sid, 2017, as_of)
+    assert builds == [2018, 2017]
+    view = snapshot(index, schedule[2])
+    count_documents(view, sources[0], 2018)
+    tracker_table(index, 2018, schedule)
+    sweep_counts(view, 2017, schedule)
+    compute_annual(view, 2017)
+    assert builds == [2018, 2017]
