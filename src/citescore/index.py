@@ -13,8 +13,12 @@ lines (about ``_BLOCK_CHARS`` characters of file text, or one line item
 that ends in its only newline), and its catch-all alternative gives every
 other line, whole, to the checked parser, so each line still has its
 number. Each accepted publication gets an ordinal, its position in ingest
-order, and the link dedupe set holds one int per link
-(``citing * n_publications + cited``).
+order. Links are deduplicated per citing publication's run of lines (a
+links file is one reference list after another), on a set of that run's
+cited ordinals; only when a citing publication's links resume after
+another's does ingest fall back to one set of every link's int key
+(``citing * n_publications + cited``), built once from the links accepted
+so far. Either way the links kept, their order and the counts are the same.
 
 Every snapshot of that index is a cutoff over one shared record store:
 publication columns by ordinal and the links as two ``array("i")`` columns
@@ -37,7 +41,8 @@ from collections import Counter
 from dataclasses import dataclass, field
 from datetime import date
 from functools import cached_property
-from itertools import chain, compress
+from itertools import chain, compress, repeat
+from operator import add, mul
 from types import MappingProxyType
 from typing import Callable, Iterable, Iterator, Mapping, TextIO, TypeVar
 
@@ -547,10 +552,17 @@ def _ingest(
     report.publications_accepted = len(pub_ids)
 
     citing_column, cited_column = array("i"), array("i")
-    # One int per accepted link: distinct (citing, cited) ordinal pairs map
-    # to distinct keys, since every cited ordinal is below the multiplier.
-    seen: set[int] = set()
+    # A links file is one reference list after another, so each citing
+    # publication's accepted links form one run: dedupe a run on the set of
+    # its cited ordinals (the ordinal dict's own ints). started marks the
+    # citing ordinals whose run has begun. Once a finished run resumes, the
+    # links are not grouped: seen then keys every link accepted so far, and
+    # each one after it, on one int, citing * width + cited (distinct pairs
+    # map to distinct keys, since every cited ordinal is below width).
     width = len(pub_ids)
+    started = bytearray(width)
+    run_citing, run = -1, set()
+    seen: set[int] | None = None
     collapsed = 0
     for lineno, (cited_id, citing_id, line) in enumerate(chain.from_iterable(link_rows), start=1):
         if not cited_id:
@@ -568,11 +580,23 @@ def _ingest(
             report.links_rejected += 1
             report.warn(_link_rejection(lineno, citing_id, cited_id, citing is not None, cited is not None))
             continue
-        key = citing * width + cited
-        if key in seen:
-            collapsed += 1
-            continue
-        seen.add(key)
+        if citing != run_citing and seen is None:
+            if started[citing]:
+                seen = set(map(add, map(mul, citing_column, repeat(width)), cited_column))
+            else:
+                started[citing] = 1
+                run_citing, run = citing, set()
+        if seen is None:
+            if cited in run:
+                collapsed += 1
+                continue
+            run.add(cited)
+        else:
+            key = citing * width + cited
+            if key in seen:
+                collapsed += 1
+                continue
+            seen.add(key)
         citing_column.append(citing)
         cited_column.append(cited)
     report.links_accepted = len(citing_column)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 from datetime import date, timedelta
@@ -169,6 +170,37 @@ def test_tracker_month_schedule_row_counts(corpus, tmp_path):
     assert all(per_source[sid] == 11 for sid in first_month)
     dates = sorted({row[2] for row in rows})
     assert dates[0] == "2018-06-30" and dates[-1] == "2019-04-30"
+
+
+def test_link_order_changes_no_output(corpus, tmp_path):
+    """Links out of reference-list order, with a few re-inserted far from
+    their first copy, give the grouped file's outputs byte for byte; only
+    links_collapsed counts the re-inserted lines."""
+    lines = Path(corpus["--links"]).read_text(encoding="utf-8").splitlines(keepends=True)
+    random.Random(3).shuffle(lines)
+    repeats = 5
+    for i in range(repeats):
+        lines.insert(len(lines) - i, lines[i])
+    shuffled = dict(corpus, **{"--links": str(tmp_path / "shuffled-links.jsonl")})
+    Path(shuffled["--links"]).write_text("".join(lines), encoding="utf-8")
+
+    runs = {
+        "compute": (["--year", "2017"], ["metrics.csv", "standings.csv"]),
+        "tracker": (["--year", "2017", "--from", "2017-06", "--to", "2018-04", "--stability-report"],
+                    ["tracker.csv", "stability.csv"]),
+    }
+    for command, (flags, outputs) in runs.items():
+        manifests = []
+        for name, files in (("grouped", corpus), ("shuffled", shuffled)):
+            out = tmp_path / f"{command}-{name}"
+            assert main([command] + _flags(files) + flags + ["--out", str(out)]) == 0
+            manifests.append(json.loads((out / "manifest.json").read_text(encoding="utf-8")))
+        for output in outputs:
+            assert (tmp_path / f"{command}-shuffled" / output).read_bytes() == \
+                (tmp_path / f"{command}-grouped" / output).read_bytes()
+        grouped, reordered = (manifest["parameters"]["ingest"] for manifest in manifests)
+        assert grouped["links_collapsed"] == 0 and grouped["links_accepted"] > 500
+        assert reordered == dict(grouped, links_collapsed=repeats)
 
 
 def test_tracker_reversed_range_is_usage_error(corpus, tmp_path):

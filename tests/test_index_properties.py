@@ -27,15 +27,38 @@ def _link_text(citing, cited, unknown, reverse):
     return json.dumps(dict(items)) + "\n"
 
 
+_BLANK = st.sampled_from(["\n", " \x0c \n"])
+
+
+def _publications(draw):
+    """(publication ids, their article-in-press flags, a strategy for a link endpoint)."""
+    pub_ids = _IDS[:draw(st.integers(min_value=0, max_value=len(_IDS)))]
+    in_press = draw(st.lists(st.sampled_from([False, False, True]), min_size=len(pub_ids), max_size=len(pub_ids)))
+    return pub_ids, in_press, st.sampled_from(pub_ids + [_GHOST])
+
+
 @st.composite
 def _corpora(draw):
     """(publication ids, their article-in-press flags, link lines)."""
-    pub_ids = _IDS[:draw(st.integers(min_value=0, max_value=len(_IDS)))]
-    in_press = draw(st.lists(st.sampled_from([False, False, True]), min_size=len(pub_ids), max_size=len(pub_ids)))
-    ends = st.sampled_from(pub_ids + [_GHOST])
+    pub_ids, in_press, ends = _publications(draw)
     link = st.builds(_link_text, ends, ends, st.booleans(), st.booleans())
-    blank = st.sampled_from(["\n", " \x0c \n"])
-    lines = draw(st.lists(st.one_of(link, link, link, blank), max_size=60))
+    lines = draw(st.lists(st.one_of(link, link, link, _BLANK), max_size=60))
+    return pub_ids, in_press, lines
+
+
+@st.composite
+def _grouped_corpora(draw):
+    """A corpus whose link lines come grouped by citing id, as reference
+    lists do, with blank lines anywhere and at most one line moved out of
+    its group."""
+    pub_ids, in_press, ends = _publications(draw)
+    links = draw(st.lists(st.tuples(ends, ends, st.booleans(), st.booleans()), max_size=40))
+    lines = [_link_text(*link) for link in sorted(links, key=lambda link: link[0])]
+    if lines and draw(st.booleans()):
+        moved = lines.pop(draw(st.integers(min_value=0, max_value=len(lines) - 1)))
+        lines.insert(draw(st.integers(min_value=0, max_value=len(lines))), moved)
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        lines.insert(draw(st.integers(min_value=0, max_value=len(lines))), draw(_BLANK))
     return pub_ids, in_press, lines
 
 
@@ -80,6 +103,33 @@ def _brute_force(aip, lines):
 # Keys 0 * 3 + 3 and 1 * 3 + 0 under a multiplier of 3, one too small for 4 publications.
 @example(corpus=(_IDS, [False] * 4, [_link_text("p0", "p3", False, False), _link_text("p1", "p0", False, False)]))
 def test_link_ingest_equals_string_tuple_brute_force(corpus):
+    _assert_equals_brute_force(corpus)
+
+
+def _links(*pairs):
+    return [_link_text(citing, cited, False, False) for citing, cited in pairs]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_grouped_corpora())
+# A duplicate inside one citing id's run.
+@example(corpus=(_IDS, [False] * 4, _links(("p0", "p1"), ("p0", "p2"), ("p0", "p1"), ("p1", "p0"))))
+# A duplicate across two runs of one citing id: the third line resumes p0's run.
+@example(corpus=(_IDS, [False] * 4, _links(("p0", "p1"), ("p1", "p0"), ("p0", "p1"), ("p0", "p2"))))
+# After that switch, duplicates of links accepted before it and on it.
+@example(corpus=(_IDS, [False] * 4, _links(
+    ("p0", "p1"), ("p1", "p2"), ("p0", "p3"), ("p1", "p2"), ("p0", "p1"), ("p0", "p3"), ("p2", "p1"), ("p1", "p2"))))
+# Rejected lines (dangling, blank, article-in-press citing, self-citation)
+# between two links of one citing id do not split its run.
+@example(corpus=(_IDS, [False, False, False, True], [
+    *_links(("p0", "p1"), ("p0", _GHOST)), "\n",
+    *_links(("p3", "p1"), ("p0", "p0"), (_GHOST, "p2"), ("p0", "p1"), ("p0", "p2"), ("p1", "p0")),
+]))
+def test_grouped_link_ingest_equals_string_tuple_brute_force(corpus):
+    _assert_equals_brute_force(corpus)
+
+
+def _assert_equals_brute_force(corpus):
     pub_ids, in_press, lines = corpus
     pubs = [pub_line(pub_id, 1, 2016, aip=flag) for pub_id, flag in zip(pub_ids, in_press)]
     index, report = ingest([source_line(1)], pubs, lines)
