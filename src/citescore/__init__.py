@@ -4,81 +4,64 @@ Annual values are computed on immutable snapshots reconstructed from record
 load dates; the in-progress year is tracked on a monthly schedule with the
 identical formula. A seeded corpus generator and an independent brute-force
 oracle back the differential test harness.
+
+Each public name imports its submodule on first use (PEP 562), so a process
+loads only the parts of the package it touches.
 """
 
-from .corpus import CorpusConfig, GeneratedCorpus, LagModel, generate_corpus
-from .cutoffs import default_cutoff, load_cutoff_table
-from .index import (
-    IndexSnapshot,
-    IngestError,
-    IngestReport,
-    ingest,
-    load_index,
-    snapshot,
-)
-from .metrics import (
-    CategoryStanding,
-    IneligibleError,
-    MetricsRow,
-    citescore,
-    cited_window,
-    compute_annual,
-    count_citations,
-    count_documents,
-    is_eligible,
-    percent_cited,
-    percentile_from_counts,
-    percentile_rank,
-    quartile,
-    rank_in_category,
-)
-from .oracle import OracleDataError, oracle_metrics
-from .records import PublicationRecord, SourceRecord
-from .tracker import (
-    TrackerRow,
-    TrackerSeries,
-    month_end_schedule,
-    tracker_series,
-    tracker_value,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CategoryStanding",
-    "CorpusConfig",
-    "GeneratedCorpus",
-    "IndexSnapshot",
-    "IneligibleError",
-    "IngestError",
-    "IngestReport",
-    "LagModel",
-    "MetricsRow",
-    "OracleDataError",
-    "PublicationRecord",
-    "SourceRecord",
-    "TrackerRow",
-    "TrackerSeries",
-    "citescore",
-    "cited_window",
-    "compute_annual",
-    "count_citations",
-    "count_documents",
-    "default_cutoff",
-    "generate_corpus",
-    "ingest",
-    "is_eligible",
-    "load_cutoff_table",
-    "load_index",
-    "month_end_schedule",
-    "oracle_metrics",
-    "percent_cited",
-    "percentile_from_counts",
-    "percentile_rank",
-    "quartile",
-    "rank_in_category",
-    "snapshot",
-    "tracker_series",
-    "tracker_value",
-    "__version__",
-]
+# Each public name and the submodule that defines it.
+_SUBMODULE_OF = {
+    "CategoryStanding": "metrics",
+    "CorpusConfig": "corpus",
+    "GeneratedCorpus": "corpus",
+    "IndexSnapshot": "index",
+    "IneligibleError": "metrics",
+    "IngestError": "index",
+    "IngestReport": "index",
+    "LagModel": "corpus",
+    "MetricsRow": "metrics",
+    "OracleDataError": "oracle",
+    "PublicationRecord": "records",
+    "SourceRecord": "records",
+    "TrackerRow": "tracker",
+    "TrackerSeries": "tracker",
+    "citescore": "metrics",
+    "cited_window": "metrics",
+    "compute_annual": "metrics",
+    "count_citations": "metrics",
+    "count_documents": "metrics",
+    "default_cutoff": "cutoffs",
+    "generate_corpus": "corpus",
+    "ingest": "index",
+    "is_eligible": "metrics",
+    "load_cutoff_table": "cutoffs",
+    "load_index": "index",
+    "month_end_schedule": "tracker",
+    "oracle_metrics": "oracle",
+    "percent_cited": "metrics",
+    "percentile_from_counts": "metrics",
+    "percentile_rank": "metrics",
+    "quartile": "metrics",
+    "rank_in_category": "metrics",
+    "snapshot": "index",
+    "tracker_series": "tracker",
+    "tracker_value": "tracker",
+}
+
+__all__ = [*_SUBMODULE_OF, "__version__"]
+
+
+def __getattr__(name: str):
+    if name not in _SUBMODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{_SUBMODULE_OF[name]}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_SUBMODULE_OF})

@@ -16,12 +16,10 @@ from datetime import date
 from pathlib import Path
 
 from . import __version__
-from .corpus import CorpusConfig, generate_corpus
 from .cutoffs import default_cutoff, load_cutoff_table
 from .index import IngestError, load_index, snapshot
 from .manifest import build_manifest, file_digest, write_manifest
 from .metrics import compute_annual
-from .oracle import OracleDataError, oracle_metrics
 from .output import (
     compare_output_files,
     write_metrics_csv,
@@ -129,9 +127,6 @@ def main(argv: list[str] | None = None) -> int:
     except IngestError as exc:
         _write_stderr(f"ERROR: ingest failed: {exc}\n")
         return EXIT_DATA_ERROR
-    except OracleDataError as exc:
-        _write_stderr(f"ERROR: oracle rejected input: {exc}\n")
-        return EXIT_DATA_ERROR
     except (OSError, UnicodeDecodeError) as exc:
         _write_stderr(f"ERROR: {exc}\n")
         return EXIT_DATA_ERROR
@@ -184,6 +179,8 @@ def _input_files(args) -> dict:
     return inputs
 
 
+# Each engine command loads and computes inside a helper, so its index is
+# freed on return, before build_manifest maps OpenSSL in for the digests.
 def _annual(args, cutoff: date, out: Path, only: str | None) -> tuple:
     """Load, snapshot, compute the annual basket and write its files to out;
     returns the ingest report and the written outputs."""
@@ -220,19 +217,25 @@ def cmd_compute(args, parser) -> int:
     return EXIT_OK
 
 
+def _tracker(args, schedule: list[date], out: Path) -> tuple:
+    """Load, score every schedule date and write the tracker files to out;
+    returns the ingest report and the written outputs."""
+    index, report = _load_and_report(args)
+    rows = tracker_table(index, args.year, schedule)
+    out.mkdir(parents=True, exist_ok=True)
+    outputs = {"tracker": write_tracker_csv(out / "tracker.csv", rows)}
+    if args.stability_report:
+        outputs["stability"] = write_stability_csv(out / "stability.csv", stability_report(rows))
+    return report, outputs
+
+
 def cmd_tracker(args, parser) -> int:
     try:
         schedule = month_end_schedule(args.from_month, args.to_month)
     except ValueError as exc:
         parser.error(str(exc))
-    index, report = _load_and_report(args)
-    rows = tracker_table(index, args.year, schedule)
-
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    outputs = {"tracker": write_tracker_csv(out / "tracker.csv", rows)}
-    if args.stability_report:
-        outputs["stability"] = write_stability_csv(out / "stability.csv", stability_report(rows))
+    report, outputs = _tracker(args, schedule, out)
 
     manifest = build_manifest(
         command="tracker",
@@ -265,6 +268,8 @@ _GENERATE_FLAG_FIELDS = {
 
 
 def cmd_generate(args, parser) -> int:
+    from .corpus import CorpusConfig, generate_corpus
+
     settings: dict = {}
     if args.config:
         with open(args.config, encoding="utf-8") as handle:
@@ -312,8 +317,14 @@ def cmd_verify(args, parser) -> int:
     oracle_dir = out / "oracle"
 
     if not args.compare_only:
+        from .oracle import OracleDataError, oracle_metrics
+
         _annual(args, cutoff, engine_dir, None)
-        oracle_metrics(args.sources, args.pubs, args.links, args.year, cutoff, oracle_dir)
+        try:
+            oracle_metrics(args.sources, args.pubs, args.links, args.year, cutoff, oracle_dir)
+        except OracleDataError as exc:
+            _write_stderr(f"ERROR: oracle rejected input: {exc}\n")
+            return EXIT_DATA_ERROR
 
     differences: list[str] = []
     identical = True
@@ -358,15 +369,12 @@ def cmd_verify(args, parser) -> int:
     return EXIT_OK
 
 
-def cmd_snapshot_info(args, parser) -> int:
-    if bool(args.cutoff) == (args.year is not None):
-        parser.error("provide exactly one of --cutoff or --year")
-    cutoff, _origin = _parse_cutoff(args, parser)
+def _snapshot_info(args, cutoff: date) -> dict:
+    """Load and count the snapshot at cutoff."""
     index, report = _load_and_report(args)
     view = snapshot(index, cutoff)
-
     by_year = view.sort_year_counts
-    info = {
+    return {
         "cutoff": cutoff.isoformat(),
         "sources": len(view.sources),
         "publications": sum(by_year.values()),
@@ -374,6 +382,13 @@ def cmd_snapshot_info(args, parser) -> int:
         "publications_by_sort_year": {str(y): by_year[y] for y in sorted(by_year)},
         "ingest": report.counts(),
     }
+
+
+def cmd_snapshot_info(args, parser) -> int:
+    if bool(args.cutoff) == (args.year is not None):
+        parser.error("provide exactly one of --cutoff or --year")
+    cutoff, _origin = _parse_cutoff(args, parser)
+    info = _snapshot_info(args, cutoff)
     print(json.dumps(info, indent=2, sort_keys=True))
 
     if args.out:

@@ -7,15 +7,18 @@ the same inputs yields the same manifest.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from pathlib import Path
 
+_CHUNK_BYTES = 1 << 16
+
 
 def file_digest(path: str | Path) -> str:
+    import hashlib  # maps OpenSSL in: deferred until a CLI command has freed its index
+
     digest = hashlib.sha256()
     with open(path, "rb") as handle:
-        for chunk in iter(lambda: handle.read(1 << 20), b""):
+        for chunk in iter(lambda: handle.read(_CHUNK_BYTES), b""):
             digest.update(chunk)
     return digest.hexdigest()
 

@@ -20,6 +20,7 @@ from decimal import ROUND_HALF_UP, Decimal, localcontext
 from fractions import Fraction
 from math import floor
 from pathlib import Path
+from typing import Iterator
 
 _ISO_DATE = re.compile(r"^\d{4}-\d{2}-\d{2}$")
 
@@ -40,8 +41,8 @@ class OracleDataError(Exception):
     """Raised on the same hard failures ingestion treats as fatal."""
 
 
-def _read_objects(path: str | Path) -> list[dict]:
-    out = []
+def _read_objects(path: str | Path) -> Iterator[dict]:
+    """Each JSON object line of the file, decoded as it is read."""
     with open(path, encoding="utf-8") as handle:
         for raw in handle:
             if not raw.strip():
@@ -53,8 +54,7 @@ def _read_objects(path: str | Path) -> list[dict]:
             except ValueError:  # so is an integer past the int conversion digit limit
                 continue
             if isinstance(obj, dict):
-                out.append(obj)
-    return out
+                yield obj
 
 
 def _is_int(value) -> bool:

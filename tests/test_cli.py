@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import gc
+import hashlib
 import io
 import json
 import os
@@ -20,7 +22,7 @@ from citescore import load_index, tracker_value
 from citescore.cli import main
 from citescore.oracle import OracleDataError
 from citescore.corpus import canonical_line
-from citescore.manifest import file_digest
+from citescore.manifest import _CHUNK_BYTES, file_digest
 
 from helpers import link_line, pub_line, source_line, write_corpus
 
@@ -663,7 +665,7 @@ def test_oracle_data_error_is_one_exact_error_line(corpus, tmp_path, capsys, mon
     def rejecting(*args):
         raise OracleDataError("duplicate pub_id 'a'")
 
-    monkeypatch.setattr(cli_module, "oracle_metrics", rejecting)
+    monkeypatch.setattr("citescore.oracle.oracle_metrics", rejecting)
     assert main(["verify", "--year", "2017"] + _flags(corpus) + ["--out", str(tmp_path / "run")]) == 1
     assert capsys.readouterr().err == "ERROR: oracle rejected input: duplicate pub_id 'a'\n"
 
@@ -675,3 +677,44 @@ def test_cli_import_leaves_logging_out():
     env = {**os.environ, "PYTHONPATH": str(Path(citescore.__file__).parents[1])}
     result = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True)
     assert result.stdout == "False\n"
+
+
+def test_cli_import_loads_no_hashing_generator_or_oracle():
+    """OpenSSL, the corpus generator and the oracle load only in the commands
+    that run them, and the package itself loads no submodule."""
+    code = (
+        "import sys, citescore; print(sorted(m for m in sys.modules if m.startswith('citescore.')))\n"
+        "import citescore.cli\n"
+        "print([m for m in ('hashlib', '_hashlib', 'citescore.corpus', 'citescore.oracle') if m in sys.modules])"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(citescore.__file__).parents[1])}
+    result = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert result.stdout == "[]\n[]\n"
+
+
+@pytest.mark.parametrize("size", [0, _CHUNK_BYTES, 3 * _CHUNK_BYTES + 1234])
+def test_file_digest_is_the_sha256_of_the_whole_file(tmp_path, size):
+    path = tmp_path / "data.bin"
+    path.write_bytes(random.Random(size).randbytes(size))
+    assert file_digest(path) == hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("command", [
+    ["compute", "--year", "2017"],
+    ["tracker", "--year", "2017", "--from", "2017-06", "--to", "2018-04", "--stability-report"],
+    ["snapshot-info", "--year", "2017"],
+])
+def test_index_is_freed_before_the_manifest(corpus, tmp_path, capsys, monkeypatch, command):
+    """Every engine command drops its index before build_manifest digests the
+    files, so the index and OpenSSL are never resident together."""
+    build_manifest = cli_module.build_manifest
+    live_stores = []
+
+    def counting_stores(*args, **kwargs):
+        live_stores.append(sum(isinstance(obj, index_module._Store) for obj in gc.get_objects()))
+        return build_manifest(*args, **kwargs)
+
+    monkeypatch.setattr(cli_module, "build_manifest", counting_stores)
+    gc.collect()  # so that no earlier test's cyclic garbage is counted
+    assert main(command + _flags(corpus) + ["--out", str(tmp_path / "run")]) == 0
+    assert live_stores == [0]

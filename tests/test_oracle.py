@@ -3,6 +3,8 @@ smoke test against the engine (the full sweep lives in the acceptance suite)."""
 
 from __future__ import annotations
 
+import json
+import tracemalloc
 from datetime import date
 
 from citescore import (
@@ -204,3 +206,24 @@ def test_oracle_matches_engine_on_dirty_corpus(tmp_path):
     wild = next(line for line in (tmp_path / "em2017.csv").read_text().splitlines()
                 if line.startswith("90001,"))
     assert "Ångström" in wild
+
+
+def test_oracle_holds_no_file_of_decoded_objects(tmp_path):
+    """The oracle decodes each line as it reads it: its peak stays under what
+    the publications file's decoded objects alone cost when held at once."""
+    paths = generate_corpus(CorpusConfig(seed=7, n_journals=60), tmp_path / "corpus")
+    tracemalloc.start()
+    try:
+        with open(paths.publications_path, encoding="utf-8") as handle:
+            decoded = [json.loads(line) for line in handle]
+        held = tracemalloc.get_traced_memory()[0]
+        del decoded
+        tracemalloc.reset_peak()
+        oracle_metrics(
+            paths.sources_path, paths.publications_path, paths.links_path,
+            2017, CUTOFF, tmp_path / "oracle",
+        )
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < held
