@@ -25,7 +25,6 @@ _SUBMODULE_OF = {
     "LagModel": "corpus",
     "MetricsRow": "metrics",
     "OracleDataError": "oracle",
-    "PublicationRecord": "records",
     "SourceRecord": "records",
     "TrackerRow": "tracker",
     "TrackerSeries": "tracker",

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import json
 from datetime import date
-from importlib import resources
 
 from .records import parse_date
 
@@ -17,6 +16,10 @@ from .records import parse_date
 def load_cutoff_table(path: str | None = None) -> dict:
     """Load the bundled table, or a user-supplied one with the same schema."""
     if path is None:
+        # Loaded here: importlib.resources pulls in tempfile, shutil and the
+        # compression modules, which only the bundled table needs.
+        from importlib import resources
+
         text = resources.files("citescore").joinpath("data/cutoff_dates.json").read_text("utf-8")
     else:
         with open(path, encoding="utf-8") as handle:

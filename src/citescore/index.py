@@ -13,22 +13,24 @@ lines (about ``_BLOCK_CHARS`` characters of file text, or one line item
 that ends in its only newline), and its catch-all alternative gives every
 other line, whole, to the checked parser, so each line still has its
 number. Each accepted publication gets an ordinal, its position in ingest
-order. Links are deduplicated per citing publication's run of lines (a
-links file is one reference list after another), on a set of that run's
-cited ordinals; only when a citing publication's links resume after
-another's does ingest fall back to one set of every link's int key
-(``citing * n_publications + cited``), built once from the links accepted
-so far. Either way the links kept, their order and the counts are the same.
+order, and the index keeps only what the metrics read of it: its source,
+sort year, load day and in-press flag. Every document type counts, so
+``doc_type`` is validated and not kept. Links are deduplicated per citing
+publication's run of lines (a links file is one reference list after
+another), on a set of that run's cited ordinals; only when a citing
+publication's links resume after another's does ingest fall back to one set
+of every link's int key (``citing * n_publications + cited``), built once
+from the links accepted so far. Either way the links kept, their order and
+the counts are the same.
 
 Every snapshot of that index is a cutoff over one shared record store:
 publication columns by ordinal and the links as two ``array("i")`` columns
-of (citing, cited) ordinals. Taking a snapshot copies nothing; a view builds
-its own publication records and link pairs from the columns on first read.
-The store also keeps, once per citing year, the per-source event timelines
-the metrics read (:meth:`IndexSnapshot.timelines`): built from the whole
-store on the first read for that year, never during ingest, and read by
-every view at its own cutoff. Views are immutable, so they can be shared
-freely across metric computations.
+of (citing, cited) ordinals. Taking a snapshot copies nothing. The store
+also keeps, once per citing year, the per-source event timelines the
+metrics read (:meth:`IndexSnapshot.timelines`): built from the whole store
+on the first read for that year, never during ingest, and read by every view
+at its own cutoff. Views are immutable, so they can be shared freely across
+metric computations.
 """
 
 from __future__ import annotations
@@ -46,13 +48,7 @@ from operator import add, mul
 from types import MappingProxyType
 from typing import Callable, Iterable, Iterator, Mapping, TextIO, TypeVar
 
-from .records import (
-    DOC_TYPES,
-    SOURCE_TYPES,
-    PublicationRecord,
-    SourceRecord,
-    parse_date,
-)
+from .records import DOC_TYPES, SOURCE_TYPES, SourceRecord, parse_date
 
 # Canonical lines of each kind, in the byte form corpus.canonical_line
 # defines, then only JSON whitespace to the line's end (strip() would also
@@ -62,10 +58,8 @@ from .records import (
 # limit. Any other line takes the checked parser.
 _ID = r'"([^"\\\x00-\x1f]+)"'
 _INT = r"(-?(?:0|[1-9][0-9]{0,17}))"
-_DOC_TYPE_NAMES = tuple(sorted(DOC_TYPES))
-_DOC_TYPE_CODES = {name: code for code, name in enumerate(_DOC_TYPE_NAMES)}
 _PUBLICATION_CANONICAL = (
-    r'\{"doc_type":"(' + "|".join(map(re.escape, _DOC_TYPE_NAMES)) + r')",'
+    r'\{"doc_type":"(' + "|".join(map(re.escape, sorted(DOC_TYPES))) + r')",'
     r'"is_article_in_press":(true|false),'
     r'"load_date":"([0-9]{4}-[0-9]{2}-[0-9]{2})",'
     r'"pub_id":' + _ID + r',"sort_year":' + _INT + r',"source_id":' + _INT + r"\}"
@@ -153,8 +147,8 @@ class _LineError(Exception):
 _T = TypeVar("_T")
 # A row of a kind's pattern: its canonical groups, then the catch-all.
 _Row = tuple[str, ...]
-# (pub_id, source_id, sort_year, load day ordinal, doc_type code, is_article_in_press)
-_Publication = tuple[str, int, int, int, int, bool]
+# (pub_id, source_id, sort_year, load day ordinal, is_article_in_press)
+_Publication = tuple[str, int, int, int, bool]
 
 
 def _parse_json_line(kind: str, lineno: int, line: str) -> dict:
@@ -272,7 +266,7 @@ def _parse_publication(lineno: int, line: str, report: IngestReport, days: dict[
         _require(obj, "is_article_in_press", "publications", lineno),
         "is_article_in_press", "publications", lineno,
     )
-    return pub_id, source_id, sort_year, day, _DOC_TYPE_CODES[doc_type], aip
+    return pub_id, source_id, sort_year, day, aip
 
 
 def _parse_link(lineno: int, line: str, report: IngestReport) -> tuple[str, str]:
@@ -304,21 +298,20 @@ class _Store:
     """The publications and links of one ingest, shared by every view of it.
 
     A publication's ordinal is its position in ingest order. The store keeps
-    its fields in columns by ordinal: ``pub_ids``; ``source_ids``,
-    ``sort_years`` and ``load_days`` (the load date's ordinal), plain lists
-    that share one int object per distinct value read inline; ``doc_types``,
-    a bytearray of codes into ``_DOC_TYPE_NAMES``; and ``in_press``, a list
-    of bools. Each link is a row of the two ``array("i")`` columns
-    ``citing`` and ``cited``: the ordinals of its two endpoints, in ingest
-    order. Nothing in a column is a container the garbage collector walks.
-    ``timelines`` keeps, per citing year, what IndexSnapshot.timelines
-    builds from the columns on its first call for that year."""
+    the fields the metrics read in columns by ordinal: ``pub_ids``;
+    ``source_ids``, ``sort_years`` and ``load_days`` (the load date's
+    ordinal), plain lists that share one int object per distinct value read
+    inline; and ``in_press``, a list of bools. Each link is a row of the two
+    ``array("i")`` columns ``citing`` and ``cited``: the ordinals of its two
+    endpoints, in ingest order. Nothing in a column is a container the
+    garbage collector walks. ``timelines`` keeps, per citing year, what
+    IndexSnapshot.timelines builds from the columns on its first call for
+    that year."""
 
     pub_ids: list[str]
     source_ids: list[int]
     sort_years: list[int]
     load_days: list[int]
-    doc_types: bytearray
     in_press: list[bool]
     citing: array
     cited: array
@@ -333,15 +326,13 @@ class IndexSnapshot:
     those links whose two endpoints both survive the filter. The full index
     built by :func:`ingest` is the snapshot at ``date.max``; :func:`snapshot`
     narrows any view to an earlier cutoff. Every view of one index shares
-    that index's record store. On first read, ``publications`` builds the
-    view's PublicationRecords by pub_id and ``links`` its (citing_pub_id,
-    cited_pub_id) pairs, both in store order; ``link_count`` and
-    ``sort_year_counts`` count on the columns without building either.
-    Immutable and safe to share across concurrent readers: what is filled
-    lazily (a view's cached properties, the store's per-year timelines,
-    which every view shares) is computed from columns that never change, so
-    two threads that race on a first read compute equal values and either
-    one is kept.
+    that index's record store. ``link_count`` and ``sort_year_counts``
+    count the view's links and its publications per sort_year on the
+    columns. Immutable and safe to share across concurrent readers: what is
+    filled lazily (a view's cached properties, the store's per-year
+    timelines, which every view shares) is computed from columns that never
+    change, so two threads that race on a first read compute equal values
+    and either one is kept.
     """
 
     cutoff: date
@@ -361,21 +352,8 @@ class IndexSnapshot:
         rows = zip(store.citing, store.cited)
         return ((citing, cited) for citing, cited in rows if loaded[citing] and loaded[cited])
 
-    @cached_property
-    def publications(self) -> Mapping[str, PublicationRecord]:
-        store, loaded = self._store, self._loaded
-        pub_ids, source_ids, sort_years, days, doc_codes, in_press = (
-            list(compress(column, loaded)) for column in (
-                store.pub_ids, store.source_ids, store.sort_years, store.load_days, store.doc_types,
-                store.in_press,
-            )
-        )
-        dates = {day: date.fromordinal(day) for day in set(days)}
-        return MappingProxyType(dict(zip(pub_ids, map(
-            PublicationRecord, pub_ids, source_ids, sort_years, map(dates.__getitem__, days),
-            map(_DOC_TYPE_NAMES.__getitem__, doc_codes), in_press,
-        ))))
-
+    # Only the benchmark (perfbench/run.py) reads this; it goes when the
+    # benchmark counts link_count instead (ROADMAP item 1).
     @cached_property
     def links(self) -> tuple[tuple[str, str], ...]:
         """(citing_pub_id, cited_pub_id) of the view's links, in store order."""
@@ -384,13 +362,12 @@ class IndexSnapshot:
 
     @cached_property
     def link_count(self) -> int:
-        """len(self.links), counted without building a pair."""
+        """How many links the view holds, counted without building a pair."""
         return sum(1 for _ in self._link_rows())
 
     @cached_property
     def sort_year_counts(self) -> Counter[int]:
-        """How many of the view's publications each sort_year holds, counted
-        on the store's columns without building a record."""
+        """How many of the view's publications each sort_year holds."""
         return Counter(compress(self._store.sort_years, self._loaded))
 
     def timelines(self, year: int, build: Callable[[_Store, int], _T]) -> _T:
@@ -514,7 +491,6 @@ def _ingest(
     source_ids: list[int] = []
     sort_years: list[int] = []
     load_days: list[int] = []
-    doc_types = bytearray()
     in_press: list[bool] = []
     rows = chain.from_iterable(publication_rows)
     for lineno, (doc_text, aip_text, date_text, pub_text, year_text, source_text, line) in enumerate(rows, 1):
@@ -527,11 +503,11 @@ def _ingest(
                 if sort_year is None:
                     sort_year = years[year_text] = int(year_text)
                 pub_id, source_id = pub_text, source_of_text.get(source_text) or int(source_text)
-                doc_code, aip = _DOC_TYPE_CODES[doc_text], aip_text == "true"
+                aip = aip_text == "true"
             elif not line.strip():
                 continue
             else:
-                pub_id, source_id, sort_year, day, doc_code, aip = _parse_publication(lineno, line, report, days)
+                pub_id, source_id, sort_year, day, aip = _parse_publication(lineno, line, report, days)
         except _LineError as exc:
             report.publications_rejected += 1
             report.warn(str(exc))
@@ -547,7 +523,6 @@ def _ingest(
         source_ids.append(source_id)
         sort_years.append(sort_year)
         load_days.append(day)
-        doc_types.append(doc_code)
         in_press.append(aip)
     report.publications_accepted = len(pub_ids)
 
@@ -602,7 +577,7 @@ def _ingest(
     report.links_accepted = len(citing_column)
     report.links_collapsed = collapsed
 
-    store = _Store(pub_ids, source_ids, sort_years, load_days, doc_types, in_press, citing_column, cited_column)
+    store = _Store(pub_ids, source_ids, sort_years, load_days, in_press, citing_column, cited_column)
     index = IndexSnapshot(
         cutoff=date.max,
         sources=MappingProxyType(sources),

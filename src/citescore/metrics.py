@@ -282,26 +282,18 @@ def _days(index: IndexSnapshot, schedule: Sequence[date]) -> list[int]:
     return [min(as_of, index.cutoff).toordinal() for as_of in schedule]
 
 
-def sweep_counts(index: IndexSnapshot, year: int, schedule: Sequence[date]) -> list[dict[int, SourceYearCounts]]:
-    """Tallies of every current title at each date of an ascending schedule:
-    item i equals aggregate_counts(snapshot(index, schedule[i]), year), and
-    the tallies stay flat from the index's cutoff on."""
-    days = _days(index, schedule)
-    chains = {
-        source_id: index.resolve_title_chain(source_id)
-        for source_id in index.sources
-        if source_id not in index.successor
-    }
-    timelines = index.timelines(year, _event_timelines)
-    return [{terminal: _tally(timelines, members, day) for terminal, members in chains.items()} for day in days]
-
-
+# No command reads this (the engine reads tallies through scores()); the
+# benchmark (perfbench/run.py) calls it, and it goes with ROADMAP item 1.
 def aggregate_counts(snapshot: IndexSnapshot, year: int) -> dict[int, SourceYearCounts]:
     """Numerator/denominator tallies for every current title at the view's
-    cutoff. The engine itself reads tallies through scores(); this is the
-    one-date reading kept for tests and the benchmark.
-    """
-    return sweep_counts(snapshot, year, [snapshot.cutoff])[0]
+    cutoff."""
+    timelines = snapshot.timelines(year, _event_timelines)
+    day = snapshot.cutoff.toordinal()
+    return {
+        source_id: _tally(timelines, snapshot.resolve_title_chain(source_id), day)
+        for source_id in snapshot.sources
+        if source_id not in snapshot.successor
+    }
 
 
 def scores(

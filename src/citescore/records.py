@@ -1,4 +1,5 @@
-"""Domain records: serial sources and publications."""
+"""Domain records: serial sources, the document and source type
+vocabularies, and the strict date form of the input files."""
 
 from __future__ import annotations
 
@@ -63,20 +64,3 @@ class SourceRecord:
     is_actively_indexed: bool
     predecessor_source_id: int | None = None
 
-
-@dataclass(frozen=True)
-class PublicationRecord:
-    """One indexed document.
-
-    sort_year is the year of publication; load_date is the day the record
-    entered the index and is the basis for historical snapshots. An
-    article-in-press has no finalized reference list, so it may be cited
-    but never gives citations.
-    """
-
-    pub_id: str
-    source_id: int
-    sort_year: int
-    load_date: date
-    doc_type: str
-    is_article_in_press: bool

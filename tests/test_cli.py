@@ -18,13 +18,14 @@ import pytest
 import citescore
 import citescore.cli as cli_module
 import citescore.index as index_module
-from citescore import load_index, tracker_value
+from citescore import count_citations, count_documents, load_index, tracker_value
 from citescore.cli import main
 from citescore.oracle import OracleDataError
 from citescore.corpus import canonical_line
 from citescore.manifest import _CHUNK_BYTES, file_digest
+from citescore.records import DOC_TYPES
 
-from helpers import link_line, pub_line, source_line, write_corpus
+from helpers import link_line, pub_line, source_line, stored, write_corpus
 
 
 @pytest.fixture()
@@ -395,26 +396,6 @@ def test_snapshot_info_counts_equal_brute_force(corpus, capsys):
     assert info["links"] == len(links) > 0
 
 
-def test_commands_and_queries_build_no_publication_record(corpus, tmp_path, capsys, monkeypatch):
-    """Ingest keeps publications in columns; compute, tracker, snapshot-info
-    and tracker_value read only those, and a record is built only when a
-    view's publications are read."""
-    def forbidden(*args):
-        raise AssertionError("a PublicationRecord was built")
-
-    monkeypatch.setattr(index_module, "PublicationRecord", forbidden)
-    assert main(["compute"] + _flags(corpus) + ["--year", "2017", "--out", str(tmp_path / "compute")]) == 0
-    assert main(["tracker"] + _flags(corpus) + ["--year", "2018", "--from", "2018-01", "--to", "2018-12",
-                                               "--stability-report", "--out", str(tmp_path / "tracker")]) == 0
-    assert main(["snapshot-info"] + _flags(corpus) + ["--year", "2016"]) == 0
-    assert json.loads(capsys.readouterr().out)["publications"] > 0
-    index, _ = load_index(corpus["--sources"], corpus["--pubs"], corpus["--links"])
-    values = [tracker_value(index, source_id, 2018, date(2018, 9, 30)) for source_id in index.sources]
-    assert any(value is not None for value in values)
-    with pytest.raises(AssertionError, match="PublicationRecord"):
-        index.publications
-
-
 def test_integers_past_64_bits_ingest_count_and_score(tmp_path, capsys):
     """A source_id of 10**20 and a sort_year of 10**19, past the canonical
     pattern's 18 digits, are read by the checked parser into the columns,
@@ -455,7 +436,7 @@ def test_integers_past_64_bits_ingest_count_and_score(tmp_path, capsys):
     }
     index, report = load_index(*paths)
     assert report.counts()["publications_rejected"] == report.counts()["links_rejected"] == 0
-    assert [(r.pub_id, r.source_id, r.sort_year) for r in index.publications.values()] == [
+    assert [(r.pub_id, r.source_id, r.sort_year) for r in stored(index)[0].values()] == [
         ("p1", big, 2016), ("p2", big, 2015), ("p3", 1, 2017), ("p4", 1, 2014), ("far", big, far), ("far2", 1, far),
         ("near", 1, near),
     ]
@@ -519,6 +500,41 @@ def _assert_compute_and_verify(corpus, tmp_path, capsys, warning, counter):
     for name in ("metrics.csv", "standings.csv"):
         engine = (tmp_path / "verify" / "engine" / name).read_bytes()
         assert engine == (tmp_path / "verify" / "oracle" / name).read_bytes()
+
+
+def test_every_document_type_counts(tmp_path, capsys, monkeypatch):
+    """A document of each of the ten types, and the citation a document of
+    that type gives, is accepted and counted: written in the generator's
+    form, read inline, and spelled with spaces, read by the checked parser.
+    The engine's CSVs equal the oracle's; an unknown type is still rejected
+    with its warning."""
+    pubs, links = [], []
+    for doc_type in sorted(DOC_TYPES):
+        for spelling, write in (("canonical", canonical_line), ("spaced", json.dumps)):
+            cited, citing = f"{spelling}-{doc_type}", f"{spelling}-{doc_type}-citer"
+            for pub_id, source_id, sort_year, load_date in ((cited, 1, 2015, "2015-01-10"),
+                                                              (citing, 2, 2017, "2017-03-01")):
+                pubs.append(write({"pub_id": pub_id, "source_id": source_id, "sort_year": sort_year,
+                                   "load_date": load_date, "doc_type": doc_type, "is_article_in_press": False}))
+            links.append(write({"citing_pub_id": citing, "cited_pub_id": cited}))
+    pubs.append(pub_line("poem", 1, 2015, doc_type="poem"))
+    paths = write_corpus(tmp_path, [source_line(1), source_line(2, asjc=(1100,))], pubs, links)
+
+    checked = []
+    parse = index_module._parse_publication
+    monkeypatch.setattr(index_module, "_parse_publication",
+                        lambda lineno, *args: checked.append(lineno) or parse(lineno, *args))
+    index, report = load_index(*paths)
+    assert checked == [n for n, line in enumerate(pubs, 1) if line != canonical_line(json.loads(line))]
+    assert len(checked) == 21
+    assert (report.publications_accepted, report.publications_rejected, report.links_accepted) == (40, 1, 20)
+    assert report.warnings == ["publications line 41: unknown doc_type 'poem'"]
+    assert (count_documents(index, 1, 2017), count_citations(index, 1, 2017)) == (20, 20)
+    assert count_documents(index, 2, 2018) == 20
+
+    corpus = {"--sources": str(paths[0]), "--pubs": str(paths[1]), "--links": str(paths[2])}
+    _assert_compute_and_verify(corpus, tmp_path, capsys, "unknown doc_type 'poem'", "publications_rejected")
+    assert (tmp_path / "run" / "metrics.csv").read_text().splitlines()[1:] == ["1,Journal 1,2017,1.00,20,20,100"]
 
 
 def test_deeply_nested_line_is_rejected_not_a_crash(corpus, tmp_path, capsys):
@@ -680,12 +696,14 @@ def test_cli_import_leaves_logging_out():
 
 
 def test_cli_import_loads_no_hashing_generator_or_oracle():
-    """OpenSSL, the corpus generator and the oracle load only in the commands
-    that run them, and the package itself loads no submodule."""
+    """OpenSSL, the corpus generator, the oracle and importlib.resources (for
+    the bundled cutoff table) load only in the commands that run them, and
+    the package itself loads no submodule."""
     code = (
         "import sys, citescore; print(sorted(m for m in sys.modules if m.startswith('citescore.')))\n"
         "import citescore.cli\n"
-        "print([m for m in ('hashlib', '_hashlib', 'citescore.corpus', 'citescore.oracle') if m in sys.modules])"
+        "print([m for m in ('hashlib', '_hashlib', 'citescore.corpus', 'citescore.oracle', 'importlib.resources')"
+        " if m in sys.modules])"
     )
     env = {**os.environ, "PYTHONPATH": str(Path(citescore.__file__).parents[1])}
     result = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True)

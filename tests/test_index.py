@@ -6,6 +6,7 @@ import gc
 import json
 import random
 import tracemalloc
+from collections import Counter
 from datetime import date, timedelta
 
 import pytest
@@ -24,10 +25,11 @@ from citescore import (
 )
 from citescore.corpus import canonical_line
 from citescore.output import write_metrics_csv, write_standings_csv
-from citescore.records import PublicationRecord, SourceRecord, parse_date
+from citescore.records import SourceRecord, parse_date
 
 from helpers import (
-    brute_force_view, build_index, differential_index, link_line, pub_line, source_line,
+    Pub, brute_force_view, build_index, differential_index, link_line, pub_line, reference_records, source_line,
+    stored,
 )
 
 
@@ -47,7 +49,7 @@ def test_clean_ingest_counts():
     assert report.counts()["links_accepted"] == 12
     assert report.counts()["links_rejected"] == 0
     assert not report.warnings
-    assert len(index.links) == 12
+    assert index.link_count == 12
 
 
 def test_dangling_link_rejected_with_warning():
@@ -95,7 +97,7 @@ def test_missing_field_and_bad_values_rejected():
     assert report.sources_rejected == 1
     assert report.publications_accepted == 1
     assert report.publications_rejected == 3
-    assert set(index.publications) == {"ok"}
+    assert set(stored(index)[0]) == {"ok"}
 
 
 def test_unknown_fields_ignored_with_warning():
@@ -166,7 +168,7 @@ def test_canonical_link_lines_call_no_link_helper(monkeypatch):
     index, report = ingest(sources, pubs, lines)
     assert report.links_accepted == 12
     assert report.links_collapsed == 3
-    assert len(index.links) == 12
+    assert index.link_count == 12
 
 
 def test_canonical_publication_lines_parse_each_load_date_once(monkeypatch):
@@ -190,11 +192,12 @@ def test_canonical_publication_lines_parse_each_load_date_once(monkeypatch):
     assert parsed == ["2015-01-10", "2016-03-01"]
     assert report.publications_accepted == 12
     assert not report.warnings
-    assert index.publications["q1"].load_date == date(2016, 3, 1)
-    assert index.publications == {
-        record["pub_id"]: PublicationRecord(
+    publications = stored(index)[0]
+    assert publications["q1"].load_date == date(2016, 3, 1)
+    assert publications == {
+        record["pub_id"]: Pub(
             record["pub_id"], record["source_id"], record["sort_year"], date.fromisoformat(record["load_date"]),
-            record["doc_type"], record["is_article_in_press"],
+            record["is_article_in_press"],
         )
         for record in map(json.loads, pubs)
     }
@@ -496,27 +499,28 @@ def test_ingest_golden_lines():
         (12, 'T', 'journal', [1000], True, None),
         (16, 'T', 'journal', [1000], True, None),
     ]
+    publications, links = stored(index)
     assert [
-        (r.pub_id, r.source_id, r.sort_year, r.load_date.isoformat(), r.doc_type, r.is_article_in_press)
-        for r in index.publications.values()
+        (r.pub_id, r.source_id, r.sort_year, r.load_date.isoformat(), r.is_article_in_press)
+        for r in publications.values()
     ] == [
-        ('a', 1, 2015, '2015-01-10', 'article', False),
-        ('b', 2, 2016, '2016-03-01', 'review', False),
-        ('c', 10, 2017, '2017-02-01', 'letter', True),
-        ('d', 12, 2015, '2015-01-10', 'article', False),
-        ('l', 1, 2015, '2015-01-10', 'article', False),
-        ('q', 1, 2015, '2015-01-10', 'article', False),
-        ('ac', 2, 2016, '2017-06-30', 'article', False),
-        ('ad', 2, 2017, '2017-06-30', 'article', False),
-        ('ae', 1, 2016, '2016-03-01', 'conference-paper', False),
-        ('af', 12, 2018, '2018-02-28', 'short-survey', True),
-        ('ag', 1, 2016, '2016-03-01', 'article', False),
-        ('a"h', 1, 2016, '2016-03-01', 'article', False),
-        ('aj', 1, 0, '2016-03-01', 'article', False),
-        ('ak', 1, 2016, '2016-03-01', 'article', False),
-        ('al', 1, 2016, '2016-03-01', 'article', False),
+        ('a', 1, 2015, '2015-01-10', False),
+        ('b', 2, 2016, '2016-03-01', False),
+        ('c', 10, 2017, '2017-02-01', True),
+        ('d', 12, 2015, '2015-01-10', False),
+        ('l', 1, 2015, '2015-01-10', False),
+        ('q', 1, 2015, '2015-01-10', False),
+        ('ac', 2, 2016, '2017-06-30', False),
+        ('ad', 2, 2017, '2017-06-30', False),
+        ('ae', 1, 2016, '2016-03-01', False),
+        ('af', 12, 2018, '2018-02-28', True),
+        ('ag', 1, 2016, '2016-03-01', False),
+        ('a"h', 1, 2016, '2016-03-01', False),
+        ('aj', 1, 0, '2016-03-01', False),
+        ('ak', 1, 2016, '2016-03-01', False),
+        ('al', 1, 2016, '2016-03-01', False),
     ]
-    assert list(index.links) == [
+    assert links == [
         ("b", "a"), ("ac", "a"), ("ad", "b"), ("ad", "a"), ("d", "a"), ("ac", "b"), ("d", "c"), ("ad", "d"),
         ("ae", "a"), ("ag", "a"), ("ae", 'a"h'), ("aj", "af"), ("ae", "b"),
     ]
@@ -666,7 +670,7 @@ def _ingest_outcome(sources, pubs, links):
     except IngestError as exc:
         return str(exc)
     store = index._store
-    records = list(index.publications.values())
+    records = list(stored(index)[0].values())
     return dict(index.sources), records, list(store.citing), list(store.cited), report.counts(), report.warnings
 
 
@@ -693,8 +697,8 @@ def test_inline_reading_equals_checked_parsers(streams):
 def _columns_outcome(index, report):
     """The sources, every store column, counts and warnings of one ingest."""
     store = index._store
-    columns = [store.pub_ids, store.source_ids, store.sort_years, store.load_days, store.doc_types,
-               store.in_press, store.citing, store.cited]
+    columns = [store.pub_ids, store.source_ids, store.sort_years, store.load_days, store.in_press,
+               store.citing, store.cited]
     return dict(index.sources), [list(column) for column in columns], report.counts(), report.warnings
 
 
@@ -820,7 +824,7 @@ def test_line_items_other_than_one_ended_line():
     ]
     outcome = _columns_outcome(*ingest([source_line(1)], pubs, links))
     assert outcome[1][0] == ["z0", "z1", "z2", "z5", "z7"]
-    assert outcome[1][6:] == [[1, 2, 2, 3], [0, 0, 1, 1]]
+    assert outcome[1][5:] == [[1, 2, 2, 3], [0, 0, 1, 1]]
     assert outcome[2] == {
         "sources_accepted": 1, "sources_rejected": 0,
         "publications_accepted": 5, "publications_rejected": 4,
@@ -847,7 +851,7 @@ def test_snapshot_cutoff_is_inclusive():
     ]
     index, _ = ingest([source_line(1)], pubs, [])
     view = snapshot(index, cutoff)
-    assert set(view.publications) == {"on-cutoff"}
+    assert set(stored(view)[0]) == {"on-cutoff"}
 
 
 def test_snapshot_views_differ_across_annual_cutoffs():
@@ -859,8 +863,8 @@ def test_snapshot_views_differ_across_annual_cutoffs():
     index, _ = ingest([source_line(1)], pubs, [])
     view_2016 = snapshot(index, date(2017, 5, 31))
     view_2017 = snapshot(index, date(2018, 4, 30))
-    assert set(view_2016.publications) == {"early"}
-    assert set(view_2017.publications) == {"early", "late"}
+    assert set(stored(view_2016)[0]) == {"early"}
+    assert set(stored(view_2017)[0]) == {"early", "late"}
 
 
 def test_snapshot_filters_match_brute_force():
@@ -877,53 +881,40 @@ def test_snapshot_filters_match_brute_force():
     index, report = ingest([source_line(1)], pubs, links)
     view = snapshot(index, cutoff)
 
-    expected_pubs = {p for p in index.publications if index.publications[p].load_date <= cutoff}
+    reference = reference_records([source_line(1)], pubs, links)
+    expected_pubs = {p for p, record in reference.publications.items() if record.load_date <= cutoff}
     expected_links = [
-        (citing, cited) for citing, cited in index.links
+        (citing, cited) for citing, cited in reference.links
         if citing in expected_pubs and cited in expected_pubs
     ]
-    assert len(view.publications) == 60
-    assert set(view.publications) == expected_pubs
-    assert list(view.links) == expected_links
-    assert len(view.links) == 20
+    publications, links = stored(view)
+    assert len(publications) == 60
+    assert set(publications) == expected_pubs
+    assert links == expected_links
+    assert view.link_count == 20
 
 
 @pytest.mark.parametrize("seed", [41, 42])
 def test_views_equal_brute_force_filter(tmp_path, seed):
-    index, _empty, cutoffs = differential_index(tmp_path, seed)
+    index, reference, _empty, cutoffs = differential_index(tmp_path, seed)
     views = [(cutoff, snapshot(index, cutoff)) for cutoff in cutoffs]
     # Nested views narrow to the earlier of the two cutoffs, whichever is given first.
     for outer, inner in ((cutoffs[5], cutoffs[2]), (cutoffs[2], cutoffs[5]), (cutoffs[-2], cutoffs[0])):
         views.append((min(outer, inner), snapshot(snapshot(index, outer), inner)))
     for cutoff, view in views:
-        publications, links = brute_force_view(index, cutoff)
+        publications, links = brute_force_view(reference, cutoff)
         assert view.cutoff == cutoff
-        assert list(view.publications.items()) == publications
+        assert list(stored(view)[0].items()) == list(publications.items())
+        assert stored(view)[1] == links
         assert list(view.links) == links
         assert view.link_count == len(links)
+        assert view.sort_year_counts == Counter(record.sort_year for record in publications.values())
         assert view.sources is index.sources
-    assert not snapshot(index, cutoffs[0]).publications
+    assert not stored(snapshot(index, cutoffs[0]))[0]
     # On or after the last load a view holds every record and link of the full index.
     for cutoff in cutoffs[-3:]:
-        assert snapshot(index, cutoff).publications == index.publications
+        assert stored(snapshot(index, cutoff)) == stored(index)
         assert snapshot(index, cutoff).links == index.links
-
-
-def test_narrowed_view_builds_only_its_own_records(monkeypatch):
-    """Reading a narrowed view's publications builds one record for each
-    of its publications and none for the rest of the store."""
-    pubs = [pub_line(f"p{i}", 1, 2015, load_date=f"{2015 + i % 3}-03-01") for i in range(30)]
-    index, _ = ingest([source_line(1)], pubs, [])
-    built = []
-
-    def counting_record(*fields):
-        built.append(fields[0])
-        return PublicationRecord(*fields)
-
-    monkeypatch.setattr(index_module, "PublicationRecord", counting_record)
-    view = snapshot(index, date(2015, 12, 31))
-    pub_ids = list(view.publications)
-    assert built == pub_ids == [f"p{i}" for i in range(0, 30, 3)]
 
 
 def test_snapshot_determinism_and_byte_identical_metrics(tmp_path):
@@ -932,8 +923,7 @@ def test_snapshot_determinism_and_byte_identical_metrics(tmp_path):
     index, _ = load_index(paths.sources_path, paths.publications_path, paths.links_path)
     first = snapshot(index, date(2018, 5, 31))
     second = snapshot(index, date(2018, 5, 31))
-    assert dict(first.publications) == dict(second.publications)
-    assert first.links == second.links
+    assert stored(first) == stored(second)
     assert dict(first.sources) == dict(second.sources)
 
     outputs = []
@@ -954,8 +944,9 @@ def test_snapshot_monotonicity_in_cutoff(tmp_path):
         d1 = date(2013, 1, 1) + timedelta(days=rng.randint(0, 2000))
         d2 = d1 + timedelta(days=rng.randint(0, 1000))
         early, late = snapshot(index, d1), snapshot(index, d2)
-        assert set(early.publications) <= set(late.publications)
-        assert set(early.links) <= set(late.links)
+        (early_pubs, early_links), (late_pubs, late_links) = stored(early), stored(late)
+        assert set(early_pubs) <= set(late_pubs)
+        assert set(early_links) <= set(late_links)
 
 
 def test_snapshot_link_closure(tmp_path):
@@ -963,9 +954,10 @@ def test_snapshot_link_closure(tmp_path):
     paths = generate_corpus(cfg, tmp_path / "corpus")
     index, _ = load_index(paths.sources_path, paths.publications_path, paths.links_path)
     view = snapshot(index, date(2016, 2, 1))
+    publications = stored(view)[0]
     for citing, cited in view.links:
-        assert citing in view.publications
-        assert cited in view.publications
+        assert citing in publications
+        assert cited in publications
 
 
 def test_resolve_chain_identity_without_predecessor():

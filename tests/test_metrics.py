@@ -28,10 +28,12 @@ from citescore import (
     snapshot,
     tracker_value,
 )
-from citescore.metrics import SourceYearCounts, aggregate_counts, score_from_counts, sweep_counts
+from citescore.metrics import SourceYearCounts, aggregate_counts, score_from_counts
 from citescore.records import ELIGIBLE_SOURCE_TYPES
 
-from helpers import brute_force_view, build_snapshot, differential_index, link_line, pub_line, source_line
+from helpers import (
+    brute_force_view, build_snapshot, differential_index, link_line, pub_line, reference_records, source_line,
+)
 
 
 def _window_corpus():
@@ -92,10 +94,11 @@ def test_citations_brute_force_over_small_corpus():
         links.append(link_line(f"p{a}", f"p{b}"))
     view, _ = build_snapshot(sources, pubs, links)
 
+    reference = reference_records(sources, pubs, links)
     expected = 0
-    for citing_id, cited_id in view.links:
-        citing = view.publications[citing_id]
-        cited = view.publications[cited_id]
+    for citing_id, cited_id in reference.links:
+        citing = reference.publications[citing_id]
+        cited = reference.publications[cited_id]
         if (
             citing.sort_year == 2017
             and not citing.is_article_in_press
@@ -464,15 +467,20 @@ def test_percentile_bound_properties(tmp_path):
         assert quartile_total == n
 
 
-def _brute_force_tallies(index, cutoff, source_id, year):
+def _terminals(reference):
+    """The reference's sources that no other source names as its predecessor."""
+    predecessors = {source.get("predecessor_source_id") for source in reference.sources.values()}
+    return [source_id for source_id in reference.sources if source_id not in predecessors]
+
+
+def _brute_force_tallies(reference, cutoff, source_id, year):
     """(documents, citations, cited documents, eligible) counted record by
-    record over the filtered index, with the chain walked by hand."""
-    publications, links = brute_force_view(index, cutoff)
-    pubs = dict(publications)
+    record over the filtered reference, with the chain walked by hand."""
+    pubs, links = brute_force_view(reference, cutoff)
     chain, current = set(), source_id
     while current is not None:
         chain.add(current)
-        current = index.sources[current].predecessor_source_id
+        current = reference.sources[current].get("predecessor_source_id")
 
     def in_basket(record):
         return record.source_id in chain and year - 3 <= record.sort_year < year \
@@ -486,11 +494,11 @@ def _brute_force_tallies(index, cutoff, source_id, year):
         and not pubs[citing_id].is_article_in_press
         and in_basket(pubs[cited_id])
     ]
-    source = index.sources[source_id]
+    source = reference.sources[source_id]
     eligible = (
-        source.is_actively_indexed
-        and source.source_type in ELIGIBLE_SOURCE_TYPES
-        and all(other.predecessor_source_id != source_id for other in index.sources.values())
+        source["is_actively_indexed"]
+        and source["source_type"] in ELIGIBLE_SOURCE_TYPES
+        and source_id in _terminals(reference)
         and documents >= 1
     )
     return documents, len(cited), len(set(cited)), eligible
@@ -500,14 +508,14 @@ def _half_up_hundredths(numerator, denominator):
     return math.floor(Fraction(100 * numerator, denominator) + Fraction(1, 2))
 
 
-def _assert_view_equals_brute_force(index, view):
+def _assert_view_equals_brute_force(index, reference, view):
     """Every per-source function on the view, for every source and the years
     2016-2018, against brute-force counts; returns how many scores were
     eligible."""
     scored = 0
-    for source_id in index.sources:
+    for source_id in reference.sources:
         for year in (2016, 2017, 2018):
-            documents, citations, cited, eligible = _brute_force_tallies(index, view.cutoff, source_id, year)
+            documents, citations, cited, eligible = _brute_force_tallies(reference, view.cutoff, source_id, year)
             assert count_documents(view, source_id, year) == documents
             assert count_citations(view, source_id, year) == citations
             assert is_eligible(view, source_id, year) is eligible
@@ -526,27 +534,28 @@ def _assert_view_equals_brute_force(index, view):
     return scored
 
 
-def _assert_sweeps_equal_brute_force(index, cutoffs):
-    """The whole-store sweep, read at every cutoff, for every current title."""
+def _assert_aggregates_equal_brute_force(index, reference, cutoffs):
+    """The tallies of every current title, read at every cutoff."""
     for year in (2016, 2017, 2018):
-        for cutoff, tallies in zip(cutoffs, sweep_counts(index, year, cutoffs), strict=True):
-            terminals = [source_id for source_id in index.sources if index.is_chain_terminal(source_id)]
-            assert list(tallies) == terminals
+        for cutoff in cutoffs:
+            tallies = aggregate_counts(snapshot(index, cutoff), year)
+            assert list(tallies) == _terminals(reference)
             for source_id, tally in tallies.items():
-                documents, citations, cited, _ = _brute_force_tallies(index, cutoff, source_id, year)
+                documents, citations, cited, _ = _brute_force_tallies(reference, cutoff, source_id, year)
                 assert tally == SourceYearCounts(citations, documents, cited), (source_id, year)
 
 
 @pytest.mark.parametrize("seed", [41, 42])
 def test_per_source_scans_equal_brute_force(tmp_path, seed):
-    index, empty, cutoffs = differential_index(tmp_path, seed)
+    index, reference, empty, cutoffs = differential_index(tmp_path, seed)
     views = [snapshot(index, cutoff) for cutoff in cutoffs]
     views += [snapshot(snapshot(index, cutoffs[5]), cutoffs[2]),
               snapshot(snapshot(index, cutoffs[2]), cutoffs[5])]
-    # The sweep reads the full index first, so the store's timelines are built
-    # under its latest view; then every view is read, earliest first.
-    _assert_sweeps_equal_brute_force(index, cutoffs)
-    assert sum(_assert_view_equals_brute_force(index, view) for view in views)
+    # The tallies are read at every cutoff first, latest view first, so the
+    # store's timelines are built under date.max; then every view is read,
+    # earliest first.
+    _assert_aggregates_equal_brute_force(index, reference, cutoffs[::-1])
+    assert sum(_assert_view_equals_brute_force(index, reference, view) for view in views)
     assert not any(count_documents(view, empty, 2017) for view in views)
     for metric in (count_documents, count_citations, percent_cited, is_eligible, citescore):
         with pytest.raises(KeyError):
@@ -556,14 +565,14 @@ def test_per_source_scans_equal_brute_force(tmp_path, seed):
 
     # A fresh index of the same files, whose timelines are first built under
     # an early, nested view; its views are then read from the latest cutoff
-    # to the earliest, and the sweep last.
+    # to the earliest, and the tallies at every cutoff last.
     corpus = tmp_path / "corpus"
     fresh, _ = load_index(corpus / "sources.jsonl", corpus / "publications.jsonl", corpus / "links.jsonl")
     assert not fresh._store.timelines
     nested = snapshot(snapshot(fresh, cutoffs[5]), cutoffs[2])
-    _assert_view_equals_brute_force(fresh, nested)
+    _assert_view_equals_brute_force(fresh, reference, nested)
     assert sorted(fresh._store.timelines) == [2016, 2017, 2018]
     for cutoff in reversed(cutoffs):
-        _assert_view_equals_brute_force(fresh, snapshot(fresh, cutoff))
-    _assert_view_equals_brute_force(fresh, snapshot(snapshot(fresh, cutoffs[2]), cutoffs[5]))
-    _assert_sweeps_equal_brute_force(fresh, cutoffs)
+        _assert_view_equals_brute_force(fresh, reference, snapshot(fresh, cutoff))
+    _assert_view_equals_brute_force(fresh, reference, snapshot(snapshot(fresh, cutoffs[2]), cutoffs[5]))
+    _assert_aggregates_equal_brute_force(fresh, reference, cutoffs)

@@ -29,10 +29,10 @@ from citescore import (
     tracker_value,
 )
 from citescore import metrics
-from citescore.metrics import aggregate_counts, sweep_counts
+from citescore.metrics import aggregate_counts
 from citescore.tracker import _spearman, month_end, tracker_table
 
-from helpers import build_index, link_line, pub_line, source_line
+from helpers import build_index, link_line, pub_line, read_reference, source_line
 
 
 def _index_with_arrivals():
@@ -224,14 +224,19 @@ def test_tracker_table_sorted_and_consistent(tmp_path):
         assert tracker_value(index, row.source_id, 2018, row.as_of) == row.value
 
 
+def _tallies_per_date(index, year, schedule):
+    """The tallies of every current title on a snapshot at each schedule date."""
+    return [aggregate_counts(snapshot(index, as_of), year) for as_of in schedule]
+
+
 def _assert_sweep_matches_snapshots(index, year, schedule):
-    """The sweep, the table and every series against the per-source path on
-    a snapshot at each schedule date."""
+    """The tallies per date, the table and every series against the
+    per-source path on a snapshot at each schedule date."""
     terminals = {sid for sid in index.sources if index.is_chain_terminal(sid)}
     table = tracker_table(index, year, schedule)
     rows = {(r.source_id, r.as_of): r for r in table}
     series = {sid: [] for sid in index.sources}
-    for as_of, counts in zip(schedule, sweep_counts(index, year, schedule), strict=True):
+    for as_of, counts in zip(schedule, _tallies_per_date(index, year, schedule), strict=True):
         assert set(counts) == terminals
         view = snapshot(index, as_of)
         for sid, tally in counts.items():
@@ -250,7 +255,7 @@ def _assert_sweep_matches_snapshots(index, year, schedule):
     for sid, expected in series.items():
         points = tracker_series(index, sid, year, schedule).points
         assert [(p.as_of, p.citations, p.documents) for p in points] == expected
-        # The chain sweep and the whole-store sweep give the same rows.
+        # One title's series and the whole table give the same rows.
         assert points == tuple(r for r in table if r.source_id == sid)
 
 
@@ -259,10 +264,12 @@ def test_sweep_equals_snapshot_per_date(tmp_path, seed):
     cfg = CorpusConfig(seed=seed, n_journals=6, pubs_per_year_mean=4.0, aip_fraction=0.3,
                        rename_probability=0.5)
     paths = generate_corpus(cfg, tmp_path / "corpus")
-    index, _ = load_index(paths.sources_path, paths.publications_path, paths.links_path)
+    files = (paths.sources_path, paths.publications_path, paths.links_path)
+    index, _ = load_index(*files)
+    publications = read_reference(files).publications.values()
     assert any(index.successor.values())
-    assert any(p.is_article_in_press for p in index.publications.values())
-    loads = sorted({p.load_date for p in index.publications.values()})
+    assert any(p.is_article_in_press for p in publications)
+    loads = sorted({p.load_date for p in publications})
     # Before the first load, some exact load dates (a record counts on the
     # day it loads), and after the last load.
     middle = random.Random(seed).sample(loads, 12)
@@ -273,9 +280,9 @@ def test_sweep_equals_snapshot_per_date(tmp_path, seed):
     cut = len(schedule) // 2
     view = snapshot(index, schedule[cut])
     _assert_sweep_matches_snapshots(view, 2017, schedule)
-    tallies = sweep_counts(view, 2017, schedule)
+    tallies = _tallies_per_date(view, 2017, schedule)
     assert tallies[cut:] == [tallies[cut]] * (len(schedule) - cut)
-    assert tallies[cut] != sweep_counts(index, 2017, schedule)[-1]
+    assert tallies[cut] != _tallies_per_date(index, 2017, schedule)[-1]
 
 
 def _index_with_staggered_loads():
@@ -311,7 +318,7 @@ def test_sweep_staggered_loads():
     index = _index_with_staggered_loads()
     schedule = month_end_schedule("2018-01", "2018-12")
     by_month = {sid: [] for sid in (2, 3)}
-    for counts in sweep_counts(index, 2018, schedule):
+    for counts in _tallies_per_date(index, 2018, schedule):
         assert set(counts) == {2, 3}
         for sid, tally in counts.items():
             by_month[sid].append((tally.citations, tally.documents, tally.cited_documents))
@@ -332,7 +339,7 @@ def test_tracker_series_unknown_source():
 def test_timelines_are_built_once_per_citing_year(tmp_path, monkeypatch):
     """150 point queries over six month-ends build the citing year's
     timelines once; a second citing year builds its own, once; a view, the
-    batch path and the sweep reuse both."""
+    batch path and the tallies per date reuse both."""
     cfg = CorpusConfig(seed=17, n_journals=12, rename_probability=0.3)
     paths = generate_corpus(cfg, tmp_path / "corpus")
     index, _ = load_index(paths.sources_path, paths.publications_path, paths.links_path)
@@ -357,6 +364,6 @@ def test_timelines_are_built_once_per_citing_year(tmp_path, monkeypatch):
     view = snapshot(index, schedule[2])
     count_documents(view, sources[0], 2018)
     tracker_table(index, 2018, schedule)
-    sweep_counts(view, 2017, schedule)
+    _tallies_per_date(view, 2017, schedule)
     compute_annual(view, 2017)
     assert builds == [2018, 2017]
