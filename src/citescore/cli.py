@@ -18,7 +18,7 @@ from pathlib import Path
 from . import __version__
 from .cutoffs import default_cutoff, load_cutoff_table
 from .index import IngestError, load_index, snapshot
-from .manifest import build_manifest, file_digest, write_manifest
+from .manifest import build_manifest, write_manifest
 from .metrics import compute_annual
 from .output import (
     compare_output_files,
@@ -32,7 +32,6 @@ from .tracker import month_end_schedule, stability_report, tracker_table
 
 EXIT_OK = 0
 EXIT_DATA_ERROR = 1
-EXIT_USAGE = 2
 EXIT_MISMATCH = 3
 
 # Warnings per stderr write: one write for a usual run, and a bounded copy
@@ -172,11 +171,29 @@ def _load_and_report(args) -> tuple:
     return index, report
 
 
-def _input_files(args) -> dict:
+def _write_run_manifest(args, out: Path, parameters: dict, outputs: dict) -> None:
+    """Write out/manifest.json for an engine command: its record files (and
+    cutoff table, if given), parameters and outputs."""
     inputs = {"sources": args.sources, "publications": args.pubs, "links": args.links}
     if getattr(args, "cutoff_table", None):
         inputs["cutoff_table"] = args.cutoff_table
-    return inputs
+    _trim_c_heap()
+    manifest = build_manifest(command=args.command, inputs=inputs, parameters=parameters, outputs=outputs)
+    write_manifest(out / "manifest.json", manifest)
+
+
+def _trim_c_heap() -> None:
+    """Give the C heap's free pages back to the OS (glibc's malloc_trim; a
+    no-op elsewhere) before the manifest maps OpenSSL in. glibc keeps a freed
+    heap top smaller than a threshold that grows with the largest block freed,
+    so 1 to 4 MiB of the freed index would stay resident, as the order of its
+    allocations falls out, and set the command's peak RSS."""
+    try:
+        import ctypes  # about 4 ms and 0.7 MiB, paid after the index is freed
+
+        ctypes.CDLL(None).malloc_trim(0)
+    except (ImportError, OSError, TypeError, AttributeError):
+        pass
 
 
 # Each engine command loads and computes inside a helper, so its index is
@@ -200,20 +217,14 @@ def cmd_compute(args, parser) -> int:
     cutoff, cutoff_origin = _parse_cutoff(args, parser)
     out = Path(args.out)
     report, outputs = _annual(args, cutoff, out, args.only)
-
-    manifest = build_manifest(
-        command="compute",
-        inputs=_input_files(args),
-        parameters={
-            "year": args.year,
-            "cutoff": cutoff.isoformat(),
-            "cutoff_origin": cutoff_origin,
-            "only": args.only,
-            "ingest": report.counts(),
-        },
-        outputs=outputs,
-    )
-    write_manifest(out / "manifest.json", manifest)
+    parameters = {
+        "year": args.year,
+        "cutoff": cutoff.isoformat(),
+        "cutoff_origin": cutoff_origin,
+        "only": args.only,
+        "ingest": report.counts(),
+    }
+    _write_run_manifest(args, out, parameters, outputs)
     return EXIT_OK
 
 
@@ -236,21 +247,15 @@ def cmd_tracker(args, parser) -> int:
         parser.error(str(exc))
     out = Path(args.out)
     report, outputs = _tracker(args, schedule, out)
-
-    manifest = build_manifest(
-        command="tracker",
-        inputs=_input_files(args),
-        parameters={
-            "year": args.year,
-            "schedule_from": args.from_month,
-            "schedule_to": args.to_month,
-            "schedule_dates": [d.isoformat() for d in schedule],
-            "stability_report": args.stability_report,
-            "ingest": report.counts(),
-        },
-        outputs=outputs,
-    )
-    write_manifest(out / "manifest.json", manifest)
+    parameters = {
+        "year": args.year,
+        "schedule_from": args.from_month,
+        "schedule_to": args.to_month,
+        "schedule_dates": [d.isoformat() for d in schedule],
+        "stability_report": args.stability_report,
+        "ingest": report.counts(),
+    }
+    _write_run_manifest(args, out, parameters, outputs)
     return EXIT_OK
 
 
@@ -296,21 +301,15 @@ def cmd_generate(args, parser) -> int:
 
     paths = generate_corpus(config, args.out)
     inputs = {"config": args.config} if args.config else {}
-    manifest = build_manifest(
-        command="generate",
-        inputs=inputs,
-        parameters={"config": config.to_dict()},
-        outputs={
-            "sources": paths.sources_path,
-            "publications": paths.publications_path,
-            "links": paths.links_path,
-        },
-    )
+    outputs = {"sources": paths.sources_path, "publications": paths.publications_path, "links": paths.links_path}
+    manifest = build_manifest(command="generate", inputs=inputs, parameters={"config": config.to_dict()}, outputs=outputs)
     write_manifest(Path(args.out) / "manifest.json", manifest)
     return EXIT_OK
 
 
 def cmd_verify(args, parser) -> int:
+    import filecmp
+
     cutoff, cutoff_origin = _parse_cutoff(args, parser)
     out = Path(args.out)
     engine_dir = out / "engine"
@@ -331,7 +330,7 @@ def cmd_verify(args, parser) -> int:
     for name, key_width in (("metrics.csv", 1), ("standings.csv", 2)):
         engine_file = engine_dir / name
         oracle_file = oracle_dir / name
-        if file_digest(engine_file) == file_digest(oracle_file):
+        if filecmp.cmp(engine_file, oracle_file, shallow=False):
             continue
         identical = False
         rows_diff = compare_output_files(engine_file, oracle_file, key_width, limit=50 - len(differences))
@@ -339,23 +338,14 @@ def cmd_verify(args, parser) -> int:
             rows_diff = [f"{name}: files differ at byte level"]
         differences.extend(f"{name}: {diff}" for diff in rows_diff)
 
-    manifest = build_manifest(
-        command="verify",
-        inputs=_input_files(args),
-        parameters={
-            "year": args.year,
-            "cutoff": cutoff.isoformat(),
-            "cutoff_origin": cutoff_origin,
-            "identical": identical,
-        },
-        outputs={
-            "engine_metrics": engine_dir / "metrics.csv",
-            "engine_standings": engine_dir / "standings.csv",
-            "oracle_metrics": oracle_dir / "metrics.csv",
-            "oracle_standings": oracle_dir / "standings.csv",
-        },
-    )
-    write_manifest(out / "manifest.json", manifest)
+    parameters = {"year": args.year, "cutoff": cutoff.isoformat(), "cutoff_origin": cutoff_origin, "identical": identical}
+    outputs = {
+        "engine_metrics": engine_dir / "metrics.csv",
+        "engine_standings": engine_dir / "standings.csv",
+        "oracle_metrics": oracle_dir / "metrics.csv",
+        "oracle_standings": oracle_dir / "standings.csv",
+    }
+    _write_run_manifest(args, out, parameters, outputs)
 
     if not identical:
         report_path = out / "diff_report.txt"
@@ -398,13 +388,7 @@ def cmd_snapshot_info(args, parser) -> int:
         with open(info_path, "w", encoding="utf-8", newline="\n") as handle:
             json.dump(info, handle, indent=2, sort_keys=True)
             handle.write("\n")
-        manifest = build_manifest(
-            command="snapshot-info",
-            inputs=_input_files(args),
-            parameters={"cutoff": cutoff.isoformat()},
-            outputs={"snapshot_info": info_path},
-        )
-        write_manifest(out / "manifest.json", manifest)
+        _write_run_manifest(args, out, {"cutoff": cutoff.isoformat()}, {"snapshot_info": info_path})
     return EXIT_OK
 
 

@@ -8,7 +8,8 @@ the byte form ``citescore generate`` writes
 pattern, whose groups are the fields, and accepted inline in
 :func:`ingest`; any other line, in whatever valid JSON spelling, goes
 through that kind's checked parser, which accepts it or builds the
-rejection's message. The pattern runs one ``findall`` per block of whole
+rejection's reason; ingest names the line (``<kind> line <n>: ``) where it
+counts the rejection. The pattern runs one ``findall`` per block of whole
 lines (about ``_BLOCK_CHARS`` characters of file text, or one line item
 that ends in its only newline), and its catch-all alternative gives every
 other line, whole, to the checked parser, so each line still has its
@@ -141,7 +142,9 @@ class IngestReport:
 
 
 class _LineError(Exception):
-    """Per-line validation failure; the line is rejected and ingestion continues."""
+    """Per-line validation failure; the line is rejected and ingestion
+    continues. Its message is the bare reason, which ingest prefixes with
+    the line's kind and number."""
 
 
 _T = TypeVar("_T")
@@ -151,83 +154,74 @@ _Row = tuple[str, ...]
 _Publication = tuple[str, int, int, int, bool]
 
 
-def _parse_json_line(kind: str, lineno: int, line: str) -> dict:
-    """json.loads(line) as a dict, or the rejection's message. Only the
-    checked parsers call it, on the lines that are not canonical (see
-    ingest)."""
+# The reason _typed gives for a value that is not of the wanted type.
+_WANTED = {
+    int: "field {!r} must be an integer",
+    bool: "field {!r} must be a boolean",
+    str: "field {!r} must be a non-empty string",
+    list: "{} must be a non-empty list",
+}
+
+
+def _decode(kind: str, lineno: int, line: str, known: set[str], report: IngestReport) -> dict:
+    """json.loads(line) as a dict, with a warning for each key not in known;
+    any other line raises the rejection's reason. An unknown key rejects
+    nothing, so its warning names the line here. Only the checked parsers
+    call it, on the lines that are not canonical (see ingest)."""
     try:
         obj = json.loads(line)
     except json.JSONDecodeError as exc:
-        raise _LineError(f"{kind} line {lineno}: invalid JSON ({exc.msg})") from exc
+        raise _LineError(f"invalid JSON ({exc.msg})") from exc
     except RecursionError as exc:
-        raise _LineError(f"{kind} line {lineno}: invalid JSON (nested too deeply)") from exc
+        raise _LineError("invalid JSON (nested too deeply)") from exc
     except ValueError as exc:
         # An integer literal longer than the interpreter's int conversion limit.
-        raise _LineError(f"{kind} line {lineno}: invalid JSON (integer too long)") from exc
+        raise _LineError("invalid JSON (integer too long)") from exc
     if not isinstance(obj, dict):
-        raise _LineError(f"{kind} line {lineno}: expected an object")
-    return obj
-
-
-def _require(obj: dict, key: str, kind: str, lineno: int):
-    if key not in obj:
-        raise _LineError(f"{kind} line {lineno}: missing field {key!r}")
-    return obj[key]
-
-
-def _as_int(value, key: str, kind: str, lineno: int) -> int:
-    # bool is an int subclass; a JSON true/false is not an identifier.
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise _LineError(f"{kind} line {lineno}: field {key!r} must be an integer")
-    return value
-
-
-def _as_bool(value, key: str, kind: str, lineno: int) -> bool:
-    if not isinstance(value, bool):
-        raise _LineError(f"{kind} line {lineno}: field {key!r} must be a boolean")
-    return value
-
-
-def _as_str(value, key: str, kind: str, lineno: int) -> str:
-    if not isinstance(value, str) or not value:
-        raise _LineError(f"{kind} line {lineno}: field {key!r} must be a non-empty string")
-    return value
-
-
-def _warn_unknown_fields(obj: dict, known: set[str], kind: str, lineno: int, report: IngestReport) -> None:
+        raise _LineError("expected an object")
     for key in obj:
         if key not in known:
             report.warn(f"{kind} line {lineno}: ignoring unknown field {key!r}")
+    return obj
+
+
+def _field(obj: dict, key: str, want: type):
+    """obj[key], checked by _typed; a missing key raises the rejection's reason."""
+    if key not in obj:
+        raise _LineError(f"missing field {key!r}")
+    return _typed(obj[key], key, want)
+
+
+def _typed(value, key: str, want: type):
+    """value when it is a want: an int that is not a bool, a bool, a
+    non-empty str or a non-empty list (json.loads gives these exact types,
+    never a subclass); else raises the rejection's reason, which names key."""
+    if type(value) is not want or (not value and want in (str, list)):
+        raise _LineError(_WANTED[want].format(key))
+    return value
 
 
 def _parse_source(lineno: int, line: str, report: IngestReport) -> SourceRecord:
-    obj = _parse_json_line("sources", lineno, line)
-    _warn_unknown_fields(obj, _SOURCE_FIELDS, "sources", lineno, report)
-    source_id = _as_int(_require(obj, "source_id", "sources", lineno), "source_id", "sources", lineno)
-    title = _as_str(_require(obj, "title", "sources", lineno), "title", "sources", lineno)
+    obj = _decode("sources", lineno, line, _SOURCE_FIELDS, report)
+    source_id = _field(obj, "source_id", int)
+    title = _field(obj, "title", str)
     try:
         title.encode("utf-8")
     except UnicodeEncodeError as exc:
-        raise _LineError(f"sources line {lineno}: field 'title' holds a lone surrogate") from exc
-    source_type = _as_str(_require(obj, "source_type", "sources", lineno), "source_type", "sources", lineno)
+        raise _LineError("field 'title' holds a lone surrogate") from exc
+    source_type = _field(obj, "source_type", str)
     if source_type not in SOURCE_TYPES:
-        raise _LineError(f"sources line {lineno}: unknown source_type {source_type!r}")
-    raw_codes = _require(obj, "asjc_codes", "sources", lineno)
-    if not isinstance(raw_codes, list) or not raw_codes:
-        raise _LineError(f"sources line {lineno}: asjc_codes must be a non-empty list")
+        raise _LineError(f"unknown source_type {source_type!r}")
     codes = set()
-    for code in raw_codes:
-        code = _as_int(code, "asjc_codes", "sources", lineno)
+    for code in _field(obj, "asjc_codes", list):
+        code = _typed(code, "asjc_codes", int)
         if not 1000 <= code <= 9999:
-            raise _LineError(f"sources line {lineno}: ASJC code {code} is not a 4-digit code")
+            raise _LineError(f"ASJC code {code} is not a 4-digit code")
         codes.add(code)
-    active = _as_bool(
-        _require(obj, "is_actively_indexed", "sources", lineno),
-        "is_actively_indexed", "sources", lineno,
-    )
+    active = _field(obj, "is_actively_indexed", bool)
     predecessor = obj.get("predecessor_source_id")
     if predecessor is not None:
-        predecessor = _as_int(predecessor, "predecessor_source_id", "sources", lineno)
+        predecessor = _typed(predecessor, "predecessor_source_id", int)
     return SourceRecord(
         source_id=source_id,
         title=title,
@@ -238,59 +232,48 @@ def _parse_source(lineno: int, line: str, report: IngestReport) -> SourceRecord:
     )
 
 
-def _load_day(raw_date: str, lineno: int, days: dict[str, int]) -> int:
+def _load_day(raw_date: str, days: dict[str, int]) -> int:
     """The day ordinal of a load_date string, which parse_date validates
-    once per string; days caches it."""
+    once per string (days caches it); an invalid date raises the rejection's
+    reason."""
     day = days.get(raw_date)
     if day is None:
         try:
             day = days[raw_date] = parse_date(raw_date).toordinal()
         except ValueError as exc:
-            raise _LineError(f"publications line {lineno}: load_date {exc}") from exc
+            raise _LineError(f"load_date {exc}") from exc
     return day
 
 
 def _parse_publication(lineno: int, line: str, report: IngestReport, days: dict[str, int]) -> _Publication:
     """The fields of a publication line, in store column form."""
-    obj = _parse_json_line("publications", lineno, line)
-    _warn_unknown_fields(obj, _PUBLICATION_FIELDS, "publications", lineno, report)
-    pub_id = _as_str(_require(obj, "pub_id", "publications", lineno), "pub_id", "publications", lineno)
-    source_id = _as_int(_require(obj, "source_id", "publications", lineno), "source_id", "publications", lineno)
-    sort_year = _as_int(_require(obj, "sort_year", "publications", lineno), "sort_year", "publications", lineno)
-    raw_date = _as_str(_require(obj, "load_date", "publications", lineno), "load_date", "publications", lineno)
-    day = _load_day(raw_date, lineno, days)
-    doc_type = _as_str(_require(obj, "doc_type", "publications", lineno), "doc_type", "publications", lineno)
+    obj = _decode("publications", lineno, line, _PUBLICATION_FIELDS, report)
+    pub_id = _field(obj, "pub_id", str)
+    source_id = _field(obj, "source_id", int)
+    sort_year = _field(obj, "sort_year", int)
+    day = _load_day(_field(obj, "load_date", str), days)
+    doc_type = _field(obj, "doc_type", str)
     if doc_type not in DOC_TYPES:
-        raise _LineError(f"publications line {lineno}: unknown doc_type {doc_type!r}")
-    aip = _as_bool(
-        _require(obj, "is_article_in_press", "publications", lineno),
-        "is_article_in_press", "publications", lineno,
-    )
-    return pub_id, source_id, sort_year, day, aip
+        raise _LineError(f"unknown doc_type {doc_type!r}")
+    return pub_id, source_id, sort_year, day, _field(obj, "is_article_in_press", bool)
 
 
 def _parse_link(lineno: int, line: str, report: IngestReport) -> tuple[str, str]:
     """(citing_pub_id, cited_pub_id) of a link line."""
-    obj = _parse_json_line("links", lineno, line)
-    _warn_unknown_fields(obj, _LINK_FIELDS, "links", lineno, report)
-    citing = _as_str(_require(obj, "citing_pub_id", "links", lineno), "citing_pub_id", "links", lineno)
-    cited = _as_str(_require(obj, "cited_pub_id", "links", lineno), "cited_pub_id", "links", lineno)
-    return citing, cited
+    obj = _decode("links", lineno, line, _LINK_FIELDS, report)
+    return _field(obj, "citing_pub_id", str), _field(obj, "cited_pub_id", str)
 
 
-def _link_rejection(lineno: int, citing_id: str, cited_id: str, citing_known: bool, cited_known: bool) -> str:
-    """The warning for a link whose ids are well formed but which cites
+def _link_rejection(citing_id: str, cited_id: str, citing_known: bool, cited_known: bool) -> str:
+    """The reason to reject a link whose ids are well formed but which cites
     itself, has an endpoint that is not an accepted publication, or whose
     citing publication is an article-in-press; checked in that order."""
     if citing_id == cited_id:
-        return f"links line {lineno}: publication cannot cite itself ({citing_id!r})"
+        return f"publication cannot cite itself ({citing_id!r})"
     if not citing_known or not cited_known:
         missing = cited_id if citing_known else citing_id
-        return f"links line {lineno}: dangling endpoint {missing!r}, link rejected"
-    return (
-        f"links line {lineno}: citing publication {citing_id!r} is an "
-        "article-in-press and cannot give citations, link rejected"
-    )
+        return f"dangling endpoint {missing!r}, link rejected"
+    return f"citing publication {citing_id!r} is an article-in-press and cannot give citations, link rejected"
 
 
 @dataclass(eq=False)
@@ -470,7 +453,7 @@ def _ingest(
                 record = _parse_source(lineno, line, report)
             except _LineError as exc:
                 report.sources_rejected += 1
-                report.warn(str(exc))
+                report.warn(f"sources line {lineno}: {exc}")
                 continue
         if record.source_id in sources:
             raise IngestError(f"sources line {lineno}: duplicate source_id {record.source_id}")
@@ -498,7 +481,7 @@ def _ingest(
             if doc_text:
                 day = days.get(date_text)
                 if day is None:
-                    day = _load_day(date_text, lineno, days)
+                    day = _load_day(date_text, days)
                 sort_year = years.get(year_text)
                 if sort_year is None:
                     sort_year = years[year_text] = int(year_text)
@@ -510,7 +493,7 @@ def _ingest(
                 pub_id, source_id, sort_year, day, aip = _parse_publication(lineno, line, report, days)
         except _LineError as exc:
             report.publications_rejected += 1
-            report.warn(str(exc))
+            report.warn(f"publications line {lineno}: {exc}")
             continue
         if pub_id in ordinal:
             raise IngestError(f"publications line {lineno}: duplicate pub_id {pub_id!r}")
@@ -547,13 +530,14 @@ def _ingest(
                 citing_id, cited_id = _parse_link(lineno, line, report)
             except _LineError as exc:
                 report.links_rejected += 1
-                report.warn(str(exc))
+                report.warn(f"links line {lineno}: {exc}")
                 continue
         citing = ordinal.get(citing_id)
         cited = ordinal.get(cited_id)
         if citing is None or cited is None or citing == cited or in_press[citing]:
             report.links_rejected += 1
-            report.warn(_link_rejection(lineno, citing_id, cited_id, citing is not None, cited is not None))
+            reason = _link_rejection(citing_id, cited_id, citing is not None, cited is not None)
+            report.warn(f"links line {lineno}: {reason}")
             continue
         if citing != run_citing and seen is None:
             if started[citing]:

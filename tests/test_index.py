@@ -526,6 +526,63 @@ def test_ingest_golden_lines():
     ]
 
 
+def test_first_failing_check_names_each_line():
+    """A line with two or more faults is rejected for the first check it
+    fails, in the order the checked parsers and the link rules make them;
+    unknown fields warn before the rejection. The lines are json.dumps
+    spellings, which take the checked parsers, plus one self-citation in the
+    generator's form, which ingest reads inline."""
+    sources = [
+        source_line(1),
+        source_line(2, title="J \ud800 x", source_type="magazine"),  # lone surrogate, unknown source_type
+        json.dumps({"source_id": 3, "x": 1, "source_type": "journal", "asjc_codes": [1000],
+                    "is_actively_indexed": True}),  # unknown field, missing title
+        source_line(4, asjc=("1000", 12)),  # non-int ASJC code, then an out-of-range one
+        source_line(5, asjc=(12, "1000")),  # out-of-range ASJC code, then a non-int one
+        source_line(6, title="", source_type="magazine", asjc=()),  # empty title, unknown type, no codes
+    ]
+    pubs = [
+        pub_line("a", 1, 2015),
+        pub_line("b", 1, 2015, load_date=20150110, doc_type="poem"),  # non-string load_date, unknown doc_type
+        pub_line("c", 1, 2015, load_date="2015-02-30", doc_type="poem"),  # impossible load_date, unknown doc_type
+        pub_line("d", 777, "2015", load_date="2015-02-30"),  # unknown source, sort_year a string, bad date
+        json.dumps({"x": 1, "pub_id": "e", "sort_year": 2015, "doc_type": 7}),  # unknown field, missing fields
+        pub_line("f", 777, 2015, doc_type="poem"),  # unknown doc_type before unknown source
+    ]
+    links = [
+        link_line("ghost", "ghost"),  # self-citation whose id is also dangling
+        canonical_line({"citing_pub_id": "ghost", "cited_pub_id": "ghost"}),  # the same, read inline
+        link_line("ghost", "phantom"),  # both endpoints dangling: the citing one is named
+        link_line("a", 7, x=1),  # unknown field, then a non-string cited id
+    ]
+    index, report = ingest(sources, pubs, links)
+    assert report.warnings == [
+        "sources line 2: field 'title' holds a lone surrogate",
+        "sources line 3: ignoring unknown field 'x'",
+        "sources line 3: missing field 'title'",
+        "sources line 4: field 'asjc_codes' must be an integer",
+        'sources line 5: ASJC code 12 is not a 4-digit code',
+        "sources line 6: field 'title' must be a non-empty string",
+        "publications line 2: field 'load_date' must be a non-empty string",
+        "publications line 3: load_date '2015-02-30': day is out of range for month",
+        "publications line 4: field 'sort_year' must be an integer",
+        "publications line 5: ignoring unknown field 'x'",
+        "publications line 5: missing field 'source_id'",
+        "publications line 6: unknown doc_type 'poem'",
+        "links line 1: publication cannot cite itself ('ghost')",
+        "links line 2: publication cannot cite itself ('ghost')",
+        "links line 3: dangling endpoint 'ghost', link rejected",
+        "links line 4: ignoring unknown field 'x'",
+        "links line 4: field 'cited_pub_id' must be a non-empty string",
+    ]
+    assert report.counts() == {
+        "sources_accepted": 1, "sources_rejected": 5,
+        "publications_accepted": 1, "publications_rejected": 5,
+        "links_accepted": 0, "links_rejected": 4, "links_collapsed": 0,
+    }
+    assert list(stored(index)[0]) == ["a"]
+
+
 # Values a mutation puts in a field or an extra key.
 _MUTANT_VALUES = [
     True, False, 0, 1, 2015, -1, 10**20, 2015.0, 1.5, float("nan"), float("inf"), None,
