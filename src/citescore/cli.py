@@ -51,21 +51,21 @@ def build_parser() -> argparse.ArgumentParser:
     inputs.add_argument("--sources", required=True, help="sources record file (JSON lines)")
     inputs.add_argument("--pubs", required=True, help="publications record file (JSON lines)")
     inputs.add_argument("--links", required=True, help="citation links record file (JSON lines)")
-    quiet = argparse.ArgumentParser(add_help=False)
-    quiet.add_argument("--quiet", action="store_true", help="suppress warnings")
+    inputs.add_argument("--quiet", action="store_true", help="suppress warnings")
+    cutoffs = argparse.ArgumentParser(add_help=False)
+    cutoffs.add_argument("--cutoff", help="snapshot cutoff YYYY-MM-DD (default: per cutoff table)")
+    cutoffs.add_argument("--cutoff-table", help="alternative cutoff table JSON")
 
     compute = sub.add_parser(
-        "compute", parents=[inputs, quiet], help="annual metrics and category standings"
+        "compute", parents=[inputs, cutoffs], help="annual metrics and category standings"
     )
     compute.add_argument("--year", type=int, required=True, help="metrics year")
-    compute.add_argument("--cutoff", help="snapshot cutoff YYYY-MM-DD (default: per cutoff table)")
-    compute.add_argument("--cutoff-table", help="alternative cutoff table JSON")
     compute.add_argument("--only", choices=["metrics", "standings"], help="write just one output file")
     compute.add_argument("--out", required=True, help="output directory")
     compute.set_defaults(handler=cmd_compute)
 
     tracker = sub.add_parser(
-        "tracker", parents=[inputs, quiet], help="monthly in-progress scores for one year"
+        "tracker", parents=[inputs], help="monthly in-progress scores for one year"
     )
     tracker.add_argument("--year", type=int, required=True, help="tracker year")
     tracker.add_argument("--from", dest="from_month", required=True, help="first month YYYY-MM")
@@ -78,7 +78,7 @@ def build_parser() -> argparse.ArgumentParser:
     tracker.add_argument("--out", required=True, help="output directory")
     tracker.set_defaults(handler=cmd_tracker)
 
-    generate = sub.add_parser("generate", parents=[quiet], help="synthetic corpus files")
+    generate = sub.add_parser("generate", help="synthetic corpus files")
     generate.add_argument("--config", help="corpus config JSON file")
     generate.add_argument("--seed", type=int, help="generator seed")
     generate.add_argument("--journals", type=int, help="number of journals")
@@ -93,11 +93,9 @@ def build_parser() -> argparse.ArgumentParser:
     generate.set_defaults(handler=cmd_generate)
 
     verify = sub.add_parser(
-        "verify", parents=[inputs, quiet], help="engine vs. brute-force oracle comparison"
+        "verify", parents=[inputs, cutoffs], help="engine vs. brute-force oracle comparison"
     )
     verify.add_argument("--year", type=int, required=True)
-    verify.add_argument("--cutoff", help="snapshot cutoff YYYY-MM-DD (default: per cutoff table)")
-    verify.add_argument("--cutoff-table", help="alternative cutoff table JSON")
     verify.add_argument(
         "--compare-only",
         action="store_true",
@@ -107,11 +105,9 @@ def build_parser() -> argparse.ArgumentParser:
     verify.set_defaults(handler=cmd_verify)
 
     info = sub.add_parser(
-        "snapshot-info", parents=[inputs, quiet], help="record counts at a cutoff"
+        "snapshot-info", parents=[inputs, cutoffs], help="record counts at a cutoff"
     )
-    info.add_argument("--cutoff", help="snapshot cutoff YYYY-MM-DD")
     info.add_argument("--year", type=int, help="metrics year whose default cutoff to use")
-    info.add_argument("--cutoff-table", help="alternative cutoff table JSON")
     info.add_argument("--out", help="optional output directory")
     info.set_defaults(handler=cmd_snapshot_info)
 
@@ -142,7 +138,7 @@ def _write_stderr(text: str) -> None:
 
 
 def _parse_cutoff(args, parser: argparse.ArgumentParser) -> tuple[date, str]:
-    table_path = getattr(args, "cutoff_table", None)
+    table_path = args.cutoff_table
     try:
         table = load_cutoff_table(table_path) if table_path else None
     except ValueError as exc:
@@ -335,7 +331,7 @@ def cmd_verify(args, parser) -> int:
         identical = False
         rows_diff = compare_output_files(engine_file, oracle_file, key_width, limit=50 - len(differences))
         if not rows_diff:
-            rows_diff = [f"{name}: files differ at byte level"]
+            rows_diff = ["files differ at byte level"]
         differences.extend(f"{name}: {diff}" for diff in rows_diff)
 
     parameters = {"year": args.year, "cutoff": cutoff.isoformat(), "cutoff_origin": cutoff_origin, "identical": identical}
@@ -378,16 +374,14 @@ def cmd_snapshot_info(args, parser) -> int:
     if bool(args.cutoff) == (args.year is not None):
         parser.error("provide exactly one of --cutoff or --year")
     cutoff, _origin = _parse_cutoff(args, parser)
-    info = _snapshot_info(args, cutoff)
-    print(json.dumps(info, indent=2, sort_keys=True))
+    text = json.dumps(_snapshot_info(args, cutoff), indent=2, sort_keys=True) + "\n"
+    sys.stdout.write(text)
 
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         info_path = out / "snapshot_info.json"
-        with open(info_path, "w", encoding="utf-8", newline="\n") as handle:
-            json.dump(info, handle, indent=2, sort_keys=True)
-            handle.write("\n")
+        info_path.write_text(text, encoding="utf-8", newline="\n")
         _write_run_manifest(args, out, {"cutoff": cutoff.isoformat()}, {"snapshot_info": info_path})
     return EXIT_OK
 

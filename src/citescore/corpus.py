@@ -114,12 +114,9 @@ class CorpusConfig:
         if lag is not None:
             if not isinstance(lag, dict):
                 raise TypeError(f"lag must be an object, got {lag!r}")
-            lag = LagModel(
-                short_weight=lag.get("short_weight", 0.95),
-                short_days=tuple(lag.get("short_days", (1, 14))),
-                long_days=tuple(lag.get("long_days", (30, 300))),
+            data["lag"] = LagModel(
+                **{key: tuple(value) if key.endswith("_days") else value for key, value in lag.items()}
             )
-            data["lag"] = lag
         return cls(**data)
 
 

@@ -28,9 +28,9 @@ Every snapshot of that index is a cutoff over one shared record store:
 publication columns by ordinal and the links as two ``array("i")`` columns
 of (citing, cited) ordinals. Taking a snapshot copies nothing. The store
 also keeps, once per citing year, the per-source event timelines the
-metrics read (:meth:`IndexSnapshot.timelines`): built from the whole store
-on the first read for that year, never during ingest, and read by every view
-at its own cutoff. Views are immutable, so they can be shared freely across
+metrics read (``metrics._timelines``): built from the whole store on the
+first read for that year, never during ingest, and read by every view at its
+own cutoff. Views are immutable, so they can be shared freely across
 metric computations.
 """
 
@@ -47,7 +47,7 @@ from functools import cached_property
 from itertools import chain, compress, repeat
 from operator import add, mul
 from types import MappingProxyType
-from typing import Callable, Iterable, Iterator, Mapping, TextIO, TypeVar
+from typing import Iterable, Iterator, Mapping, TextIO
 
 from .records import DOC_TYPES, SOURCE_TYPES, SourceRecord, parse_date
 
@@ -147,7 +147,6 @@ class _LineError(Exception):
     the line's kind and number."""
 
 
-_T = TypeVar("_T")
 # A row of a kind's pattern: its canonical groups, then the catch-all.
 _Row = tuple[str, ...]
 # (pub_id, source_id, sort_year, load day ordinal, is_article_in_press)
@@ -287,9 +286,9 @@ class _Store:
     inline; and ``in_press``, a list of bools. Each link is a row of the two
     ``array("i")`` columns ``citing`` and ``cited``: the ordinals of its two
     endpoints, in ingest order. Nothing in a column is a container the
-    garbage collector walks. ``timelines`` keeps, per citing year, what
-    IndexSnapshot.timelines builds from the columns on its first call for
-    that year."""
+    garbage collector walks. ``timelines`` keeps, per citing year, the
+    event timelines metrics._timelines builds from the columns on the first
+    read for that year."""
 
     pub_ids: list[str]
     source_ids: list[int]
@@ -352,18 +351,6 @@ class IndexSnapshot:
     def sort_year_counts(self) -> Counter[int]:
         """How many of the view's publications each sort_year holds."""
         return Counter(compress(self._store.sort_years, self._loaded))
-
-    def timelines(self, year: int, build: Callable[[_Store, int], _T]) -> _T:
-        """build(store, year) over the whole shared record store, run on the
-        first call for the citing year and kept on the store, so every view
-        of this index reads the same result; it never depends on a view's
-        cutoff, which readers apply themselves. Two threads that both make
-        the first call each build, and store, equal results."""
-        memo = self._store.timelines
-        built = memo.get(year)
-        if built is None:
-            built = memo[year] = build(self._store, year)
-        return built
 
     def resolve_title_chain(self, source_id: int) -> frozenset[int]:
         """The source itself plus the transitive closure of its predecessors."""

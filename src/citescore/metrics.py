@@ -9,17 +9,18 @@ is reproducible bit-for-bit across platforms.
 Every tally comes from one structure: per citing year, each source's sorted
 load days of its counted documents, citations and cited documents
 (_event_timelines), built from the whole store on the first read for that
-year and shared by every view of the index. A title chain's tally at a date
-is a bisect_right of each member's three lists at the earlier of the date
-and the view's cutoff. So the first call for a citing year pays one pass
-over the whole store, and every later call, at any date, costs at most three
-bisects per chain member.
+year, kept on the store and shared by every view of the index (_timelines).
+A title chain's tally at a date is a bisect_right of each member's three
+lists at the earlier of the date and the view's cutoff. So the first call
+for a citing year pays one pass over the whole store, and every later call,
+at any date, costs at most three bisects per chain member. One tie rule,
+_ties, places tied scores in the category standings and the stability report.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
-from collections import defaultdict
+from bisect import bisect_right
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from datetime import date
 from decimal import Decimal
@@ -89,7 +90,7 @@ def score_from_counts(citations: int, documents: int) -> Decimal:
 def _chain_counts(snapshot: IndexSnapshot, source_id: int, year: int) -> SourceYearCounts:
     """The tallies of the source's title chain at the view's cutoff."""
     members = snapshot.resolve_title_chain(source_id)
-    return _tally(snapshot.timelines(year, _event_timelines), members, snapshot.cutoff.toordinal())
+    return _tally(_timelines(snapshot, year), members, snapshot.cutoff.toordinal())
 
 
 def _scored_counts(snapshot: IndexSnapshot, source_id: int, year: int) -> SourceYearCounts:
@@ -164,22 +165,26 @@ def percentile_from_counts(lower: int, same: int, total: int) -> int:
     return value
 
 
-def _standing(ordered: list[Decimal], score: Decimal) -> tuple[int, int, int]:
-    """(L, S, rank) of a score within its category's ascending score list:
-    L members score strictly lower, S score the same, and the descending
-    competition rank is one more than the number scoring higher."""
-    lower = bisect_left(ordered, score)
-    higher = bisect_right(ordered, score)
-    return lower, higher - lower, len(ordered) - higher + 1
+def _ties(values: Iterable[Decimal]) -> dict[Decimal, tuple[int, int]]:
+    """value -> (L, S) over a multiset of scores: L of them are strictly
+    lower and S equal. Of N, the descending competition rank is N - L - S + 1
+    and twice the average ascending rank 2L + S + 1. One count, then one
+    sort of the distinct values."""
+    counts = Counter(values)
+    ties, lower = {}, 0
+    for value in sorted(counts):
+        ties[value] = lower, counts[value]
+        lower += counts[value]
+    return ties
 
 
 def percentile_rank(category_scores: Iterable[Decimal], score: Decimal) -> int:
     """Percentile of a score within its category's score multiset."""
-    ordered = sorted(category_scores)
-    lower, same, _rank = _standing(ordered, score)
+    values = list(category_scores)
+    lower, same = _ties(values).get(score, (0, 0))
     if same == 0:
         raise ValueError("score is not a member of the category scores")
-    return percentile_from_counts(lower, same, len(ordered))
+    return percentile_from_counts(lower, same, len(values))
 
 
 def quartile(percentile: int) -> int:
@@ -201,11 +206,9 @@ def rank_in_category(scores_by_source: Mapping[int, Decimal]) -> dict[int, tuple
 
     Returns source_id -> (rank, n_in_category).
     """
-    ordered = sorted(scores_by_source.values())
-    return {
-        source_id: (_standing(ordered, value)[2], len(ordered))
-        for source_id, value in scores_by_source.items()
-    }
+    ties = _ties(scores_by_source.values())
+    n = len(scores_by_source)
+    return {source_id: (n - sum(ties[value]) + 1, n) for source_id, value in scores_by_source.items()}
 
 
 @dataclass(frozen=True)
@@ -262,6 +265,16 @@ def _event_timelines(store: _Store, year: int) -> _Timelines:
     return timelines
 
 
+def _timelines(view: IndexSnapshot, year: int) -> _Timelines:
+    """The citing year's timelines, built on the first read for that year and
+    kept on the store for every view; racing first reads store equal ones."""
+    memo = view._store.timelines
+    timelines = memo.get(year)
+    if timelines is None:
+        timelines = memo[year] = _event_timelines(view._store, year)
+    return timelines
+
+
 def _tally(timelines: _Timelines, members: Iterable[int], day: int) -> SourceYearCounts:
     """A title chain's tallies at a day ordinal: its members' events up to
     and including that day, three bisects per member."""
@@ -287,7 +300,7 @@ def _days(index: IndexSnapshot, schedule: Sequence[date]) -> list[int]:
 def aggregate_counts(snapshot: IndexSnapshot, year: int) -> dict[int, SourceYearCounts]:
     """Numerator/denominator tallies for every current title at the view's
     cutoff."""
-    timelines = snapshot.timelines(year, _event_timelines)
+    timelines = _timelines(snapshot, year)
     day = snapshot.cutoff.toordinal()
     return {
         source_id: _tally(timelines, snapshot.resolve_title_chain(source_id), day)
@@ -297,16 +310,16 @@ def aggregate_counts(snapshot: IndexSnapshot, year: int) -> dict[int, SourceYear
 
 
 def scores(
-    index: IndexSnapshot, year: int, schedule: Sequence[date], chain_of: int | None = None
+    index: IndexSnapshot, year: int, schedule: Sequence[date], source_ids: Iterable[int]
 ) -> Iterator[tuple[int, date, SourceYearCounts, Decimal]]:
     """The one rule that turns tallies into scores: (source_id, as_of, tally,
-    score) for every eligible source with at least one document, in
-    (source_id, as_of) order, each tally read from the timelines when it is
-    yielded. Given chain_of, only that source is scored (tracker_series).
+    score) for each of source_ids, in the order given, that is eligible,
+    at each schedule date where it has at least one document; each tally is
+    read from the timelines when it is yielded.
     """
     days = _days(index, schedule)
-    timelines = index.timelines(year, _event_timelines)
-    for source_id in sorted(index.sources) if chain_of is None else [chain_of]:
+    timelines = _timelines(index, year)
+    for source_id in source_ids:
         if not source_eligible(index, source_id):
             continue
         members = index.resolve_title_chain(source_id)
@@ -328,7 +341,7 @@ def compute_annual(
     """
     rows: list[MetricsRow] = []
     by_category: dict[int, dict[int, Decimal]] = {}
-    for source_id, _, tally, score in scores(snapshot, year, [snapshot.cutoff]):
+    for source_id, _, tally, score in scores(snapshot, year, [snapshot.cutoff], sorted(snapshot.sources)):
         pct = _round_ratio_to_hundredths(tally.cited_documents, tally.documents)
         assert 0 <= pct <= 100
         rows.append(
@@ -346,16 +359,17 @@ def compute_annual(
 
     standings: list[CategoryStanding] = []
     for code, members in by_category.items():
-        ordered = sorted(members.values())
+        ties = _ties(members.values())
+        n = len(members)
         for source_id, score in members.items():
-            lower, same, rank = _standing(ordered, score)
-            pct = percentile_from_counts(lower, same, len(ordered))
+            lower, same = ties[score]
+            pct = percentile_from_counts(lower, same, n)
             standings.append(
                 CategoryStanding(
                     source_id=source_id,
                     asjc_code=code,
-                    rank=rank,
-                    n_in_category=len(ordered),
+                    rank=n - lower - same + 1,
+                    n_in_category=n,
                     percentile=pct,
                     quartile=quartile(pct),
                 )

@@ -1,13 +1,13 @@
 """The in-progress current-year score, rebuilt on a monthly schedule.
 
 A tracker point is the annual formula over the index as it stood at an
-earlier cutoff. Every tally is read by bisection from the index's per-source
-load-day timelines for the tracker year, built once per index and year
-(metrics._event_timelines). Every point comes from metrics.scores, the one
-rule that scores those tallies: tracker_table reads it for every current
-title, tracker_series for the source's title chain, and compute_annual at
-the annual cutoff, so the final tracker point and the annual value coincide
-once everything has loaded. tracker_value is the per-source path.
+earlier cutoff, each tally read by bisection from the tracker year's
+load-day timelines, built once per index and year (metrics._timelines).
+Every point comes from metrics.scores, the one rule that scores those
+tallies: tracker_table reads it for every source, tracker_series for one,
+and compute_annual at the annual cutoff, so the final tracker point and the
+annual value coincide once everything has loaded. tracker_value is the
+per-source path. The stability report ranks ties by the standings' rule.
 """
 
 from __future__ import annotations
@@ -17,9 +17,10 @@ import math
 from dataclasses import dataclass
 from datetime import date
 from decimal import Decimal
+from typing import Iterable, Iterator
 
 from .index import IndexSnapshot, snapshot
-from .metrics import citescore, is_eligible, scores
+from .metrics import _ties, citescore, is_eligible, scores
 from .records import parse_date
 
 
@@ -51,26 +52,19 @@ def month_end(year: int, month: int) -> date:
 
 def month_end_schedule(start: str, end: str) -> list[date]:
     """Last-day-of-month dates from start to end, both "YYYY-MM", inclusive."""
-    start_year, start_month = _parse_month(start)
-    end_year, end_month = _parse_month(end)
-    if (start_year, start_month) > (end_year, end_month):
+    first, last = _month_count(start), _month_count(end)
+    if first > last:
         raise ValueError(f"schedule start {start} is after end {end}")
-    dates = []
-    year, month = start_year, start_month
-    while (year, month) <= (end_year, end_month):
-        dates.append(month_end(year, month))
-        month += 1
-        if month == 13:
-            year, month = year + 1, 1
-    return dates
+    return [month_end(count // 12, count % 12 + 1) for count in range(first, last + 1)]
 
 
-def _parse_month(text: str) -> tuple[int, int]:
+def _month_count(text: str) -> int:
+    """Months since year 0 of a "YYYY-MM" month: 12 * year + month - 1."""
     try:
         first = parse_date(f"{text}-01")
     except ValueError:
         raise ValueError(f"expected YYYY-MM, got {text!r}") from None
-    return first.year, first.month
+    return 12 * first.year + first.month - 1
 
 
 def tracker_value(
@@ -93,22 +87,23 @@ def tracker_series(
     """Evaluate one source over an ascending schedule of as-of dates."""
     if source_id not in index.sources:
         raise KeyError(f"unknown source_id {source_id}")
-    points = tuple(tracker_table(index, tracker_year, schedule, chain_of=source_id))
+    points = tuple(_rows(index, tracker_year, schedule, [source_id]))
     return TrackerSeries(source_id=source_id, tracker_year=tracker_year, points=points)
 
 
-def tracker_table(
-    index: IndexSnapshot, tracker_year: int, schedule: list[date], chain_of: int | None = None
-) -> list[TrackerRow]:
+def tracker_table(index: IndexSnapshot, tracker_year: int, schedule: list[date]) -> list[TrackerRow]:
     """Tracker points for every scoreable source, for the batch output file,
     in (source_id, as_of) order. No snapshot is built, and no tally is kept
-    past its row. Given chain_of, only that source's title chain is read
-    (tracker_series).
+    past its row.
     """
-    return [
-        TrackerRow(source_id, tracker_year, as_of, tally.citations, tally.documents, value)
-        for source_id, as_of, tally, value in scores(index, tracker_year, schedule, chain_of)
-    ]
+    return list(_rows(index, tracker_year, schedule, sorted(index.sources)))
+
+
+def _rows(
+    index: IndexSnapshot, tracker_year: int, schedule: list[date], source_ids: Iterable[int]
+) -> Iterator[TrackerRow]:
+    for source_id, as_of, tally, value in scores(index, tracker_year, schedule, source_ids):
+        yield TrackerRow(source_id, tracker_year, as_of, tally.citations, tally.documents, value)
 
 
 @dataclass(frozen=True)
@@ -146,17 +141,9 @@ def stability_report(rows: list[TrackerRow]) -> list[StabilityPoint]:
 
 
 def _doubled_ranks(values: list[Decimal]) -> list[int]:
-    order = sorted(range(len(values)), key=lambda i: values[i])
-    ranks = [0] * len(values)
-    i = 0
-    while i < len(order):
-        j = i
-        while j + 1 < len(order) and values[order[j + 1]] == values[order[i]]:
-            j += 1
-        for k in range(i, j + 1):
-            ranks[order[k]] = i + j + 2  # twice the 1-based average of positions i..j
-        i = j + 1
-    return ranks
+    """Twice each value's 1-based average rank among values: 2L + S + 1."""
+    ties = _ties(values)
+    return [2 * lower + same + 1 for lower, same in map(ties.__getitem__, values)]
 
 
 def _spearman(a: list[Decimal], b: list[Decimal]) -> float:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import gc
 import hashlib
 import io
@@ -77,6 +78,32 @@ def test_unknown_flag_is_usage_error():
     with pytest.raises(SystemExit) as excinfo:
         main(["compute", "--frobnicate"])
     assert excinfo.value.code == 2
+
+
+def test_each_subcommand_declares_its_options_once():
+    """Each subcommand's option strings, as build_parser() declares them:
+    the record files and --quiet from one parent parser, --cutoff and
+    --cutoff-table from another."""
+    parser = cli_module.build_parser()
+    subcommands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+    inputs = ["-h", "--help", "--sources", "--pubs", "--links", "--quiet"]
+    cutoffs = ["--cutoff", "--cutoff-table"]
+    expected = {
+        "compute": inputs + cutoffs + ["--year", "--only", "--out"],
+        "tracker": inputs + ["--year", "--from", "--to", "--stability-report", "--out"],
+        "generate": ["-h", "--help", "--config", "--seed", "--journals", "--first-year", "--last-year",
+                     "--pubs-mean", "--citation-rate", "--aip-fraction", "--rename-prob", "--categories", "--out"],
+        "verify": inputs + cutoffs + ["--year", "--compare-only", "--out"],
+        "snapshot-info": inputs + cutoffs + ["--year", "--out"],
+    }
+    got = {
+        name: [option for action in sub._actions for option in action.option_strings]
+        for name, sub in subcommands.items()
+    }
+    assert {name: sorted(options) for name, options in got.items()} == {
+        name: sorted(options) for name, options in expected.items()
+    }
+    assert all(len(options) == len(set(options)) for options in got.values())
 
 
 @pytest.mark.parametrize("flags, message", [
@@ -323,6 +350,28 @@ def test_generate_rejects_bad_config(tmp_path, capsys):
         assert err.splitlines()[-1].startswith(f"citescore: error: invalid corpus config: {config_path}")
 
 
+def test_generate_rejects_unknown_lag_key(tmp_path, capsys):
+    """A misspelt lag key is a usage error, as an unknown top-level key is;
+    the lag keys given override the defaults and the rest keep them."""
+    config_path = tmp_path / "typo.json"
+    config_path.write_text(json.dumps({"seed": 1, "lag": {"short_wieght": 0.5}}))
+    with pytest.raises(SystemExit) as excinfo:
+        main(["generate", "--config", str(config_path), "--out", str(tmp_path / "x")])
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err[-1].startswith("citescore: error: invalid corpus config: ")
+    assert "short_wieght" in err[-1]
+    assert not (tmp_path / "x").exists()
+
+    config_path = tmp_path / "partial.json"
+    config_path.write_text(json.dumps({"seed": 1, "n_journals": 2, "lag": {"long_days": [40, 90]}}))
+    assert main(["generate", "--config", str(config_path), "--out", str(tmp_path / "y")]) == 0
+    manifest = json.loads((tmp_path / "y" / "manifest.json").read_text())
+    assert manifest["parameters"]["config"]["lag"] == {
+        "short_weight": 0.95, "short_days": [1, 14], "long_days": [40, 90],
+    }
+
+
 def test_generate_requires_seed(tmp_path):
     with pytest.raises(SystemExit) as excinfo:
         main(["generate", "--out", str(tmp_path / "x")])
@@ -359,6 +408,24 @@ def test_verify_detects_corrupted_row(corpus, tmp_path, capsys):
     assert capsys.readouterr().err == (
         f"ERROR: engine and oracle outputs differ (1 row diffs reported in {out / 'diff_report.txt'})\n"
     )
+
+
+def test_verify_reports_a_byte_level_difference_once(corpus, tmp_path, capsys):
+    """CSVs whose rows match but whose bytes differ (two rows swapped) give
+    one report line that names the file once."""
+    out = tmp_path / "verify"
+    assert main(["verify"] + _flags(corpus) + ["--year", "2017", "--out", str(out)]) == 0
+
+    metrics = out / "engine" / "metrics.csv"
+    lines = metrics.read_text().splitlines()
+    lines[1], lines[2] = lines[2], lines[1]
+    metrics.write_text("\n".join(lines) + "\n")
+
+    capsys.readouterr()
+    code = main(["verify"] + _flags(corpus)
+                + ["--year", "2017", "--compare-only", "--out", str(out)])
+    assert code == 3
+    assert (out / "diff_report.txt").read_text() == "metrics.csv: files differ at byte level\n"
 
 
 def test_snapshot_info_reports_counts(corpus, tmp_path, capsys):

@@ -10,6 +10,8 @@ from decimal import Decimal
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from citescore import (
     CorpusConfig,
@@ -28,7 +30,7 @@ from citescore import (
     snapshot,
     tracker_value,
 )
-from citescore.metrics import SourceYearCounts, aggregate_counts, score_from_counts
+from citescore.metrics import SourceYearCounts, _ties, aggregate_counts, score_from_counts
 from citescore.records import ELIGIBLE_SOURCE_TYPES
 
 from helpers import (
@@ -264,6 +266,16 @@ def test_ranking_degenerate_cases():
     assert rank_in_category({7: Decimal("0.00")}) == {7: (1, 1)}
     tied = {i: Decimal("2.00") for i in range(5)}
     assert rank_in_category(tied) == {i: (1, 5) for i in range(5)}
+
+
+@given(st.lists(st.integers(min_value=0, max_value=6), max_size=40))
+def test_ties_count_lower_and_equal_values(hundredths):
+    """_ties, the one tie rule of the standings and the stability report,
+    against counting each value's lower and equal members directly."""
+    values = [Decimal(h).scaleb(-2) for h in hundredths]
+    assert _ties(values) == {
+        value: (sum(1 for v in values if v < value), values.count(value)) for value in values
+    }
 
 
 def test_compute_annual_empty_snapshot():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import calendar
 import math
 import random
 from datetime import date, timedelta
@@ -55,6 +56,24 @@ def test_schedule_month_ends():
     assert schedule[0] == date(2018, 6, 30)
     assert schedule[-1] == date(2019, 4, 30)
     assert month_end(2020, 2) == date(2020, 2, 29)
+
+
+@pytest.mark.parametrize("start, end", [("0001-01", "0003-02"), ("9998-11", "9999-12")])
+def test_schedule_at_the_ends_of_the_calendar(start, end):
+    """Month counts reach the first and the last month a date can hold, and
+    cross each year's end."""
+    first = date.fromisoformat(f"{start}-01")
+    last = date.fromisoformat(f"{end}-01")
+    expected = [
+        date(year, month, calendar.monthrange(year, month)[1])
+        for year in range(first.year, last.year + 1)
+        for month in range(1, 13)
+        if (first.year, first.month) <= (year, month) <= (last.year, last.month)
+    ]
+    schedule = month_end_schedule(start, end)
+    assert schedule == expected
+    assert schedule[0].replace(day=1) == first and schedule[-1].replace(day=1) == last
+    assert len(schedule) == 12 * (last.year - first.year) + last.month - first.month + 1
 
 
 def test_schedule_rejects_reversed_range():
