@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 from datetime import date
 from pathlib import Path
 
@@ -78,17 +79,21 @@ def build_parser() -> argparse.ArgumentParser:
     tracker.add_argument("--out", required=True, help="output directory")
     tracker.set_defaults(handler=cmd_tracker)
 
+    # Each config flag's dest is its CorpusConfig field.
     generate = sub.add_parser("generate", help="synthetic corpus files")
     generate.add_argument("--config", help="corpus config JSON file")
     generate.add_argument("--seed", type=int, help="generator seed")
-    generate.add_argument("--journals", type=int, help="number of journals")
+    generate.add_argument("--journals", type=int, dest="n_journals", metavar="JOURNALS", help="number of journals")
     generate.add_argument("--first-year", type=int)
     generate.add_argument("--last-year", type=int)
-    generate.add_argument("--pubs-mean", type=float, help="mean publications per journal per year")
+    generate.add_argument("--pubs-mean", type=float, dest="pubs_per_year_mean", metavar="PUBS_MEAN",
+                          help="mean publications per journal per year")
     generate.add_argument("--citation-rate", type=float, help="mean in-window references per publication")
     generate.add_argument("--aip-fraction", type=float, help="article-in-press probability for recent years")
-    generate.add_argument("--rename-prob", type=float, help="per-journal mid-span rename probability")
-    generate.add_argument("--categories", type=int, help="number of ASJC codes in play")
+    generate.add_argument("--rename-prob", type=float, dest="rename_probability", metavar="RENAME_PROB",
+                          help="per-journal mid-span rename probability")
+    generate.add_argument("--categories", type=int, dest="n_categories", metavar="CATEGORIES",
+                          help="number of ASJC codes in play")
     generate.add_argument("--out", required=True, help="output directory")
     generate.set_defaults(handler=cmd_generate)
 
@@ -143,7 +148,7 @@ def _parse_cutoff(args, parser: argparse.ArgumentParser) -> tuple[date, str]:
         table = load_cutoff_table(table_path) if table_path else None
     except ValueError as exc:
         parser.error(f"cutoff table {table_path}: {exc}")
-    if args.cutoff:
+    if args.cutoff is not None:
         try:
             return parse_date(args.cutoff), "flag"
         except ValueError:
@@ -255,19 +260,6 @@ def cmd_tracker(args, parser) -> int:
     return EXIT_OK
 
 
-_GENERATE_FLAG_FIELDS = {
-    "seed": "seed",
-    "journals": "n_journals",
-    "first_year": "first_year",
-    "last_year": "last_year",
-    "pubs_mean": "pubs_per_year_mean",
-    "citation_rate": "citation_rate",
-    "aip_fraction": "aip_fraction",
-    "rename_prob": "rename_probability",
-    "categories": "n_categories",
-}
-
-
 def cmd_generate(args, parser) -> int:
     from .corpus import CorpusConfig, generate_corpus
 
@@ -283,10 +275,8 @@ def cmd_generate(args, parser) -> int:
         if not isinstance(loaded, dict):
             parser.error(f"invalid corpus config: {args.config} must hold a JSON object")
         settings.update(loaded)
-    for flag, field_name in _GENERATE_FLAG_FIELDS.items():
-        value = getattr(args, flag)
-        if value is not None:
-            settings[field_name] = value
+    config_fields = {f.name for f in fields(CorpusConfig)}
+    settings.update((name, value) for name, value in vars(args).items() if name in config_fields and value is not None)
     if "seed" not in settings:
         parser.error("--seed is required (or provide it in --config)")
     try:
@@ -371,7 +361,7 @@ def _snapshot_info(args, cutoff: date) -> dict:
 
 
 def cmd_snapshot_info(args, parser) -> int:
-    if bool(args.cutoff) == (args.year is not None):
+    if (args.cutoff is not None) == (args.year is not None):
         parser.error("provide exactly one of --cutoff or --year")
     cutoff, _origin = _parse_cutoff(args, parser)
     text = json.dumps(_snapshot_info(args, cutoff), indent=2, sort_keys=True) + "\n"

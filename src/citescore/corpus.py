@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import random
+import sys
 from bisect import bisect_right
 from dataclasses import dataclass, field, fields, asdict
 from datetime import date, timedelta
@@ -52,6 +53,28 @@ _TITLE_FIELDS = [
 ]
 
 
+# What each annotation of a config field admits, and how to say it. A bool
+# is never a number here, and a float must be finite: the draws loop forever
+# on an infinite or NaN mean.
+_KINDS = {
+    "int": (lambda value: type(value) is int, "an integer"),
+    "float": (lambda value: type(value) in (int, float) and abs(value) <= sys.float_info.max, "a finite number"),
+    "tuple[int, int]": (lambda value: type(value) is tuple and len(value) == 2 and all(type(v) is int for v in value),
+                        "a pair of integers"),
+    "LagModel": (lambda value: type(value) is LagModel, "a lag object"),
+}
+
+
+def _check_types(config) -> None:
+    """Raise TypeError naming the first field of a config dataclass whose
+    value its annotation does not admit."""
+    for f in fields(config):
+        value = getattr(config, f.name)
+        admits, kind = _KINDS[f.type]
+        if not admits(value):
+            raise TypeError(f"{f.name} must be {kind}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class LagModel:
     """Indexing lag mixture: most records land within days, a slow tail
@@ -62,6 +85,7 @@ class LagModel:
     long_days: tuple[int, int] = (30, 300)
 
     def validate(self) -> None:
+        _check_types(self)
         if not 0.0 <= self.short_weight <= 1.0:
             raise ValueError("short_weight must be within [0, 1]")
         for lo, hi in (self.short_days, self.long_days):
@@ -83,40 +107,38 @@ class CorpusConfig:
     n_categories: int = 6
 
     def validate(self) -> None:
-        for f in fields(self):
-            value = getattr(self, f.name)
-            kinds = {"int": int, "float": (int, float)}.get(f.type)
-            if kinds and (isinstance(value, bool) or not isinstance(value, kinds)):
-                raise TypeError(f"{f.name} must be of type {f.type}, got {value!r}")
+        """Raise TypeError or ValueError for a config that the generator
+        cannot draw in full, so that no draw fails once files are open."""
+        _check_types(self)
+        self.lag.validate()
         if self.n_journals < 1:
             raise ValueError("n_journals must be at least 1")
-        if self.last_year < self.first_year:
-            raise ValueError("year span is empty")
-        if self.pubs_per_year_mean < 0:
-            raise ValueError("pubs_per_year_mean must be non-negative")
-        if self.citation_rate < 0:
-            raise ValueError("citation_rate must be non-negative")
+        if not date.min.year <= self.first_year <= self.last_year <= date.max.year:
+            raise ValueError("years must satisfy 1 <= first_year <= last_year <= 9999")
+        if (date.max - date(self.last_year, 12, 31)).days < max(self.lag.short_days[1], self.lag.long_days[1]):
+            raise ValueError("the longest lag after last_year would load a record past 9999-12-31")
+        for name in ("pubs_per_year_mean", "citation_rate"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be non-negative")
         for name in ("aip_fraction", "rename_probability"):
-            value = getattr(self, name)
-            if not 0.0 <= value <= 1.0:
+            if not 0.0 <= getattr(self, name) <= 1.0:
                 raise ValueError(f"{name} must be within [0, 1]")
         if not 1 <= self.n_categories <= 90:
             raise ValueError("n_categories must be within [1, 90]")
-        self.lag.validate()
 
     def to_dict(self) -> dict:
         return asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> CorpusConfig:
+        """The config a JSON object gives: a lag object is read as a
+        LagModel and each list in it as a tuple; validate() checks types."""
         data = dict(data)
         lag = data.pop("lag", None)
+        if isinstance(lag, dict):
+            lag = LagModel(**{key: tuple(value) if isinstance(value, list) else value for key, value in lag.items()})
         if lag is not None:
-            if not isinstance(lag, dict):
-                raise TypeError(f"lag must be an object, got {lag!r}")
-            data["lag"] = LagModel(
-                **{key: tuple(value) if key.endswith("_days") else value for key, value in lag.items()}
-            )
+            data["lag"] = lag
         return cls(**data)
 
 
@@ -175,96 +197,80 @@ def _pick(rng: random.Random, table: list[tuple[str, float]]) -> str:
     return table[-1][0]
 
 
-@dataclass
-class _Journal:
-    current_id: int
-    former_id: int | None
-    rename_year: int | None
-    title: str
-    source_type: str
-    active: bool
-    asjc: list[int]
-    attractiveness: float
-
-    def source_for_year(self, year: int) -> int:
-        if self.former_id is not None and year < self.rename_year:
-            return self.former_id
-        return self.current_id
-
-
 def generate_corpus(config: CorpusConfig, out_dir: str | Path) -> GeneratedCorpus:
-    """Write sources/publications/links record files for the given config."""
+    """Write sources/publications/links record files for the given config.
+    Each record is written as it is drawn, so memory grows with the
+    publications, not with the links."""
     config.validate()
     rng = random.Random(config.seed)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    paths = GeneratedCorpus(out / "sources.jsonl", out / "publications.jsonl", out / "links.jsonl")
 
     codes = [1000 + 100 * i for i in range(config.n_categories)]
     years = list(range(config.first_year, config.last_year + 1))
 
-    journals: list[_Journal] = []
+    # Source ids ascend in journal order, a renamed journal's current id just
+    # before its former one, so the file is in id order as it is written.
+    journals: list[tuple[int, int]] = []  # (current source id, its first year)
+    attractiveness: list[float] = []
     next_id = 10001
-    for j in range(config.n_journals):
-        field_name = _TITLE_FIELDS[j % len(_TITLE_FIELDS)]
-        title = f"Journal of {field_name} {j + 1}"
-        source_type = _pick(rng, _SOURCE_TYPE_CHOICES)
-        active = rng.random() < 0.95
-        asjc = sorted(rng.sample(codes, k=rng.randint(1, min(3, len(codes)))))
-        # Skewed attractiveness without lognormvariate: its libm calls are
-        # not bit-stable across platforms, plain multiplication is.
-        draw = rng.random()
-        squared = draw * draw
-        attractiveness = 0.05 + 20.0 * squared * squared
-        renamed = rng.random() < config.rename_probability and len(years) >= 2
-        current_id = next_id
-        next_id += 1
-        former_id = None
-        rename_year = None
-        if renamed:
-            former_id = next_id
-            next_id += 1
-            rename_year = rng.randint(config.first_year + 1, config.last_year)
-        journals.append(
-            _Journal(
-                current_id=current_id,
-                former_id=former_id,
-                rename_year=rename_year,
-                title=title,
-                source_type=source_type,
-                active=active,
-                asjc=asjc,
-                attractiveness=attractiveness,
-            )
-        )
+    with open(paths.sources_path, "w", encoding="utf-8", newline="\n") as handle:
+        for j in range(config.n_journals):
+            source = {
+                "source_id": next_id,
+                "title": f"Journal of {_TITLE_FIELDS[j % len(_TITLE_FIELDS)]} {j + 1}",
+                "source_type": _pick(rng, _SOURCE_TYPE_CHOICES),
+                "is_actively_indexed": rng.random() < 0.95,
+                "asjc_codes": sorted(rng.sample(codes, k=rng.randint(1, min(3, len(codes))))),
+            }
+            # Skewed attractiveness without lognormvariate: its libm calls are
+            # not bit-stable across platforms, plain multiplication is.
+            draw = rng.random()
+            squared = draw * draw
+            attractiveness.append(0.05 + 20.0 * squared * squared)
+            if rng.random() < config.rename_probability and len(years) >= 2:
+                journals.append((next_id, rng.randint(config.first_year + 1, config.last_year)))
+                former = {**source, "source_id": next_id + 1, "title": f"{source['title']} (former title)"}
+                source["predecessor_source_id"] = next_id + 1
+                handle.write(canonical_line(source) + "\n" + canonical_line(former) + "\n")
+                next_id += 2
+            else:
+                journals.append((next_id, config.first_year))
+                handle.write(canonical_line(source) + "\n")
+                next_id += 1
 
-    publications: list[dict] = []
-    # (journal index, sort_year) -> pub ids, for citation target selection.
+    # (journal index, sort_year) -> pub ids in drawing order, for citation
+    # target selection and, in its insertion order, for the citing loop.
     pubs_by_journal_year: dict[tuple[int, int], list[str]] = {}
+    in_press: set[str] = set()
     pub_counter = 0
     aip_first_year = config.last_year - 1  # "recent" spans the last two years
-    for j_index, journal in enumerate(journals):
-        for year in years:
-            for _ in range(_poisson(rng, config.pubs_per_year_mean)):
-                pub_counter += 1
-                pub_id = f"p{pub_counter:07d}"
-                day_of_year = rng.randrange(0, (date(year, 12, 31) - date(year, 1, 1)).days + 1)
-                published = date(year, 1, 1) + timedelta(days=day_of_year)
-                if rng.random() < config.lag.short_weight:
-                    lag_days = rng.randint(*config.lag.short_days)
-                else:
-                    lag_days = rng.randint(*config.lag.long_days)
-                is_aip = year >= aip_first_year and rng.random() < config.aip_fraction
-                publications.append(
-                    {
+    with open(paths.publications_path, "w", encoding="utf-8", newline="\n") as handle:
+        for j_index, (current_id, since) in enumerate(journals):
+            for year in years:
+                # Before the rename the journal publishes under its former id.
+                source_id = current_id if year >= since else current_id + 1
+                for _ in range(_poisson(rng, config.pubs_per_year_mean)):
+                    pub_counter += 1
+                    pub_id = f"p{pub_counter:07d}"
+                    day_of_year = rng.randrange(0, (date(year, 12, 31) - date(year, 1, 1)).days + 1)
+                    published = date(year, 1, 1) + timedelta(days=day_of_year)
+                    lag = config.lag.short_days if rng.random() < config.lag.short_weight else config.lag.long_days
+                    load_date = (published + timedelta(days=rng.randint(*lag))).isoformat()
+                    is_aip = year >= aip_first_year and rng.random() < config.aip_fraction
+                    record = {
                         "pub_id": pub_id,
-                        "source_id": journal.source_for_year(year),
+                        "source_id": source_id,
                         "sort_year": year,
-                        "load_date": (published + timedelta(days=lag_days)).isoformat(),
+                        "load_date": load_date,
                         "doc_type": _pick(rng, _DOC_TYPE_CHOICES),
                         "is_article_in_press": is_aip,
                     }
-                )
-                pubs_by_journal_year.setdefault((j_index, year), []).append(pub_id)
+                    handle.write(canonical_line(record) + "\n")
+                    pubs_by_journal_year.setdefault((j_index, year), []).append(pub_id)
+                    if is_aip:
+                        in_press.add(pub_id)
 
     # Per citing year: the journals with in-window targets, their pooled pub
     # ids, and cumulative attractiveness weights. Built once per year so link
@@ -274,68 +280,29 @@ def generate_corpus(config: CorpusConfig, out_dir: str | Path) -> GeneratedCorpu
         window = range(citing_year - 3, citing_year)
         pools: list[list[str]] = []
         pool_weights: list[float] = []
-        for j_index, journal in enumerate(journals):
+        for j_index, weight in enumerate(attractiveness):
             pool = [pid for y in window for pid in pubs_by_journal_year.get((j_index, y), [])]
             if pool:
                 pools.append(pool)
-                pool_weights.append(journal.attractiveness)
+                pool_weights.append(weight)
         if pools:
             targets_by_year[citing_year] = (pools, list(accumulate(pool_weights)))
 
-    links: list[dict] = []
-    for record in publications:
-        if record["is_article_in_press"]:
-            continue
-        candidates = targets_by_year.get(record["sort_year"])
-        if candidates is None:
-            continue
-        pools, cumulative = candidates
-        n_refs = _poisson(rng, config.citation_rate)
-        chosen: set[str] = set()
-        for _ in range(n_refs):
-            pool = pools[_weighted_choice(rng, cumulative)]
-            target = pool[rng.randrange(len(pool))]
-            if target in chosen:
+    # Publications cite in the order they were drawn; one in press cites nothing.
+    with open(paths.links_path, "w", encoding="utf-8", newline="\n") as handle:
+        for (_, year), pub_ids in pubs_by_journal_year.items():
+            candidates = targets_by_year.get(year)
+            if candidates is None:
                 continue
-            chosen.add(target)
-            links.append({"citing_pub_id": record["pub_id"], "cited_pub_id": target})
-
-    sources: list[dict] = []
-    for journal in journals:
-        if journal.former_id is not None:
-            sources.append(
-                {
-                    "source_id": journal.former_id,
-                    "title": f"{journal.title} (former title)",
-                    "source_type": journal.source_type,
-                    "asjc_codes": journal.asjc,
-                    "is_actively_indexed": journal.active,
-                }
-            )
-        current = {
-            "source_id": journal.current_id,
-            "title": journal.title,
-            "source_type": journal.source_type,
-            "asjc_codes": journal.asjc,
-            "is_actively_indexed": journal.active,
-        }
-        if journal.former_id is not None:
-            current["predecessor_source_id"] = journal.former_id
-        sources.append(current)
-    sources.sort(key=lambda s: s["source_id"])
-
-    paths = GeneratedCorpus(
-        sources_path=out / "sources.jsonl",
-        publications_path=out / "publications.jsonl",
-        links_path=out / "links.jsonl",
-    )
-    _write_jsonl(paths.sources_path, sources)
-    _write_jsonl(paths.publications_path, publications)
-    _write_jsonl(paths.links_path, links)
+            pools, cumulative = candidates
+            for pub_id in pub_ids:
+                if pub_id in in_press:
+                    continue
+                chosen: set[str] = set()
+                for _ in range(_poisson(rng, config.citation_rate)):
+                    pool = pools[_weighted_choice(rng, cumulative)]
+                    target = pool[rng.randrange(len(pool))]
+                    if target not in chosen:
+                        chosen.add(target)
+                        handle.write(canonical_line({"citing_pub_id": pub_id, "cited_pub_id": target}) + "\n")
     return paths
-
-
-def _write_jsonl(path: Path, records: list[dict]) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        for record in records:
-            handle.write(canonical_line(record) + "\n")

@@ -372,6 +372,45 @@ def test_generate_rejects_unknown_lag_key(tmp_path, capsys):
     }
 
 
+@pytest.mark.parametrize("lag, field", [
+    ({"short_days": [1.5, 3]}, "short_days"),
+    ({"short_days": [1, 2, 3]}, "short_days"),
+    ({"short_days": "ab"}, "short_days"),
+    ({"short_days": 5}, "short_days"),
+    ({"short_days": None}, "short_days"),
+    ({"short_weight": True}, "short_weight"),
+    ({"long_days": [True, 3]}, "long_days"),
+], ids=["float-day", "three-days", "string", "int", "null", "bool-weight", "bool-day"])
+def test_generate_rejects_mistyped_lag_field(tmp_path, capsys, lag, field):
+    """Each lag field has one typed check: a wrong type is a usage error
+    that names the field, before any file is written."""
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({"seed": 1, "n_journals": 2, "lag": lag}))
+    with pytest.raises(SystemExit) as excinfo:
+        main(["generate", "--config", str(config_path), "--out", str(tmp_path / "x")])
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err[-1].startswith(f"citescore: error: invalid corpus config: {field} must be ")
+    assert not any(line.startswith("Traceback") for line in err)
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("command, flags, message", [
+    ("compute", ["--year", "2017", "--cutoff", ""], "--cutoff '' is not a valid YYYY-MM-DD date"),
+    ("snapshot-info", ["--cutoff", ""], "--cutoff '' is not a valid YYYY-MM-DD date"),
+    ("snapshot-info", ["--cutoff", "", "--year", "2016"], "provide exactly one of --cutoff or --year"),
+], ids=["compute", "snapshot-info", "snapshot-info-with-year"])
+def test_empty_cutoff_is_given_not_absent(corpus, tmp_path, capsys, command, flags, message):
+    """--cutoff '' is a flag given with a value that is not a date, not the
+    default cutoff."""
+    out = tmp_path / "x"
+    with pytest.raises(SystemExit) as excinfo:
+        main([command] + _flags(corpus) + flags + ["--out", str(out)])
+    assert excinfo.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1] == f"citescore: error: {message}"
+    assert not out.exists()
+
+
 def test_generate_requires_seed(tmp_path):
     with pytest.raises(SystemExit) as excinfo:
         main(["generate", "--out", str(tmp_path / "x")])

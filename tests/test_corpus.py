@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
+import tracemalloc
 
 import pytest
 
@@ -127,3 +129,81 @@ def test_config_round_trip():
     cfg = CorpusConfig(seed=4, n_journals=3, lag=LagModel(short_weight=0.8))
     again = CorpusConfig.from_dict(json.loads(json.dumps(cfg.to_dict())))
     assert again == cfg
+
+
+# sha256 of (sources, publications, links) as the generator has written them
+# since before it streamed its records: any change to the draw order, the
+# record fields or the byte form of a line changes one of these.
+GOLDEN = {
+    "renames": (
+        CorpusConfig(seed=101, n_journals=8, rename_probability=0.5, citation_rate=3.0),
+        ("9faf2be3253dbccebae93a6aa7822f5f6df7657bb3a0163c08d353cd0d43bb37",
+         "72ae8bc16c7943d764b4cd258eb67c1ecb14d1a5bbcba3a891664779b8d6f2a4",
+         "327722ff467e150924d64a2dcc3cf8775ee19d5374255bc86dd086ae601c0a84"),
+    ),
+    "all-in-press": (
+        CorpusConfig(seed=102, n_journals=6, aip_fraction=1.0, first_year=2015, last_year=2018),
+        ("a93a2ee692594d5c73a6f741633ea0849a078787cdb81ad5ebed86d4dbd9bba3",
+         "0d96549d7358e62feecd1433c6a41950e220c425766c62227ec1ec3aa945a387",
+         "6f9101a78e455b4f4bd05a3d6b2fd9640ea5b544bb9cb7d71a27e86ba3a8e4f1"),
+    ),
+    "lag": (
+        CorpusConfig(seed=103, n_journals=5, n_categories=2,
+                     lag=LagModel(short_weight=0.5, short_days=(0, 3), long_days=(60, 400))),
+        ("604cf2674ffabbe59c542a817140dbece47b7cc7242cfadae0f83865d540c24e",
+         "3758c0d0bdda605bbdd2ffccc8cab73972c2cb700ccee8e8d4faa44a1f032b3d",
+         "810430f608e0c7eb5b2b42940ae214a316eee5b9b1de3104bec473b77fd3037c"),
+    ),
+    "no-publications": (
+        CorpusConfig(seed=104, n_journals=4, pubs_per_year_mean=0, lag=LagModel(short_days=(2, 2))),
+        ("1e55809a526ac760bf48b76ca54f9e55402769cb904a172aa4103e7535e7985b",
+         hashlib.sha256(b"").hexdigest(),
+         hashlib.sha256(b"").hexdigest()),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", GOLDEN)
+def test_golden_corpus_digests(tmp_path, name):
+    config, digests = GOLDEN[name]
+    paths = generate_corpus(config, tmp_path / name)
+    got = tuple(hashlib.sha256(_read(path)).hexdigest()
+                for path in (paths.sources_path, paths.publications_path, paths.links_path))
+    assert got == digests
+
+
+def test_generator_memory_stays_below_its_output(tmp_path):
+    """Records are written as they are drawn: the traced peak of a near-cap
+    shaped corpus stays below the bytes written, where holding every record
+    until the end cost several times them."""
+    config = CorpusConfig(seed=20250810, n_journals=40, first_year=2012, last_year=2018, pubs_per_year_mean=13.5,
+                          citation_rate=6.2, aip_fraction=0.2, rename_probability=0.15, n_categories=10)
+    tracemalloc.start()
+    try:
+        paths = generate_corpus(config, tmp_path / "corpus")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    written = sum(path.stat().st_size for path in (paths.sources_path, paths.publications_path, paths.links_path))
+    assert peak < written
+
+
+@pytest.mark.parametrize("kwargs", [
+    dict(pubs_per_year_mean=float("nan")),
+    dict(citation_rate=float("inf")),
+    dict(pubs_per_year_mean=10 ** 400),
+    dict(first_year=0, last_year=1),
+    dict(first_year=9999, last_year=10000),
+    dict(first_year=9999, last_year=9999),
+    dict(lag=LagModel(long_days=(1, 10 ** 11))),
+    dict(lag={"short_days": (1, 2)}),
+], ids=["nan-mean", "infinite-rate", "huge-int-mean", "year-zero", "year-10000", "lag-past-9999",
+        "huge-lag", "lag-not-a-model"])
+def test_configs_that_cannot_be_drawn_are_rejected_before_output(tmp_path, kwargs):
+    """validate() admits only configs whose every draw succeeds, so no
+    partial file is left: without it a NaN or infinite mean loops forever,
+    and a year or load date out of range fails part way."""
+    out = tmp_path / "never"
+    with pytest.raises((TypeError, ValueError)):
+        generate_corpus(CorpusConfig(seed=1, n_journals=2, **kwargs), out)
+    assert not out.exists()
