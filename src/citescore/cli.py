@@ -63,7 +63,7 @@ def build_parser() -> argparse.ArgumentParser:
     compute.add_argument("--year", type=int, required=True, help="metrics year")
     compute.add_argument("--only", choices=["metrics", "standings"], help="write just one output file")
     compute.add_argument("--out", required=True, help="output directory")
-    compute.set_defaults(handler=cmd_compute)
+    compute.set_defaults(handler=cmd_compute, parser=compute)
 
     tracker = sub.add_parser(
         "tracker", parents=[inputs], help="monthly in-progress scores for one year"
@@ -77,7 +77,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="also write monthly-vs-final rank correlations",
     )
     tracker.add_argument("--out", required=True, help="output directory")
-    tracker.set_defaults(handler=cmd_tracker)
+    tracker.set_defaults(handler=cmd_tracker, parser=tracker)
 
     # Each config flag's dest is its CorpusConfig field.
     generate = sub.add_parser("generate", help="synthetic corpus files")
@@ -95,7 +95,7 @@ def build_parser() -> argparse.ArgumentParser:
     generate.add_argument("--categories", type=int, dest="n_categories", metavar="CATEGORIES",
                           help="number of ASJC codes in play")
     generate.add_argument("--out", required=True, help="output directory")
-    generate.set_defaults(handler=cmd_generate)
+    generate.set_defaults(handler=cmd_generate, parser=generate)
 
     verify = sub.add_parser(
         "verify", parents=[inputs, cutoffs], help="engine vs. brute-force oracle comparison"
@@ -107,23 +107,24 @@ def build_parser() -> argparse.ArgumentParser:
         help="skip recomputation and compare existing engine/ and oracle/ outputs",
     )
     verify.add_argument("--out", required=True, help="output directory")
-    verify.set_defaults(handler=cmd_verify)
+    verify.set_defaults(handler=cmd_verify, parser=verify)
 
     info = sub.add_parser(
         "snapshot-info", parents=[inputs, cutoffs], help="record counts at a cutoff"
     )
     info.add_argument("--year", type=int, help="metrics year whose default cutoff to use")
     info.add_argument("--out", help="optional output directory")
-    info.set_defaults(handler=cmd_snapshot_info)
+    info.set_defaults(handler=cmd_snapshot_info, parser=info)
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.handler(args, parser)
+        # Each handler reports usage errors through its own subcommand's
+        # parser, as argparse does for that subcommand's own errors.
+        return args.handler(args, args.parser)
     except IngestError as exc:
         _write_stderr(f"ERROR: ingest failed: {exc}\n")
         return EXIT_DATA_ERROR

@@ -559,36 +559,36 @@ def _ingest(
 
 
 def _validate_chains(sources: dict[int, SourceRecord], report: IngestReport) -> dict[int, int]:
-    """Drop dangling predecessor pointers; reject cycles and shared
-    predecessors. Returns the successor map: predecessor -> source_id."""
-    for sid, record in list(sources.items()):
-        pred = record.predecessor_source_id
-        if pred is not None and pred not in sources:
-            report.warn(
-                f"source {sid}: predecessor_source_id {pred} does not exist, pointer dropped"
-            )
-            sources[sid] = dataclasses.replace(record, predecessor_source_id=None)
+    """Drop dangling predecessor pointers; reject shared predecessors and
+    cycles. Returns the successor map: predecessor -> source_id.
 
+    One pass in file order drops, rejects or records each pointer. No source
+    then has two successors, so a walk forward from a chain head (a source
+    with no predecessor) never enters a cycle, and the sources no walk
+    reaches are those on cycles."""
     successor: dict[int, int] = {}
     for sid, record in sources.items():
         pred = record.predecessor_source_id
         if pred is None:
             continue
-        if pred in successor:
+        if pred not in sources:
+            report.warn(f"source {sid}: predecessor_source_id {pred} does not exist, pointer dropped")
+            sources[sid] = dataclasses.replace(record, predecessor_source_id=None)
+        elif pred in successor:
             raise IngestError(
                 f"sources {successor[pred]} and {sid} share predecessor {pred}; "
                 "title chains must be linear"
             )
-        successor[pred] = sid
+        else:
+            successor[pred] = sid
 
-    for sid in sources:
-        seen = {sid}
-        current = sources[sid].predecessor_source_id
-        while current is not None:
-            if current in seen:
-                raise IngestError(f"predecessor cycle detected at source {current}")
-            seen.add(current)
-            current = sources[current].predecessor_source_id
+    reached = {sid for sid, record in sources.items() if record.predecessor_source_id is None}
+    for current in list(reached):
+        while (current := successor.get(current)) is not None:
+            reached.add(current)
+    if len(reached) < len(sources):
+        cyclic = next(sid for sid in sources if sid not in reached)
+        raise IngestError(f"predecessor cycle detected at source {cyclic}")
     return successor
 
 

@@ -139,10 +139,11 @@ def oracle_metrics(
         accepted_ids.add(pid)
         if load_date > cutoff:
             continue
-        pubs[pid] = {"source": sid, "year": sort_year, "aip": aip}
+        pubs[pid] = {"id": pid, "source": sid, "year": sort_year, "aip": aip}
 
     # Links: both endpoints visible, no self-citations, no citing AIP,
-    # duplicates collapsed.
+    # duplicates collapsed. A pair holds the id strings pubs already keeps,
+    # not the ones decoded from the link line.
     pairs: set[tuple[str, str]] = set()
     for obj in _read_objects(links_path):
         citing = obj.get("citing_pub_id")
@@ -155,7 +156,7 @@ def oracle_metrics(
             continue
         if pubs[citing]["aip"]:
             continue
-        pairs.add((citing, cited))
+        pairs.add((pubs[citing]["id"], pubs[cited]["id"]))
 
     # Current title for every source, walking renames forward. Non-linear
     # chains (shared predecessors, cycles) are fatal, as at ingestion.
@@ -166,14 +167,20 @@ def oracle_metrics(
                 raise OracleDataError(f"sources share predecessor {info['pred']}")
             succ[info["pred"]] = sid
 
+    # Each walk stops at the first source whose current title is known and
+    # gives that title to every source it passed.
+    current: dict[int, int] = {}
+
     def current_title_of(sid: int) -> int:
-        hops = 0
-        while sid in succ:
+        passed: list[int] = []
+        while sid in succ and sid not in current:
+            passed.append(sid)
             sid = succ[sid]
-            hops += 1
-            if hops > len(sources):
+            if len(passed) > len(sources):
                 raise OracleDataError("predecessor cycle detected")
-        return sid
+        title = current.get(sid, sid)
+        current.update(dict.fromkeys(passed, title))
+        return title
 
     window = {year - 3, year - 2, year - 1}
 

@@ -201,3 +201,38 @@ def brute_force_view(reference, cutoff):
     links = [(citing, cited) for citing, cited in reference.links
              if citing in publications and cited in publications]
     return publications, links
+
+
+class ChainError(Exception):
+    """A title chain check's rejection, with the engine's message."""
+
+
+def three_pass_chains(predecessors):
+    """The title-chain check as three passes over {source_id: predecessor}
+    in file order: drop each dangling pointer with a warning, reject the
+    first shared predecessor, then walk back from every source on its own
+    to reject the first cycle. Returns (successor map, predecessors kept,
+    warnings); raises ChainError."""
+    kept = dict(predecessors)
+    warnings = []
+    for sid, pred in kept.items():
+        if pred is not None and pred not in kept:
+            warnings.append(f"source {sid}: predecessor_source_id {pred} does not exist, pointer dropped")
+            kept[sid] = None
+    successor = {}
+    for sid, pred in kept.items():
+        if pred is None:
+            continue
+        if pred in successor:
+            raise ChainError(f"sources {successor[pred]} and {sid} share predecessor {pred}; "
+                             "title chains must be linear")
+        successor[pred] = sid
+    for sid in kept:
+        seen = {sid}
+        current = kept[sid]
+        while current is not None:
+            if current in seen:
+                raise ChainError(f"predecessor cycle detected at source {current}")
+            seen.add(current)
+            current = kept[current]
+    return successor, kept, warnings

@@ -11,6 +11,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from datetime import date, timedelta
 from pathlib import Path
 
@@ -125,7 +126,7 @@ def test_bad_cutoff_flag_is_usage_error(corpus, tmp_path, capsys, command, flags
         main([command] + _flags(corpus) + flags)
     assert excinfo.value.code == 2
     err_lines = capsys.readouterr().err.splitlines()
-    assert err_lines[-1] == f"citescore: error: {message}"
+    assert err_lines[-1] == f"citescore {command}: error: {message}"
     assert not any(line.startswith(("Traceback", "ERROR")) for line in err_lines)
 
 
@@ -259,7 +260,7 @@ def test_tracker_malformed_month_is_usage_error(corpus, tmp_path, capsys, flag, 
     assert excinfo.value.code == 2
     err = capsys.readouterr().err
     assert "Traceback" not in err
-    assert err.splitlines()[-1] == f"citescore: error: expected YYYY-MM, got {month!r}"
+    assert err.splitlines()[-1] == f"citescore tracker: error: expected YYYY-MM, got {month!r}"
     assert not (tmp_path / "x").exists()
 
 
@@ -347,7 +348,7 @@ def test_generate_rejects_bad_config(tmp_path, capsys):
         assert excinfo.value.code == 2
         err = capsys.readouterr().err
         assert "Traceback" not in err
-        assert err.splitlines()[-1].startswith(f"citescore: error: invalid corpus config: {config_path}")
+        assert err.splitlines()[-1].startswith(f"citescore generate: error: invalid corpus config: {config_path}")
 
 
 def test_generate_rejects_unknown_lag_key(tmp_path, capsys):
@@ -359,7 +360,7 @@ def test_generate_rejects_unknown_lag_key(tmp_path, capsys):
         main(["generate", "--config", str(config_path), "--out", str(tmp_path / "x")])
     assert excinfo.value.code == 2
     err = capsys.readouterr().err.splitlines()
-    assert err[-1].startswith("citescore: error: invalid corpus config: ")
+    assert err[-1].startswith("citescore generate: error: invalid corpus config: ")
     assert "short_wieght" in err[-1]
     assert not (tmp_path / "x").exists()
 
@@ -390,7 +391,7 @@ def test_generate_rejects_mistyped_lag_field(tmp_path, capsys, lag, field):
         main(["generate", "--config", str(config_path), "--out", str(tmp_path / "x")])
     assert excinfo.value.code == 2
     err = capsys.readouterr().err.splitlines()
-    assert err[-1].startswith(f"citescore: error: invalid corpus config: {field} must be ")
+    assert err[-1].startswith(f"citescore generate: error: invalid corpus config: {field} must be ")
     assert not any(line.startswith("Traceback") for line in err)
     assert not (tmp_path / "x").exists()
 
@@ -407,8 +408,27 @@ def test_empty_cutoff_is_given_not_absent(corpus, tmp_path, capsys, command, fla
     with pytest.raises(SystemExit) as excinfo:
         main([command] + _flags(corpus) + flags + ["--out", str(out)])
     assert excinfo.value.code == 2
-    assert capsys.readouterr().err.splitlines()[-1] == f"citescore: error: {message}"
+    assert capsys.readouterr().err.splitlines()[-1] == f"citescore {command}: error: {message}"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command, flags", [
+    ("compute", ["--year", "2017", "--cutoff", "2018-02-30"]),
+    ("verify", ["--year", "2017", "--cutoff", "2018-02-30"]),
+    ("snapshot-info", ["--year", "2016", "--cutoff", "2016-12-31"]),
+    ("tracker", ["--year", "2018", "--from", "2018-05", "--to", "2018-01"]),
+    ("generate", []),
+])
+def test_handler_usage_error_prints_its_subcommand_usage(corpus, tmp_path, capsys, command, flags):
+    """A usage error that a command's handler finds prints that command's
+    usage and name, as argparse's own errors for the command do."""
+    inputs = [] if command == "generate" else _flags(corpus)
+    with pytest.raises(SystemExit) as excinfo:
+        main([command] + inputs + flags + ["--out", str(tmp_path / "x")])
+    assert excinfo.value.code == 2
+    err_lines = capsys.readouterr().err.splitlines()
+    assert err_lines[0].startswith(f"usage: citescore {command} [-h] ")
+    assert err_lines[-1].startswith(f"citescore {command}: error: ")
 
 
 def test_generate_requires_seed(tmp_path):
@@ -424,6 +444,29 @@ def test_verify_passes_on_generated_corpus(corpus, tmp_path):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["parameters"]["identical"] is True
     assert not (out / "diff_report.txt").exists()
+
+
+def test_verify_on_a_long_title_chain(tmp_path):
+    """One chain of 10,000 sources with three publications each: the oracle
+    finds each source's current title once, so verify stays linear, and
+    both sides credit every publication to the chain's terminal."""
+    n = 10_000
+    sources = [source_line(sid, predecessor=sid - 1 if sid > 1 else None) for sid in range(1, n + 1)]
+    pubs = [pub_line(f"p{sid}-{year}", sid, year) for sid in range(1, n + 1) for year in (2015, 2016, 2017)]
+    links = [link_line(f"p{sid}-2017", f"p{sid % n + 1}-2016") for sid in range(1, n + 1)]
+    s, p, l = write_corpus(tmp_path, sources, pubs, links)
+    out = tmp_path / "verify"
+    start = time.perf_counter()
+    code = main(["verify", "--sources", str(s), "--pubs", str(p), "--links", str(l),
+                 "--year", "2017", "--cutoff", "2018-04-30", "--out", str(out)])
+    elapsed = time.perf_counter() - start
+    assert code == 0
+    for name in ("metrics.csv", "standings.csv"):
+        assert (out / "engine" / name).read_bytes() == (out / "oracle" / name).read_bytes()
+    assert (out / "engine" / "metrics.csv").read_text().splitlines()[1:] == [
+        f"{n},Journal {n},2017,0.50,{n},{2 * n},50"
+    ]
+    assert elapsed < 5.0
 
 
 def test_verify_detects_corrupted_row(corpus, tmp_path, capsys):

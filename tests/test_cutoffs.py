@@ -104,14 +104,14 @@ def test_cli_bad_cutoff_table_is_usage_error(tmp_path, capsys, table_text):
     assert excinfo.value.code == 2
     err = capsys.readouterr().err
     assert "Traceback" not in err
-    assert err.splitlines()[-1].startswith(f"citescore: error: cutoff table {table_path}: ")
+    assert err.splitlines()[-1].startswith(f"citescore compute: error: cutoff table {table_path}: ")
 
     with pytest.raises(SystemExit) as excinfo:
         main(["snapshot-info", "--sources", str(s), "--pubs", str(p), "--links", str(l),
               "--year", "2016", "--cutoff-table", str(table_path)])
     assert excinfo.value.code == 2
     err_lines = capsys.readouterr().err.splitlines()
-    assert err_lines[-1].startswith(f"citescore: error: cutoff table {table_path}: ")
+    assert err_lines[-1].startswith(f"citescore snapshot-info: error: cutoff table {table_path}: ")
     assert not any(line.startswith(("Traceback", "ERROR")) for line in err_lines)
 
 

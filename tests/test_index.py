@@ -5,6 +5,7 @@ from __future__ import annotations
 import gc
 import json
 import random
+import time
 import tracemalloc
 from collections import Counter
 from datetime import date, timedelta
@@ -28,8 +29,8 @@ from citescore.output import write_metrics_csv, write_standings_csv
 from citescore.records import SourceRecord, parse_date
 
 from helpers import (
-    Pub, brute_force_view, build_index, differential_index, link_line, pub_line, reference_records, source_line,
-    stored,
+    ChainError, Pub, brute_force_view, build_index, differential_index, link_line, pub_line, reference_records,
+    source_line, stored, three_pass_chains,
 )
 
 
@@ -1055,6 +1056,53 @@ def test_dangling_predecessor_pointer_dropped():
     index, report = ingest([source_line(2, predecessor=77)], [], [])
     assert index.sources[2].predecessor_source_id is None
     assert any("predecessor_source_id 77" in w for w in report.warnings)
+
+
+def test_long_title_chain_is_checked_in_linear_time():
+    """One chain of 20,000 sources, terminal first: the chain check walks
+    each source once, so ingest stays far below the seconds a walk back
+    from every source would take."""
+    n = 20_000
+    sources = [source_line(sid, predecessor=sid - 1 if sid > 1 else None) for sid in range(n, 0, -1)]
+    start = time.perf_counter()
+    index, report = ingest(sources, [], [])
+    elapsed = time.perf_counter() - start
+    assert report.sources_accepted == n and not report.warnings
+    assert index.resolve_title_chain(n) == frozenset(range(1, n + 1))
+    assert [sid for sid in index.sources if index.is_chain_terminal(sid)] == [n]
+    assert elapsed < 3.0
+
+
+# {source_id: predecessor or None}, in file order. Few ids, and predecessors
+# drawn from a wider range, so that a graph often holds dangling pointers,
+# shared predecessors, self-loops and longer cycles.
+_SOURCE_GRAPHS = st.dictionaries(
+    st.integers(min_value=1, max_value=12), st.one_of(st.none(), st.integers(min_value=0, max_value=14)),
+    min_size=1, max_size=9,
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_SOURCE_GRAPHS)
+@example({1: 2, 2: 1, 3: 99})
+@example({3: None, 1: 3, 2: 3, 4: 4})
+@example({1: None, 2: 4, 3: 2, 4: 3, 5: 1})
+def test_chain_check_equals_three_pass_reference(graph):
+    """ingest's chain check against the three-pass reference: the same
+    acceptance and error text; on acceptance the same successor map,
+    dropped pointers and warnings."""
+    lines = [source_line(sid, predecessor=pred) for sid, pred in graph.items()]
+    try:
+        successor, kept, warnings = three_pass_chains(graph)
+    except ChainError as exc:
+        with pytest.raises(IngestError) as excinfo:
+            ingest(lines, [], [])
+        assert str(excinfo.value) == str(exc)
+        return
+    index, report = ingest(lines, [], [])
+    assert dict(index.successor) == successor
+    assert {sid: record.predecessor_source_id for sid, record in index.sources.items()} == kept
+    assert report.warnings == warnings
 
 
 def test_title_chains_partition_all_sources(tmp_path):
