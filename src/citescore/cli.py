@@ -119,11 +119,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _parse_args(argv: list[str] | None) -> argparse.Namespace:
+    """The parsed command line. Usage errors are reported through the
+    subcommand's own parser, as argparse does for its other errors; so is an
+    unknown argument after the command, while one before it is the top-level
+    parser's. Only the subcommand's parser outlives the call."""
+    parser = build_parser()
+    args, unknown = parser.parse_known_args(argv)
+    if unknown:
+        tokens = sys.argv[1:] if argv is None else argv
+        owner = parser if unknown[0] in tokens[:tokens.index(args.command)] else args.parser
+        owner.error(f"unrecognized arguments: {' '.join(unknown)}")
+    return args
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parse_args(argv)
     try:
-        # Each handler reports usage errors through its own subcommand's
-        # parser, as argparse does for that subcommand's own errors.
         return args.handler(args, args.parser)
     except IngestError as exc:
         _write_stderr(f"ERROR: ingest failed: {exc}\n")

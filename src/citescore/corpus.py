@@ -14,14 +14,25 @@ import json
 import random
 import sys
 from bisect import bisect_right
+from collections.abc import Callable
 from dataclasses import dataclass, field, fields, asdict
-from datetime import date, timedelta
+from datetime import date
 from itertools import accumulate
 from pathlib import Path
 
 # One record as a line of the generator's byte form (sorted keys, no spaces):
 # the input form index.ingest reads by pattern, and every other one more slowly.
+# The generator writes sources with it; publication and link lines come from
+# the per-kind templates below, which a test holds to this definition.
 canonical_line = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+# canonical_line's bytes for the two bulk kinds, keys in sorted order. Every
+# value is one the generator made (ids, ints, ISO dates, doc types, bools),
+# none of which JSON escapes.
+_PUBLICATION_LINE = (
+    '{"doc_type":"%s","is_article_in_press":%s,"load_date":"%s","pub_id":"%s","sort_year":%d,"source_id":%d}\n'
+)
+_LINK_LINE = '{"cited_pub_id":"%s","citing_pub_id":"%s"}\n'
 
 _DOC_TYPE_CHOICES = [
     ("article", 0.68),
@@ -171,20 +182,23 @@ def _exp_neg(x: float) -> float:
     return total
 
 
-def _poisson(rng: random.Random, mean: float) -> int:
+def _poisson_sampler(rng: random.Random, mean: float) -> Callable[[], int]:
+    """A function that draws a Poisson(mean) count from rng; exp(-mean) is
+    computed once here. A mean of 0 draws nothing and gives 0."""
     if mean <= 0:
-        return 0
+        return lambda: 0
     threshold = _exp_neg(mean)
-    k = 0
-    product = rng.random()
-    while product > threshold:
-        product *= rng.random()
-        k += 1
-    return k
+    uniform = rng.random
 
+    def draw() -> int:
+        k = 0
+        product = uniform()
+        while product > threshold:
+            product *= uniform()
+            k += 1
+        return k
 
-def _weighted_choice(rng: random.Random, cumulative: list[float]) -> int:
-    return bisect_right(cumulative, rng.random() * cumulative[-1])
+    return draw
 
 
 def _pick(rng: random.Random, table: list[tuple[str, float]]) -> str:
@@ -245,29 +259,25 @@ def generate_corpus(config: CorpusConfig, out_dir: str | Path) -> GeneratedCorpu
     pubs_by_journal_year: dict[tuple[int, int], list[str]] = {}
     in_press: set[str] = set()
     pub_counter = 0
+    publication_count = _poisson_sampler(rng, config.pubs_per_year_mean)
+    # Each year with its first day as an ordinal and its length in days.
+    year_days = [(year, date(year, 1, 1).toordinal(), date(year, 12, 31).timetuple().tm_yday) for year in years]
+    lag = config.lag
     aip_first_year = config.last_year - 1  # "recent" spans the last two years
     with open(paths.publications_path, "w", encoding="utf-8", newline="\n") as handle:
         for j_index, (current_id, since) in enumerate(journals):
-            for year in years:
+            for year, first_day, n_days in year_days:
                 # Before the rename the journal publishes under its former id.
                 source_id = current_id if year >= since else current_id + 1
-                for _ in range(_poisson(rng, config.pubs_per_year_mean)):
+                for _ in range(publication_count()):
                     pub_counter += 1
                     pub_id = f"p{pub_counter:07d}"
-                    day_of_year = rng.randrange(0, (date(year, 12, 31) - date(year, 1, 1)).days + 1)
-                    published = date(year, 1, 1) + timedelta(days=day_of_year)
-                    lag = config.lag.short_days if rng.random() < config.lag.short_weight else config.lag.long_days
-                    load_date = (published + timedelta(days=rng.randint(*lag))).isoformat()
+                    published = first_day + rng.randrange(n_days)
+                    days = lag.short_days if rng.random() < lag.short_weight else lag.long_days
+                    load_date = date.fromordinal(published + rng.randint(*days)).isoformat()
                     is_aip = year >= aip_first_year and rng.random() < config.aip_fraction
-                    record = {
-                        "pub_id": pub_id,
-                        "source_id": source_id,
-                        "sort_year": year,
-                        "load_date": load_date,
-                        "doc_type": _pick(rng, _DOC_TYPE_CHOICES),
-                        "is_article_in_press": is_aip,
-                    }
-                    handle.write(canonical_line(record) + "\n")
+                    handle.write(_PUBLICATION_LINE % (_pick(rng, _DOC_TYPE_CHOICES), "true" if is_aip else "false",
+                                                      load_date, pub_id, year, source_id))
                     pubs_by_journal_year.setdefault((j_index, year), []).append(pub_id)
                     if is_aip:
                         in_press.add(pub_id)
@@ -289,20 +299,22 @@ def generate_corpus(config: CorpusConfig, out_dir: str | Path) -> GeneratedCorpu
             targets_by_year[citing_year] = (pools, list(accumulate(pool_weights)))
 
     # Publications cite in the order they were drawn; one in press cites nothing.
+    citation_count = _poisson_sampler(rng, config.citation_rate)
     with open(paths.links_path, "w", encoding="utf-8", newline="\n") as handle:
         for (_, year), pub_ids in pubs_by_journal_year.items():
             candidates = targets_by_year.get(year)
             if candidates is None:
                 continue
             pools, cumulative = candidates
+            total = cumulative[-1]
             for pub_id in pub_ids:
                 if pub_id in in_press:
                     continue
                 chosen: set[str] = set()
-                for _ in range(_poisson(rng, config.citation_rate)):
-                    pool = pools[_weighted_choice(rng, cumulative)]
+                for _ in range(citation_count()):
+                    pool = pools[bisect_right(cumulative, rng.random() * total)]
                     target = pool[rng.randrange(len(pool))]
                     if target not in chosen:
                         chosen.add(target)
-                        handle.write(canonical_line({"citing_pub_id": pub_id, "cited_pub_id": target}) + "\n")
+                        handle.write(_LINK_LINE % (target, pub_id))
     return paths

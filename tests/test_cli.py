@@ -431,6 +431,27 @@ def test_handler_usage_error_prints_its_subcommand_usage(corpus, tmp_path, capsy
     assert err_lines[-1].startswith(f"citescore {command}: error: ")
 
 
+@pytest.mark.parametrize("command,flags", [
+    ("compute", ["--year", "2017"]),
+    ("tracker", ["--year", "2018", "--from", "2018-01", "--to", "2018-02"]),
+    ("generate", ["--seed", "1"]),
+])
+def test_unknown_argument_after_a_command_prints_its_usage(corpus, tmp_path, capsys, command, flags):
+    """An argument that the command does not know is that command's usage
+    error; one before the command is the top-level parser's."""
+    inputs = [] if command == "generate" else _flags(corpus)
+    args = [command] + inputs + flags + ["--out", str(tmp_path / "x")]
+    for argv, prog, unknown in ((args + ["--frob", "extra"], f"citescore {command}", "--frob extra"),
+                                (["--frob"] + args, "citescore", "--frob")):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        err_lines = capsys.readouterr().err.splitlines()
+        assert err_lines[0].startswith(f"usage: {prog} [-h] ")
+        assert err_lines[-1] == f"{prog}: error: unrecognized arguments: {unknown}"
+    assert not (tmp_path / "x").exists()
+
+
 def test_generate_requires_seed(tmp_path):
     with pytest.raises(SystemExit) as excinfo:
         main(["generate", "--out", str(tmp_path / "x")])

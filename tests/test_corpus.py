@@ -4,12 +4,17 @@ from __future__ import annotations
 
 import hashlib
 import json
+import tempfile
 import tracemalloc
+from datetime import date
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import citescore.index as index_module
 from citescore import CorpusConfig, LagModel, generate_corpus, load_index
+from citescore.corpus import canonical_line
 from citescore.records import parse_date
 
 
@@ -160,6 +165,35 @@ GOLDEN = {
          hashlib.sha256(b"").hexdigest(),
          hashlib.sha256(b"").hexdigest()),
     ),
+    # These four were pinned while each line was still written by
+    # canonical_line, before publication and link lines had templates.
+    "near-cap": (
+        CorpusConfig(seed=105, n_journals=12, first_year=2012, last_year=2018, pubs_per_year_mean=13.5,
+                     citation_rate=6.2, aip_fraction=0.2, rename_probability=0.15, n_categories=10),
+        ("470024e27021e2d1f2eb405610d01b47193eed7e6c11e553904c992cf3150699",
+         "c143e8a6425401ffa263b850863f34a290b1383bc94743092072f484af40bd42",
+         "ae0b98b74e612b3bd713347d4a41de89c20f8cb445a229e6efd43db48e85d4ae"),
+    ),
+    "wide": (
+        CorpusConfig(seed=106, n_journals=60, first_year=2014, last_year=2017, pubs_per_year_mean=1.5,
+                     n_categories=2),
+        ("3cae08732304101051d8b1831f4f93d84b445b8543f4ebd2a6f2343266d82697",
+         "5f5bd5de36551a9c85469a8f6c7e36ea6a725133ea370e730018acf119e0b5ee",
+         "cbc7020d0a8b1d5c98c461ad498b234c7aa273421bf8ad28c6103324e3dc0ffc"),
+    ),
+    "first-years": (
+        CorpusConfig(seed=107, n_journals=6, first_year=1, last_year=4, rename_probability=0.5, aip_fraction=0.5),
+        ("cf0f4431435bfcdbc751d8746466bcff0d5cabeea968a6003f7c6022b02c6cb8",
+         "872fe77d77b26c4176dd8b802eb486adf955e0f8ba1901e54f5570aa1c6fcb01",
+         "edd345b4be938e3bcaf09a3469fad1533d66c4f418ee1678bfd22edcbf63dd0a"),
+    ),
+    "last-years": (
+        CorpusConfig(seed=108, n_journals=6, first_year=9996, last_year=9999, rename_probability=0.5,
+                     lag=LagModel(short_days=(0, 0), long_days=(0, 0))),
+        ("1b79be27b60ae6e459c8e7f2d008e580fae6cd3216f6d4f32e9a743a08c98486",
+         "f5b4cc8b051f8340a4981e33b43a36dbe483ca6191f94eded92ddba275a781db",
+         "ed444904c3c4e27e48a8ff52063d33fc10580fef2d578606a16ea4ed8372510f"),
+    ),
 }
 
 
@@ -170,6 +204,48 @@ def test_golden_corpus_digests(tmp_path, name):
     got = tuple(hashlib.sha256(_read(path)).hexdigest()
                 for path in (paths.sources_path, paths.publications_path, paths.links_path))
     assert got == digests
+
+
+@st.composite
+def small_configs(draw):
+    """Small configs over the edges the templates must get right: the first
+    and last years a date holds, zero rates, no and all in-press records,
+    and renames."""
+    first_year = draw(st.sampled_from([1, 2015, 9996]))
+    last_year = min(date.max.year, first_year + draw(st.integers(0, 3)))
+    room = (date.max - date(last_year, 12, 31)).days
+    long_lo = draw(st.integers(0, min(room, 30)))
+    lag = LagModel(short_weight=draw(st.sampled_from([0.0, 0.5, 1.0])),
+                   short_days=(0, draw(st.integers(0, min(room, 14)))),
+                   long_days=(long_lo, draw(st.integers(long_lo, min(room, 300)))))
+    return CorpusConfig(
+        seed=draw(st.integers(0, 2 ** 32 - 1)),
+        n_journals=draw(st.integers(1, 4)),
+        first_year=first_year,
+        last_year=last_year,
+        pubs_per_year_mean=draw(st.sampled_from([0, 0.5, 3.0])),
+        citation_rate=draw(st.sampled_from([0, 1.0, 4.0])),
+        lag=lag,
+        aip_fraction=draw(st.sampled_from([0.0, 0.3, 1.0])),
+        rename_probability=draw(st.sampled_from([0.0, 0.5, 1.0])),
+        n_categories=draw(st.integers(1, 4)),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_configs())
+def test_every_generated_line_is_its_canonical_line(config):
+    """Publication and link lines are written from per-kind templates, not
+    by canonical_line: each line must still be exactly the canonical line
+    of the record it holds, and each load date a zero-padded ISO date."""
+    with tempfile.TemporaryDirectory() as out:
+        paths = generate_corpus(config, out)
+        for path in (paths.sources_path, paths.publications_path, paths.links_path):
+            for line in path.read_text(encoding="utf-8").splitlines(keepends=True):
+                record = json.loads(line)
+                assert line == canonical_line(record) + "\n"
+                if "load_date" in record:
+                    assert parse_date(record["load_date"]).isoformat() == record["load_date"]
 
 
 def test_generator_memory_stays_below_its_output(tmp_path):
