@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import fields
 from datetime import date
 from pathlib import Path
 
@@ -274,6 +273,8 @@ def cmd_tracker(args, parser) -> int:
 
 
 def cmd_generate(args, parser) -> int:
+    from dataclasses import fields
+
     from .corpus import CorpusConfig, generate_corpus
 
     settings: dict = {}

@@ -36,18 +36,16 @@ metric computations.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import re
 from array import array
 from collections import Counter
-from dataclasses import dataclass, field
 from datetime import date
 from functools import cached_property
 from itertools import chain, compress, repeat
 from operator import add, mul
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping, TextIO
+from typing import Iterable, Iterator, Mapping, NamedTuple, TextIO
 
 from .records import DOC_TYPES, SOURCE_TYPES, SourceRecord, parse_date
 
@@ -120,25 +118,21 @@ class IngestError(Exception):
     a file that is not UTF-8."""
 
 
-@dataclass
 class IngestReport:
     """Accepted/rejected counts plus human-readable warnings."""
 
-    sources_accepted: int = 0
-    sources_rejected: int = 0
-    publications_accepted: int = 0
-    publications_rejected: int = 0
-    links_accepted: int = 0
-    links_rejected: int = 0
-    links_collapsed: int = 0
-    warnings: list[str] = field(default_factory=list)
+    def __init__(self) -> None:
+        self.sources_accepted = self.sources_rejected = 0
+        self.publications_accepted = self.publications_rejected = 0
+        self.links_accepted = self.links_rejected = self.links_collapsed = 0
+        self.warnings: list[str] = []
 
     def warn(self, message: str) -> None:
         self.warnings.append(message)
 
     def counts(self) -> dict[str, int]:
-        """Every counter field, by name."""
-        return {f.name: getattr(self, f.name) for f in dataclasses.fields(self) if f.name != "warnings"}
+        """Every counter, by name, in the order __init__ sets them."""
+        return {name: value for name, value in vars(self).items() if name != "warnings"}
 
 
 class _LineError(Exception):
@@ -221,14 +215,7 @@ def _parse_source(lineno: int, line: str, report: IngestReport) -> SourceRecord:
     predecessor = obj.get("predecessor_source_id")
     if predecessor is not None:
         predecessor = _typed(predecessor, "predecessor_source_id", int)
-    return SourceRecord(
-        source_id=source_id,
-        title=title,
-        source_type=source_type,
-        asjc_codes=frozenset(codes),
-        is_actively_indexed=active,
-        predecessor_source_id=predecessor,
-    )
+    return SourceRecord(source_id, title, source_type, frozenset(codes), active, predecessor)
 
 
 def _load_day(raw_date: str, days: dict[str, int]) -> int:
@@ -275,8 +262,7 @@ def _link_rejection(citing_id: str, cited_id: str, citing_known: bool, cited_kno
     return f"citing publication {citing_id!r} is an article-in-press and cannot give citations, link rejected"
 
 
-@dataclass(eq=False)
-class _Store:
+class _Store(NamedTuple):
     """The publications and links of one ingest, shared by every view of it.
 
     A publication's ordinal is its position in ingest order. The store keeps
@@ -297,10 +283,9 @@ class _Store:
     in_press: list[bool]
     citing: array
     cited: array
-    timelines: dict[int, object] = field(default_factory=dict)
+    timelines: dict[int, object]
 
 
-@dataclass(frozen=True)
 class IndexSnapshot:
     """The index as it existed at a cutoff date (load_date <= cutoff, inclusive).
 
@@ -310,17 +295,23 @@ class IndexSnapshot:
     narrows any view to an earlier cutoff. Every view of one index shares
     that index's record store. ``link_count`` and ``sort_year_counts``
     count the view's links and its publications per sort_year on the
-    columns. Immutable and safe to share across concurrent readers: what is
+    columns. Immutable (its fields ``cutoff``, ``sources`` and ``successor``
+    cannot be assigned) and safe to share across concurrent readers: what is
     filled lazily (a view's cached properties, the store's per-year
     timelines, which every view shares) is computed from columns that never
     change, so two threads that race on a first read compute equal values
     and either one is kept.
     """
 
-    cutoff: date
-    sources: Mapping[int, SourceRecord]
-    successor: Mapping[int, int]
-    _store: _Store = field(repr=False)
+    def __init__(self, cutoff: date, sources: Mapping[int, SourceRecord], successor: Mapping[int, int], store: _Store):
+        # Set in the instance dict, past __setattr__, as cached_property sets its values.
+        vars(self).update(cutoff=cutoff, sources=sources, successor=successor, _store=store)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
 
     @cached_property
     def _loaded(self) -> bytearray:
@@ -548,14 +539,8 @@ def _ingest(
     report.links_accepted = len(citing_column)
     report.links_collapsed = collapsed
 
-    store = _Store(pub_ids, source_ids, sort_years, load_days, in_press, citing_column, cited_column)
-    index = IndexSnapshot(
-        cutoff=date.max,
-        sources=MappingProxyType(sources),
-        successor=MappingProxyType(successor),
-        _store=store,
-    )
-    return index, report
+    store = _Store(pub_ids, source_ids, sort_years, load_days, in_press, citing_column, cited_column, {})
+    return IndexSnapshot(date.max, MappingProxyType(sources), MappingProxyType(successor), store), report
 
 
 def _validate_chains(sources: dict[int, SourceRecord], report: IngestReport) -> dict[int, int]:
@@ -573,7 +558,7 @@ def _validate_chains(sources: dict[int, SourceRecord], report: IngestReport) -> 
             continue
         if pred not in sources:
             report.warn(f"source {sid}: predecessor_source_id {pred} does not exist, pointer dropped")
-            sources[sid] = dataclasses.replace(record, predecessor_source_id=None)
+            sources[sid] = record._replace(predecessor_source_id=None)
         elif pred in successor:
             raise IngestError(
                 f"sources {successor[pred]} and {sid} share predecessor {pred}; "
@@ -635,4 +620,4 @@ def snapshot(index: IndexSnapshot, cutoff: date) -> IndexSnapshot:
     both endpoints do. Sources are not load-dated and are always present.
     The view shares the index's record store and copies nothing here.
     """
-    return dataclasses.replace(index, cutoff=min(cutoff, index.cutoff))
+    return IndexSnapshot(min(cutoff, index.cutoff), index.sources, index.successor, index._store)

@@ -21,10 +21,9 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from collections import Counter, defaultdict
-from dataclasses import dataclass
 from datetime import date
 from decimal import Decimal
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .index import IndexSnapshot, _Store
 from .records import ELIGIBLE_SOURCE_TYPES
@@ -37,8 +36,7 @@ class IneligibleError(ValueError):
     """Raised when a score is requested for a source that cannot receive one."""
 
 
-@dataclass(frozen=True)
-class MetricsRow:
+class MetricsRow(NamedTuple):
     """Per-source annual metrics. citescore always carries exactly 2 decimals."""
 
     source_id: int
@@ -49,8 +47,7 @@ class MetricsRow:
     percent_cited: int
 
 
-@dataclass(frozen=True)
-class CategoryStanding:
+class CategoryStanding(NamedTuple):
     """Relative standing of one source inside one ASJC category."""
 
     source_id: int
@@ -211,8 +208,7 @@ def rank_in_category(scores_by_source: Mapping[int, Decimal]) -> dict[int, tuple
     return {source_id: (n - sum(ties[value]) + 1, n) for source_id, value in scores_by_source.items()}
 
 
-@dataclass(frozen=True)
-class SourceYearCounts:
+class SourceYearCounts(NamedTuple):
     citations: int
     documents: int
     cited_documents: int
@@ -344,16 +340,7 @@ def compute_annual(
     for source_id, _, tally, score in scores(snapshot, year, [snapshot.cutoff], sorted(snapshot.sources)):
         pct = _round_ratio_to_hundredths(tally.cited_documents, tally.documents)
         assert 0 <= pct <= 100
-        rows.append(
-            MetricsRow(
-                source_id=source_id,
-                year=year,
-                citescore=score,
-                citations=tally.citations,
-                documents=tally.documents,
-                percent_cited=pct,
-            )
-        )
+        rows.append(MetricsRow(source_id, year, score, tally.citations, tally.documents, pct))
         for code in snapshot.sources[source_id].asjc_codes:
             by_category.setdefault(code, {})[source_id] = score
 
@@ -364,15 +351,7 @@ def compute_annual(
         for source_id, score in members.items():
             lower, same = ties[score]
             pct = percentile_from_counts(lower, same, n)
-            standings.append(
-                CategoryStanding(
-                    source_id=source_id,
-                    asjc_code=code,
-                    rank=n - lower - same + 1,
-                    n_in_category=n,
-                    percentile=pct,
-                    quartile=quartile(pct),
-                )
-            )
-    standings.sort(key=lambda s: (s.source_id, s.asjc_code))
+            standings.append(CategoryStanding(source_id, code, n - lower - same + 1, n, pct, quartile(pct)))
+    # Tuple order is (source_id, asjc_code) order: no two standings share both.
+    standings.sort()
     return rows, standings

@@ -110,8 +110,9 @@ def oracle_metrics(
 
     # Publications: well-formed, known source, loaded by the cutoff.
     # A duplicate of an already-accepted pub_id is fatal, exactly as at
-    # ingestion; a rejected record does not reserve its id.
-    pubs: dict[str, dict] = {}
+    # ingestion; a rejected record does not reserve its id. Each is kept as
+    # (pub_id, source_id, sort_year, is_article_in_press).
+    pubs: dict[str, tuple[str, int, int, bool]] = {}
     accepted_ids: set[str] = set()
     for obj in _read_objects(publications_path):
         pid = obj.get("pub_id")
@@ -139,7 +140,7 @@ def oracle_metrics(
         accepted_ids.add(pid)
         if load_date > cutoff:
             continue
-        pubs[pid] = {"id": pid, "source": sid, "year": sort_year, "aip": aip}
+        pubs[pid] = (pid, sid, sort_year, aip)
 
     # Links: both endpoints visible, no self-citations, no citing AIP,
     # duplicates collapsed. A pair holds the id strings pubs already keeps,
@@ -154,9 +155,10 @@ def oracle_metrics(
             continue
         if citing not in pubs or cited not in pubs:
             continue
-        if pubs[citing]["aip"]:
+        citing_id, _, _, citing_aip = pubs[citing]
+        if citing_aip:
             continue
-        pairs.add((pubs[citing]["id"], pubs[cited]["id"]))
+        pairs.add((citing_id, pubs[cited][0]))
 
     # Current title for every source, walking renames forward. Non-linear
     # chains (shared predecessors, cycles) are fatal, as at ingestion.
@@ -185,21 +187,21 @@ def oracle_metrics(
     window = {year - 3, year - 2, year - 1}
 
     documents: dict[int, int] = {}
-    for rec in pubs.values():
-        if rec["aip"] or rec["year"] not in window:
+    for _, sid, sort_year, aip in pubs.values():
+        if aip or sort_year not in window:
             continue
-        owner = current_title_of(rec["source"])
+        owner = current_title_of(sid)
         documents[owner] = documents.get(owner, 0) + 1
 
     citations: dict[int, int] = {}
     cited_docs: dict[int, set[str]] = {}
     for citing, cited in pairs:
-        if pubs[citing]["year"] != year:
+        if pubs[citing][2] != year:
             continue
-        target = pubs[cited]
-        if target["aip"] or target["year"] not in window:
+        _, sid, sort_year, aip = pubs[cited]
+        if aip or sort_year not in window:
             continue
-        owner = current_title_of(target["source"])
+        owner = current_title_of(sid)
         citations[owner] = citations.get(owner, 0) + 1
         cited_docs.setdefault(owner, set()).add(cited)
 

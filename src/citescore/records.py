@@ -4,8 +4,8 @@ vocabularies, and the strict date form of the input files."""
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from datetime import date
+from typing import NamedTuple
 
 _DATE_RE = re.compile(r"^\d{4}-\d{2}-\d{2}$")
 
@@ -52,8 +52,7 @@ def parse_date(text: str) -> date:
         raise ValueError(f"{text!r}: {exc}") from None
 
 
-@dataclass(frozen=True)
-class SourceRecord:
+class SourceRecord(NamedTuple):
     """A serial title. A renamed title gets a fresh source_id and points
     back at its former identity via predecessor_source_id."""
 

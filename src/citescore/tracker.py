@@ -14,18 +14,16 @@ from __future__ import annotations
 
 import calendar
 import math
-from dataclasses import dataclass
 from datetime import date
 from decimal import Decimal
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .index import IndexSnapshot, snapshot
 from .metrics import _ties, citescore, is_eligible, scores
 from .records import parse_date
 
 
-@dataclass(frozen=True)
-class TrackerRow:
+class TrackerRow(NamedTuple):
     """One tracker point: a source's score at one schedule date."""
 
     source_id: int
@@ -36,8 +34,7 @@ class TrackerRow:
     value: Decimal
 
 
-@dataclass(frozen=True)
-class TrackerSeries:
+class TrackerSeries(NamedTuple):
     """Monthly tracker points for one source; months where the source is not
     yet scoreable (no documents in the cited window) are simply absent."""
 
@@ -88,7 +85,7 @@ def tracker_series(
     if source_id not in index.sources:
         raise KeyError(f"unknown source_id {source_id}")
     points = tuple(_rows(index, tracker_year, schedule, [source_id]))
-    return TrackerSeries(source_id=source_id, tracker_year=tracker_year, points=points)
+    return TrackerSeries(source_id, tracker_year, points)
 
 
 def tracker_table(index: IndexSnapshot, tracker_year: int, schedule: list[date]) -> list[TrackerRow]:
@@ -106,8 +103,7 @@ def _rows(
         yield TrackerRow(source_id, tracker_year, as_of, tally.citations, tally.documents, value)
 
 
-@dataclass(frozen=True)
-class StabilityPoint:
+class StabilityPoint(NamedTuple):
     as_of: date
     n_sources: int
     rank_correlation: float
@@ -136,7 +132,7 @@ def stability_report(rows: list[TrackerRow]) -> list[StabilityPoint]:
             [current[sid] for sid in common],
             [final[sid] for sid in common],
         )
-        report.append(StabilityPoint(as_of=as_of, n_sources=len(common), rank_correlation=rho))
+        report.append(StabilityPoint(as_of, len(common), rho))
     return report
 
 

@@ -925,6 +925,27 @@ def test_snapshot_views_differ_across_annual_cutoffs():
     assert set(stored(view_2017)[0]) == {"early", "late"}
 
 
+def test_view_fields_are_read_only():
+    """A view's fields refuse assignment, and its counts still read from the
+    store it shares with the index."""
+    pubs = [
+        pub_line("early", 1, 2015, load_date="2016-07-01"),
+        pub_line("late", 1, 2016, load_date="2017-09-15"),
+        pub_line("citing", 1, 2017, load_date="2017-10-01"),
+    ]
+    index, _ = ingest([source_line(1), source_line(2, predecessor=1)], pubs, [link_line("citing", "early")])
+    view = snapshot(index, date(2017, 5, 31))
+    for name, value in (("cutoff", date(2099, 1, 1)), ("sources", {}), ("successor", {})):
+        for target in (index, view):
+            with pytest.raises(AttributeError):
+                setattr(target, name, value)
+    assert view.cutoff == date(2017, 5, 31) and index.cutoff == date.max
+    assert sorted(view.sources) == [1, 2] and dict(view.successor) == {1: 2}
+    assert view.link_count == 0 and index.link_count == 1
+    assert view.sort_year_counts == Counter({2015: 1})
+    assert index.sort_year_counts == Counter({2015: 1, 2016: 1, 2017: 1})
+
+
 def test_snapshot_filters_match_brute_force():
     rng = random.Random(913)
     cutoff = date(2017, 5, 31)

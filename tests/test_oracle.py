@@ -251,3 +251,26 @@ def test_oracle_link_pairs_share_the_publication_ids(tmp_path):
         tracemalloc.stop()
     assert report.links_accepted > 20_000
     assert peak < 270 * report.links_accepted
+
+
+def test_oracle_keeps_each_publication_as_a_tuple(tmp_path):
+    """Each accepted publication is one 4-tuple, not a 4-key dict: on a
+    corpus with few links, where the publications dominate the peak, the
+    traced peak is about 384 bytes per accepted publication, against about
+    485 with a dict per publication."""
+    cfg = CorpusConfig(seed=11, n_journals=60, pubs_per_year_mean=13.5, citation_rate=0.5,
+                       aip_fraction=0.2, rename_probability=0.15, n_categories=10)
+    paths = generate_corpus(cfg, tmp_path / "corpus")
+    _, report = load_index(paths.sources_path, paths.publications_path, paths.links_path)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        oracle_metrics(
+            paths.sources_path, paths.publications_path, paths.links_path,
+            2017, CUTOFF, tmp_path / "oracle",
+        )
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.publications_accepted > 5_000
+    assert peak < 435 * report.publications_accepted

@@ -3,9 +3,19 @@
 from __future__ import annotations
 
 import ast
+import os
+import subprocess
+import sys
+from datetime import date
 from pathlib import Path
 
+import pytest
+
 import citescore
+from citescore import CorpusConfig, compute_annual, generate_corpus, ingest, snapshot
+from citescore.tracker import stability_report, tracker_table
+
+from helpers import link_line, pub_line, source_line
 
 
 def test_every_exported_name_resolves():
@@ -82,3 +92,46 @@ def test_every_private_module_name_is_read_in_the_package():
             unread += [f"{module}: {name}" for name in names
                        if name.startswith("_") and not name.startswith("__") and name not in loaded]
     assert not unread
+
+
+@pytest.mark.parametrize("argv", [
+    [],
+    ["compute", "--year", "2017"],
+    ["tracker", "--year", "2017", "--from", "2017-01", "--to", "2018-04", "--stability-report"],
+    ["snapshot-info", "--year", "2017"],
+    ["verify", "--year", "2017"],
+], ids=["import", "compute", "tracker", "snapshot-info", "verify"])
+def test_engine_commands_load_no_dataclasses(tmp_path, argv):
+    """Importing the CLI, or running an engine command, loads neither
+    dataclasses nor the inspect module it imports. The corpus is generated
+    here, in the test process, as the generator keeps its dataclasses."""
+    paths = generate_corpus(CorpusConfig(seed=23, n_journals=6), tmp_path / "corpus")
+    flags = ["--sources", str(paths.sources_path), "--pubs", str(paths.publications_path),
+             "--links", str(paths.links_path), "--out", str(tmp_path / "out")]
+    run = f"citescore.cli.main({argv + flags!r})" if argv else "0"
+    code = f"import sys, citescore.cli\nprint({run}, [m for m in ('dataclasses', 'inspect') if m in sys.modules])"
+    env = {**os.environ, "PYTHONPATH": str(Path(citescore.__file__).parents[1])}
+    result = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert result.stdout.splitlines()[-1] == "0 []"
+
+
+def test_engine_records_refuse_assignment():
+    """Each record the engine hands out is read-only, field by field."""
+    sources = [source_line(1), source_line(2, predecessor=1)]
+    pubs = [pub_line("d", 1, 2016), pub_line("c", 2, 2017, load_date="2017-03-01")]
+    index, _ = ingest(sources, pubs, [link_line("c", "d")])
+    rows, standings = compute_annual(snapshot(index, date(2018, 4, 30)), 2017)
+    points = tracker_table(index, 2017, [date(2017, 1, 31), date(2017, 12, 31)])
+    records = {
+        "source_id title source_type asjc_codes is_actively_indexed predecessor_source_id": index.sources[2],
+        "source_id year citescore citations documents percent_cited": rows[0],
+        "source_id asjc_code rank n_in_category percentile quartile": standings[0],
+        "source_id tracker_year as_of citations documents value": points[0],
+        "as_of n_sources rank_correlation": stability_report(points)[0],
+    }
+    for names, record in records.items():
+        for name in names.split():
+            value = getattr(record, name)
+            with pytest.raises(AttributeError):
+                setattr(record, name, value)
+    assert (rows[0].source_id, str(rows[0].citescore), standings[0].n_in_category) == (2, "1.00", 1)
