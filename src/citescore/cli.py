@@ -308,8 +308,6 @@ def cmd_generate(args, parser) -> int:
 
 
 def cmd_verify(args, parser) -> int:
-    import filecmp
-
     cutoff, cutoff_origin = _parse_cutoff(args, parser)
     out = Path(args.out)
     engine_dir = out / "engine"
@@ -325,20 +323,15 @@ def cmd_verify(args, parser) -> int:
             _write_stderr(f"ERROR: oracle rejected input: {exc}\n")
             return EXIT_DATA_ERROR
 
-    differences: list[str] = []
-    identical = True
-    for name, key_width in (("metrics.csv", 1), ("standings.csv", 2)):
-        engine_file = engine_dir / name
-        oracle_file = oracle_dir / name
-        if filecmp.cmp(engine_file, oracle_file, shallow=False):
-            continue
-        identical = False
-        rows_diff = compare_output_files(engine_file, oracle_file, key_width, limit=50 - len(differences))
-        if not rows_diff:
-            rows_diff = ["files differ at byte level"]
-        differences.extend(f"{name}: {diff}" for diff in rows_diff)
+    # The report's first 50 lines, in file order.
+    differences = [
+        f"{name}: {diff}"
+        for name, key_width in (("metrics.csv", 1), ("standings.csv", 2))
+        for diff in compare_output_files(engine_dir / name, oracle_dir / name, key_width)
+    ][:50]
 
-    parameters = {"year": args.year, "cutoff": cutoff.isoformat(), "cutoff_origin": cutoff_origin, "identical": identical}
+    parameters = {"year": args.year, "cutoff": cutoff.isoformat(), "cutoff_origin": cutoff_origin,
+                  "identical": not differences}
     outputs = {
         "engine_metrics": engine_dir / "metrics.csv",
         "engine_standings": engine_dir / "standings.csv",
@@ -347,13 +340,11 @@ def cmd_verify(args, parser) -> int:
     }
     _write_run_manifest(args, out, parameters, outputs)
 
-    if not identical:
+    if differences:
         report_path = out / "diff_report.txt"
-        with open(report_path, "w", encoding="utf-8", newline="\n") as handle:
-            for line in differences[:50]:
-                handle.write(line + "\n")
+        report_path.write_text("".join(f"{line}\n" for line in differences), encoding="utf-8", newline="\n")
         _write_stderr(
-            f"ERROR: engine and oracle outputs differ ({len(differences[:50])} row diffs reported in {report_path})\n"
+            f"ERROR: engine and oracle outputs differ ({len(differences)} row diffs reported in {report_path})\n"
         )
         return EXIT_MISMATCH
     return EXIT_OK
@@ -390,9 +381,5 @@ def cmd_snapshot_info(args, parser) -> int:
     return EXIT_OK
 
 
-def console_main() -> None:
-    sys.exit(main())
-
-
 if __name__ == "__main__":
-    console_main()
+    sys.exit(main())

@@ -63,14 +63,18 @@ def cited_window(year: int) -> range:
     return range(year - CITED_WINDOW_YEARS, year)
 
 
-def _round_ratio_to_hundredths(numerator: int, denominator: int) -> int:
-    """round(100 * numerator / denominator) with ties away from zero.
+def _round_ratio_to_hundredths(numerator: int, documents: int) -> int:
+    """round(100 * numerator / documents) with ties away from zero: the score
+    in hundredths, or %Cited. The one zero-document rule: with no documents
+    neither is defined.
 
     Exact integer arithmetic; inputs are non-negative counts.
     """
-    if numerator < 0 or denominator <= 0:
-        raise ValueError("ratio must have a non-negative numerator and positive denominator")
-    return (200 * numerator + denominator) // (2 * denominator)
+    if documents < 1:
+        raise IneligibleError("documents count is zero; no score is defined")
+    if numerator < 0:
+        raise ValueError("ratio must have a non-negative numerator")
+    return (200 * numerator + documents) // (2 * documents)
 
 
 def _hundredths_to_decimal(hundredths: int) -> Decimal:
@@ -79,8 +83,6 @@ def _hundredths_to_decimal(hundredths: int) -> Decimal:
 
 def score_from_counts(citations: int, documents: int) -> Decimal:
     """Exact 2-decimal score for a citation/document pair."""
-    if documents < 1:
-        raise IneligibleError("documents count is zero; no score is defined")
     return _hundredths_to_decimal(_round_ratio_to_hundredths(citations, documents))
 
 
@@ -90,11 +92,12 @@ def _chain_counts(snapshot: IndexSnapshot, source_id: int, year: int) -> SourceY
     return _tally(_timelines(snapshot, year), members, snapshot.cutoff.toordinal())
 
 
-def _scored_counts(snapshot: IndexSnapshot, source_id: int, year: int) -> SourceYearCounts:
-    tally = _chain_counts(snapshot, source_id, year)
-    if tally.documents < 1:
-        raise IneligibleError(f"source {source_id} has no documents in the {year} cited window")
-    return tally
+def _percent_cited(tally: SourceYearCounts) -> int:
+    """A tally's cited documents as an integer percentage of its documents
+    (ties round up)."""
+    pct = _round_ratio_to_hundredths(tally.cited_documents, tally.documents)
+    assert 0 <= pct <= 100
+    return pct
 
 
 def count_documents(snapshot: IndexSnapshot, source_id: int, year: int) -> int:
@@ -113,26 +116,24 @@ def count_citations(snapshot: IndexSnapshot, source_id: int, year: int) -> int:
 
 def citescore(snapshot: IndexSnapshot, source_id: int, year: int) -> Decimal:
     """Citations divided by documents, to exactly two decimal places."""
-    tally = _scored_counts(snapshot, source_id, year)
+    tally = _chain_counts(snapshot, source_id, year)
     return score_from_counts(tally.citations, tally.documents)
 
 
 def percent_cited(snapshot: IndexSnapshot, source_id: int, year: int) -> int:
     """Share of denominator documents with at least one qualifying citation,
     as an integer percentage (ties round up)."""
-    tally = _scored_counts(snapshot, source_id, year)
-    return _round_ratio_to_hundredths(tally.cited_documents, tally.documents)
+    return _percent_cited(_chain_counts(snapshot, source_id, year))
 
 
 def source_eligible(snapshot: IndexSnapshot, source_id: int) -> bool:
     """The part of is_eligible that does not depend on the date: an actively
-    indexed serial that is the current (chain-terminal) title."""
+    indexed serial that is the current (chain-terminal) title. An unknown
+    source_id raises KeyError, from is_chain_terminal."""
+    if not snapshot.is_chain_terminal(source_id):
+        return False
     source = snapshot.sources[source_id]
-    return (
-        source.is_actively_indexed
-        and source.source_type in ELIGIBLE_SOURCE_TYPES
-        and snapshot.is_chain_terminal(source_id)
-    )
+    return source.is_actively_indexed and source.source_type in ELIGIBLE_SOURCE_TYPES
 
 
 def is_eligible(snapshot: IndexSnapshot, source_id: int, year: int) -> bool:
@@ -143,8 +144,6 @@ def is_eligible(snapshot: IndexSnapshot, source_id: int, year: int) -> bool:
     former titles are folded into their successor and never scored on their
     own.
     """
-    if source_id not in snapshot.sources:
-        raise KeyError(f"unknown source_id {source_id}")
     return source_eligible(snapshot, source_id) and count_documents(snapshot, source_id, year) >= 1
 
 
@@ -296,10 +295,8 @@ def _days(index: IndexSnapshot, schedule: Sequence[date]) -> list[int]:
 def aggregate_counts(snapshot: IndexSnapshot, year: int) -> dict[int, SourceYearCounts]:
     """Numerator/denominator tallies for every current title at the view's
     cutoff."""
-    timelines = _timelines(snapshot, year)
-    day = snapshot.cutoff.toordinal()
     return {
-        source_id: _tally(timelines, snapshot.resolve_title_chain(source_id), day)
+        source_id: _chain_counts(snapshot, source_id, year)
         for source_id in snapshot.sources
         if source_id not in snapshot.successor
     }
@@ -338,9 +335,7 @@ def compute_annual(
     rows: list[MetricsRow] = []
     by_category: dict[int, dict[int, Decimal]] = {}
     for source_id, _, tally, score in scores(snapshot, year, [snapshot.cutoff], sorted(snapshot.sources)):
-        pct = _round_ratio_to_hundredths(tally.cited_documents, tally.documents)
-        assert 0 <= pct <= 100
-        rows.append(MetricsRow(source_id, year, score, tally.citations, tally.documents, pct))
+        rows.append(MetricsRow(source_id, year, score, tally.citations, tally.documents, _percent_cited(tally)))
         for code in snapshot.sources[source_id].asjc_codes:
             by_category.setdefault(code, {})[source_id] = score
 

@@ -1,6 +1,11 @@
-"""CSV writers for the engine's output files, plus the row-level comparison
-used by verification. Files are UTF-8 with a mandatory header row and "\n"
-line endings.
+"""CSV writers for the engine's output files, plus the comparison used by
+verification. Files are UTF-8 with a mandatory header row and "\n" line
+endings.
+
+Each row record's field order is its file's column order, so the writers
+hand the records to csv as they are: csv writes a date in ISO form and a
+Decimal through str. write_metrics_csv only inserts the source's title after
+source_id, and write_stability_csv gives the rank correlation six decimals.
 
 The writers keep the order they are given, which is the file order: metrics
 rows by source_id, standings by (source_id, asjc_code), tracker rows by
@@ -23,7 +28,7 @@ TRACKER_HEADER = ["source_id", "tracker_year", "as_of_date", "citations", "docum
 STABILITY_HEADER = ["as_of_date", "n_sources", "rank_correlation"]
 
 
-def _write_csv(path: str | Path, header: list[str], rows: Iterable[list]) -> Path:
+def _write_csv(path: str | Path, header: list[str], rows: Iterable[tuple]) -> Path:
     path = Path(path)
     with open(path, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
@@ -35,57 +40,34 @@ def _write_csv(path: str | Path, header: list[str], rows: Iterable[list]) -> Pat
 def write_metrics_csv(
     path: str | Path, rows: list[MetricsRow], sources: Mapping[int, SourceRecord]
 ) -> Path:
-    return _write_csv(path, METRICS_HEADER, (
-        [
-            row.source_id,
-            sources[row.source_id].title,
-            row.year,
-            str(row.citescore),
-            row.citations,
-            row.documents,
-            row.percent_cited,
-        ]
-        for row in rows
-    ))
+    return _write_csv(path, METRICS_HEADER, ((row.source_id, sources[row.source_id].title, *row[1:]) for row in rows))
 
 
 def write_standings_csv(path: str | Path, standings: list[CategoryStanding]) -> Path:
-    return _write_csv(path, STANDINGS_HEADER, (
-        [row.source_id, row.asjc_code, row.rank, row.n_in_category, row.percentile, row.quartile]
-        for row in standings
-    ))
+    return _write_csv(path, STANDINGS_HEADER, standings)
 
 
 def write_tracker_csv(path: str | Path, rows: list[TrackerRow]) -> Path:
-    return _write_csv(path, TRACKER_HEADER, (
-        [
-            row.source_id,
-            row.tracker_year,
-            row.as_of.isoformat(),
-            row.citations,
-            row.documents,
-            str(row.value),
-        ]
-        for row in rows
-    ))
+    return _write_csv(path, TRACKER_HEADER, rows)
 
 
 def write_stability_csv(path: str | Path, points: list[StabilityPoint]) -> Path:
-    return _write_csv(path, STABILITY_HEADER, (
-        [point.as_of.isoformat(), point.n_sources, f"{point.rank_correlation:.6f}"]
-        for point in points
-    ))
+    return _write_csv(path, STABILITY_HEADER, ((as_of, n, f"{rho:.6f}") for as_of, n, rho in points))
 
 
 def compare_output_files(
     left_path: str | Path, right_path: str | Path, key_width: int, limit: int = 50
 ) -> list[str]:
-    """Row-level differences between two output files of the same format.
+    """Differences between two output files of the same format; empty only
+    when the files are byte-identical.
 
     Rows are matched on their first key_width columns after sorting; the
-    returned descriptions are capped at `limit`. Empty means identical
-    content (headers included).
+    returned descriptions are capped at `limit`. Files whose rows all match
+    but whose bytes differ (rows in another order, say) give the single
+    description "files differ at byte level".
     """
+    if Path(left_path).read_bytes() == Path(right_path).read_bytes():
+        return []
     left_header, left_rows = _read_rows(left_path, key_width)
     right_header, right_rows = _read_rows(right_path, key_width)
     differences: list[str] = []
@@ -105,17 +87,12 @@ def compare_output_files(
             differences.append(f"row [{label}] only in {Path(left_path).name}: {left_row}")
         else:
             differences.append(f"row [{label}]: {left_row} != {right_row}")
-    return differences
+    return differences or ["files differ at byte level"]
 
 
 def _read_rows(path: str | Path, key_width: int) -> tuple[list[str], dict[tuple[str, ...], list[str]]]:
     with open(path, encoding="utf-8", newline="") as handle:
         reader = csv.reader(handle)
-        try:
-            header = next(reader)
-        except StopIteration:
-            return [], {}
-        rows = {}
-        for row in reader:
-            rows[tuple(row[:key_width])] = row
+        header = next(reader, [])
+        rows = {tuple(row[:key_width]): row for row in reader}
     return header, rows

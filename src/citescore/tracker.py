@@ -82,8 +82,6 @@ def tracker_series(
     schedule: list[date],
 ) -> TrackerSeries:
     """Evaluate one source over an ascending schedule of as-of dates."""
-    if source_id not in index.sources:
-        raise KeyError(f"unknown source_id {source_id}")
     points = tuple(_rows(index, tracker_year, schedule, [source_id]))
     return TrackerSeries(source_id, tracker_year, points)
 

@@ -531,6 +531,48 @@ def test_verify_reports_a_byte_level_difference_once(corpus, tmp_path, capsys):
     assert (out / "diff_report.txt").read_text() == "metrics.csv: files differ at byte level\n"
 
 
+def test_verify_reports_at_most_50_lines_in_file_order(tmp_path, capsys):
+    """The diff report stops at 50 lines, counted across both files in file
+    order: more than 50 corrupted metrics rows fill it, and the standings'
+    byte-level difference after them is left out; one corrupted row leaves
+    room for it."""
+    corpus = tmp_path / "corpus"
+    assert main(["generate", "--seed", "5", "--journals", "70", "--out", str(corpus)]) == 0
+    out = tmp_path / "verify"
+    argv = ["verify", "--sources", str(corpus / "sources.jsonl"), "--pubs", str(corpus / "publications.jsonl"),
+            "--links", str(corpus / "links.jsonl"), "--year", "2017", "--out", str(out)]
+    assert main(argv) == 0
+    metrics = (out / "oracle" / "metrics.csv").read_text().splitlines()
+    standings = (out / "oracle" / "standings.csv").read_text().splitlines()
+    standings[1], standings[2] = standings[2], standings[1]
+    (out / "engine" / "standings.csv").write_text("\n".join(standings) + "\n")
+    report_path = out / "diff_report.txt"
+
+    def corrupt(n_rows):
+        """Verify with the first n_rows metrics rows given a score of 99.99."""
+        lines = metrics[:]
+        for i in range(1, n_rows + 1):
+            fields = lines[i].split(",")
+            fields[3] = "99.99"
+            lines[i] = ",".join(fields)
+        (out / "engine" / "metrics.csv").write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert main(argv + ["--compare-only"]) == 3
+        return report_path.read_text().splitlines(), capsys.readouterr().err
+
+    assert len(metrics) - 1 > 50
+    report, err = corrupt(len(metrics) - 1)
+    assert len(report) == 50
+    assert all(line.startswith("metrics.csv: row [") for line in report)
+    assert err == f"ERROR: engine and oracle outputs differ (50 row diffs reported in {report_path})\n"
+
+    report, err = corrupt(1)
+    assert len(report) == 2
+    assert report[0].startswith(f"metrics.csv: row [{metrics[1].split(',')[0]}]: ")
+    assert report[1] == "standings.csv: files differ at byte level"
+    assert err == f"ERROR: engine and oracle outputs differ (2 row diffs reported in {report_path})\n"
+
+
 def test_snapshot_info_reports_counts(corpus, tmp_path, capsys):
     code = main(["snapshot-info"] + _flags(corpus) + ["--year", "2016"])
     assert code == 0

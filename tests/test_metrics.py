@@ -28,6 +28,7 @@ from citescore import (
     quartile,
     rank_in_category,
     snapshot,
+    tracker_series,
     tracker_value,
 )
 from citescore.metrics import SourceYearCounts, _ties, aggregate_counts, score_from_counts
@@ -569,11 +570,19 @@ def test_per_source_scans_equal_brute_force(tmp_path, seed):
     _assert_aggregates_equal_brute_force(index, reference, cutoffs[::-1])
     assert sum(_assert_view_equals_brute_force(index, reference, view) for view in views)
     assert not any(count_documents(view, empty, 2017) for view in views)
+    # Every per-source entry point names the unknown id; str() of a KeyError
+    # is the repr of its message.
+    unknown = f"^'unknown source_id {10**9}'$"
     for metric in (count_documents, count_citations, percent_cited, is_eligible, citescore):
-        with pytest.raises(KeyError):
+        with pytest.raises(KeyError, match=unknown):
             metric(views[3], 10**9, 2017)
-    with pytest.raises(KeyError):
+    for method in (views[3].resolve_title_chain, views[3].is_chain_terminal):
+        with pytest.raises(KeyError, match=unknown):
+            method(10**9)
+    with pytest.raises(KeyError, match=unknown):
         tracker_value(index, 10**9, 2017, cutoffs[3])
+    with pytest.raises(KeyError, match=unknown):
+        tracker_series(index, 10**9, 2017, cutoffs[:4])
 
     # A fresh index of the same files, whose timelines are first built under
     # an early, nested view; its views are then read from the latest cutoff

@@ -351,8 +351,10 @@ def test_sweep_staggered_loads():
 
 def test_tracker_series_unknown_source():
     index = _index_with_staggered_loads()
-    with pytest.raises(KeyError):
+    with pytest.raises(KeyError, match="^'unknown source_id 99'$"):
         tracker_series(index, 99, 2018, month_end_schedule("2018-01", "2018-12"))
+    with pytest.raises(KeyError, match="^'unknown source_id 99'$"):
+        tracker_value(index, 99, 2018, date(2018, 12, 31))
 
 
 def test_timelines_are_built_once_per_citing_year(tmp_path, monkeypatch):
