@@ -340,14 +340,15 @@ def cmd_verify(args, parser) -> int:
     }
     _write_run_manifest(args, out, parameters, outputs)
 
-    if differences:
-        report_path = out / "diff_report.txt"
-        report_path.write_text("".join(f"{line}\n" for line in differences), encoding="utf-8", newline="\n")
-        _write_stderr(
-            f"ERROR: engine and oracle outputs differ ({len(differences)} row diffs reported in {report_path})\n"
-        )
-        return EXIT_MISMATCH
-    return EXIT_OK
+    report_path = out / "diff_report.txt"
+    if not differences:
+        report_path.unlink(missing_ok=True)  # an earlier mismatch's report no longer holds
+        return EXIT_OK
+    report_path.write_text("".join(f"{line}\n" for line in differences), encoding="utf-8", newline="\n")
+    _write_stderr(
+        f"ERROR: engine and oracle outputs differ ({len(differences)} row diffs reported in {report_path})\n"
+    )
+    return EXIT_MISMATCH
 
 
 def _snapshot_info(args, cutoff: date) -> dict:

@@ -56,6 +56,18 @@ _SOURCE_TYPE_CHOICES = [
     ("standalone-proceedings", 0.02),
 ]
 
+
+def _choices(table: list[tuple[str, float]]) -> tuple[tuple[str, ...], list[float]]:
+    """A table's values and the running totals of its weights but the last:
+    values[bisect_right(bounds, roll)] is the first value whose running total
+    exceeds roll, and the last value for a roll past every bound."""
+    values, weights = zip(*table)
+    return values, list(accumulate(weights))[:-1]
+
+
+_DOC_TYPES, _DOC_TYPE_BOUNDS = _choices(_DOC_TYPE_CHOICES)
+_SOURCE_TYPES, _SOURCE_TYPE_BOUNDS = _choices(_SOURCE_TYPE_CHOICES)
+
 _TITLE_FIELDS = [
     "Synthetic Studies", "Applied Placeholders", "Imaginary Systems",
     "Fictional Methods", "Generated Data", "Sample Analysis",
@@ -201,20 +213,23 @@ def _poisson_sampler(rng: random.Random, mean: float) -> Callable[[], int]:
     return draw
 
 
-def _pick(rng: random.Random, table: list[tuple[str, float]]) -> str:
-    roll = rng.random()
-    acc = 0.0
-    for value, weight in table:
-        acc += weight
-        if roll < acc:
-            return value
-    return table[-1][0]
+def _draw_below(getrandbits: Callable[[int], int], n: int, bits: int) -> int:
+    """A draw in [0, n) for n >= 1 with bits = n.bit_length(), made as
+    randrange(n) makes it on CPython 3.10-3.13: getrandbits(bits), drawn
+    again while the result is >= n. randint(lo, hi) is lo plus a draw below
+    hi - lo + 1. Calling getrandbits directly skips randrange's argument
+    checks and its call through Random._randbelow while consuming the stream
+    exactly as randrange does; a test holds both to the library's draws."""
+    r = getrandbits(bits)
+    while r >= n:
+        r = getrandbits(bits)
+    return r
 
 
 def generate_corpus(config: CorpusConfig, out_dir: str | Path) -> GeneratedCorpus:
     """Write sources/publications/links record files for the given config.
-    Each record is written as it is drawn, so memory grows with the
-    publications, not with the links."""
+    Records are written as they are drawn, one write per journal-year, so
+    memory grows with the publications, not with the links."""
     config.validate()
     rng = random.Random(config.seed)
     out = Path(out_dir)
@@ -234,7 +249,7 @@ def generate_corpus(config: CorpusConfig, out_dir: str | Path) -> GeneratedCorpu
             source = {
                 "source_id": next_id,
                 "title": f"Journal of {_TITLE_FIELDS[j % len(_TITLE_FIELDS)]} {j + 1}",
-                "source_type": _pick(rng, _SOURCE_TYPE_CHOICES),
+                "source_type": _SOURCE_TYPES[bisect_right(_SOURCE_TYPE_BOUNDS, rng.random())],
                 "is_actively_indexed": rng.random() < 0.95,
                 "asjc_codes": sorted(rng.sample(codes, k=rng.randint(1, min(3, len(codes))))),
             }
@@ -254,46 +269,68 @@ def generate_corpus(config: CorpusConfig, out_dir: str | Path) -> GeneratedCorpu
                 handle.write(canonical_line(source) + "\n")
                 next_id += 1
 
+    getrandbits = rng.getrandbits
+    uniform = rng.random
+
     # (journal index, sort_year) -> pub ids in drawing order, for citation
     # target selection and, in its insertion order, for the citing loop.
     pubs_by_journal_year: dict[tuple[int, int], list[str]] = {}
     in_press: set[str] = set()
     pub_counter = 0
     publication_count = _poisson_sampler(rng, config.pubs_per_year_mean)
-    # Each year with its first day as an ordinal and its length in days.
-    year_days = [(year, date(year, 1, 1).toordinal(), date(year, 12, 31).timetuple().tm_yday) for year in years]
-    lag = config.lag
+    # Each year with its first day as an ordinal, its length in days and that
+    # length's bit count; each lag range as (lo, width, width's bit count).
+    year_days = []
+    for year in years:
+        n_days = date(year, 12, 31).timetuple().tm_yday
+        year_days.append((year, date(year, 1, 1).toordinal(), n_days, n_days.bit_length()))
+    short_weight = config.lag.short_weight
+    short_lag, long_lag = [(lo, hi - lo + 1, (hi - lo + 1).bit_length())
+                           for lo, hi in (config.lag.short_days, config.lag.long_days)]
+    iso_dates: dict[int, str] = {}  # day ordinal -> its ISO date, formatted once
     aip_first_year = config.last_year - 1  # "recent" spans the last two years
+    aip_fraction = config.aip_fraction
     with open(paths.publications_path, "w", encoding="utf-8", newline="\n") as handle:
         for j_index, (current_id, since) in enumerate(journals):
-            for year, first_day, n_days in year_days:
+            for year, first_day, n_days, day_bits in year_days:
                 # Before the rename the journal publishes under its former id.
                 source_id = current_id if year >= since else current_id + 1
+                pub_ids: list[str] = []
+                lines: list[str] = []
                 for _ in range(publication_count()):
                     pub_counter += 1
                     pub_id = f"p{pub_counter:07d}"
-                    published = first_day + rng.randrange(n_days)
-                    days = lag.short_days if rng.random() < lag.short_weight else lag.long_days
-                    load_date = date.fromordinal(published + rng.randint(*days)).isoformat()
-                    is_aip = year >= aip_first_year and rng.random() < config.aip_fraction
-                    handle.write(_PUBLICATION_LINE % (_pick(rng, _DOC_TYPE_CHOICES), "true" if is_aip else "false",
+                    day = _draw_below(getrandbits, n_days, day_bits)
+                    lag_lo, lag_width, lag_bits = short_lag if uniform() < short_weight else long_lag
+                    lag = _draw_below(getrandbits, lag_width, lag_bits)
+                    loaded = first_day + day + lag_lo + lag
+                    load_date = iso_dates.get(loaded)
+                    if load_date is None:
+                        load_date = iso_dates[loaded] = date.fromordinal(loaded).isoformat()
+                    is_aip = year >= aip_first_year and uniform() < aip_fraction
+                    lines.append(_PUBLICATION_LINE % (_DOC_TYPES[bisect_right(_DOC_TYPE_BOUNDS, uniform())],
+                                                      "true" if is_aip else "false",
                                                       load_date, pub_id, year, source_id))
-                    pubs_by_journal_year.setdefault((j_index, year), []).append(pub_id)
+                    pub_ids.append(pub_id)
                     if is_aip:
                         in_press.add(pub_id)
+                if pub_ids:
+                    pubs_by_journal_year[j_index, year] = pub_ids
+                    handle.write("".join(lines))
 
     # Per citing year: the journals with in-window targets, their pooled pub
-    # ids, and cumulative attractiveness weights. Built once per year so link
-    # generation stays linear in the corpus size.
-    targets_by_year: dict[int, tuple[list[list[str]], list[float]]] = {}
+    # ids with each pool's size and its bit count, and cumulative
+    # attractiveness weights. Built once per year so link generation stays
+    # linear in the corpus size.
+    targets_by_year: dict[int, tuple[list[tuple[list[str], int, int]], list[float]]] = {}
     for citing_year in years:
         window = range(citing_year - 3, citing_year)
-        pools: list[list[str]] = []
+        pools: list[tuple[list[str], int, int]] = []
         pool_weights: list[float] = []
         for j_index, weight in enumerate(attractiveness):
             pool = [pid for y in window for pid in pubs_by_journal_year.get((j_index, y), [])]
             if pool:
-                pools.append(pool)
+                pools.append((pool, len(pool), len(pool).bit_length()))
                 pool_weights.append(weight)
         if pools:
             targets_by_year[citing_year] = (pools, list(accumulate(pool_weights)))
@@ -307,14 +344,16 @@ def generate_corpus(config: CorpusConfig, out_dir: str | Path) -> GeneratedCorpu
                 continue
             pools, cumulative = candidates
             total = cumulative[-1]
+            lines = []
             for pub_id in pub_ids:
                 if pub_id in in_press:
                     continue
                 chosen: set[str] = set()
                 for _ in range(citation_count()):
-                    pool = pools[bisect_right(cumulative, rng.random() * total)]
-                    target = pool[rng.randrange(len(pool))]
+                    pool, size, bits = pools[bisect_right(cumulative, uniform() * total)]
+                    target = pool[_draw_below(getrandbits, size, bits)]
                     if target not in chosen:
                         chosen.add(target)
-                        handle.write(_LINK_LINE % (target, pub_id))
+                        lines.append(_LINK_LINE % (target, pub_id))
+            handle.write("".join(lines))
     return paths

@@ -491,11 +491,14 @@ def test_verify_on_a_long_title_chain(tmp_path):
 
 
 def test_verify_detects_corrupted_row(corpus, tmp_path, capsys):
+    """A corrupted row is reported; once it is restored, a passing verify
+    into the same directory removes the stale report."""
     out = tmp_path / "verify"
     assert main(["verify"] + _flags(corpus) + ["--year", "2017", "--out", str(out)]) == 0
 
     metrics = out / "engine" / "metrics.csv"
-    lines = metrics.read_text().splitlines()
+    good = metrics.read_bytes()
+    lines = good.decode().splitlines()
     fields = lines[1].split(",")
     fields[3] = "9.99"  # corrupt one value
     lines[1] = ",".join(fields)
@@ -511,6 +514,11 @@ def test_verify_detects_corrupted_row(corpus, tmp_path, capsys):
     assert capsys.readouterr().err == (
         f"ERROR: engine and oracle outputs differ (1 row diffs reported in {out / 'diff_report.txt'})\n"
     )
+
+    metrics.write_bytes(good)
+    assert main(["verify"] + _flags(corpus) + ["--year", "2017", "--compare-only", "--out", str(out)]) == 0
+    assert not (out / "diff_report.txt").exists()
+    assert json.loads((out / "manifest.json").read_text())["parameters"]["identical"] is True
 
 
 def test_verify_reports_a_byte_level_difference_once(corpus, tmp_path, capsys):

@@ -4,17 +4,18 @@ from __future__ import annotations
 
 import hashlib
 import json
+import random
 import tempfile
 import tracemalloc
 from datetime import date
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import citescore.index as index_module
 from citescore import CorpusConfig, LagModel, generate_corpus, load_index
-from citescore.corpus import canonical_line
+from citescore.corpus import _draw_below, canonical_line
 from citescore.records import parse_date
 
 
@@ -204,6 +205,22 @@ def test_golden_corpus_digests(tmp_path, name):
     got = tuple(hashlib.sha256(_read(path)).hexdigest()
                 for path in (paths.sources_path, paths.publications_path, paths.links_path))
     assert got == digests
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2 ** 64), ns=st.lists(st.integers(1, 2 ** 34), min_size=1, max_size=8),
+       ranges=st.lists(st.tuples(st.integers(-2 ** 34, 2 ** 34), st.integers(0, 2 ** 34)), min_size=1, max_size=8))
+@example(seed=0, ns=[1, 2 ** 32, 2 ** 32 + 1], ranges=[(0, 0), (7, 0), (-3, 2 ** 32)])
+def test_draws_below_are_randrange_and_randint(seed, ns, ranges):
+    """The generator draws through _draw_below, not randrange and randint:
+    from equal seeds it gives the library's values and leaves the stream in
+    the library's state, below 1 and past 2**32, and for lo == hi."""
+    ours, library = random.Random(seed), random.Random(seed)
+    assert [_draw_below(ours.getrandbits, n, n.bit_length()) for n in ns] == [library.randrange(n) for n in ns]
+    assert ours.getstate() == library.getstate()
+    assert ([lo + _draw_below(ours.getrandbits, width + 1, (width + 1).bit_length()) for lo, width in ranges]
+            == [library.randint(lo, lo + width) for lo, width in ranges])
+    assert ours.getstate() == library.getstate()
 
 
 @st.composite
