@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from datetime import date
 from pathlib import Path
@@ -21,6 +22,7 @@ from .index import IngestError, load_index, snapshot
 from .manifest import build_manifest, write_manifest
 from .metrics import compute_annual
 from .output import (
+    MAX_DIFFERENCES,
     compare_output_files,
     write_metrics_csv,
     write_stability_csv,
@@ -132,6 +134,10 @@ def _parse_args(argv: list[str] | None) -> argparse.Namespace:
     return args
 
 
+class InputChanged(Exception):
+    """A record file changed between its ingest and its digest."""
+
+
 def main(argv: list[str] | None = None) -> int:
     args = _parse_args(argv)
     try:
@@ -139,7 +145,7 @@ def main(argv: list[str] | None = None) -> int:
     except IngestError as exc:
         _write_stderr(f"ERROR: ingest failed: {exc}\n")
         return EXIT_DATA_ERROR
-    except (OSError, UnicodeDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, InputChanged) as exc:
         _write_stderr(f"ERROR: {exc}\n")
         return EXIT_DATA_ERROR
 
@@ -184,14 +190,27 @@ def _load_and_report(args) -> tuple:
     return index, report
 
 
-def _write_run_manifest(args, out: Path, parameters: dict, outputs: dict) -> None:
+def _record_states(args) -> list[tuple]:
+    """(path, size, mtime in ns, inode) of each record file."""
+    return [(path, state.st_size, state.st_mtime_ns, state.st_ino)
+            for path in (args.sources, args.pubs, args.links) for state in [os.stat(path)]]
+
+
+def _write_run_manifest(args, out: Path, parameters: dict, outputs: dict, ingested: list | None) -> None:
     """Write out/manifest.json for an engine command: its record files (and
-    cutoff table, if given), parameters and outputs."""
+    cutoff table, if given), parameters and outputs. ingested holds the
+    record files' _record_states taken before the engine read them, or None
+    when it did not; a record file whose state differs once it is digested
+    raises InputChanged, and no manifest is written."""
     inputs = {"sources": args.sources, "publications": args.pubs, "links": args.links}
     if getattr(args, "cutoff_table", None):
         inputs["cutoff_table"] = args.cutoff_table
     _trim_c_heap()
     manifest = build_manifest(command=args.command, inputs=inputs, parameters=parameters, outputs=outputs)
+    if ingested is not None:
+        for before, after in zip(ingested, _record_states(args)):
+            if before != after:
+                raise InputChanged(f"input {before[0]} changed during the run")
     write_manifest(out / "manifest.json", manifest)
 
 
@@ -229,6 +248,7 @@ def _annual(args, cutoff: date, out: Path, only: str | None) -> tuple:
 def cmd_compute(args, parser) -> int:
     cutoff, cutoff_origin = _parse_cutoff(args, parser)
     out = Path(args.out)
+    ingested = _record_states(args)
     report, outputs = _annual(args, cutoff, out, args.only)
     parameters = {
         "year": args.year,
@@ -237,7 +257,7 @@ def cmd_compute(args, parser) -> int:
         "only": args.only,
         "ingest": report.counts(),
     }
-    _write_run_manifest(args, out, parameters, outputs)
+    _write_run_manifest(args, out, parameters, outputs, ingested)
     return EXIT_OK
 
 
@@ -259,6 +279,7 @@ def cmd_tracker(args, parser) -> int:
     except ValueError as exc:
         parser.error(str(exc))
     out = Path(args.out)
+    ingested = _record_states(args)
     report, outputs = _tracker(args, schedule, out)
     parameters = {
         "year": args.year,
@@ -268,7 +289,7 @@ def cmd_tracker(args, parser) -> int:
         "stability_report": args.stability_report,
         "ingest": report.counts(),
     }
-    _write_run_manifest(args, out, parameters, outputs)
+    _write_run_manifest(args, out, parameters, outputs, ingested)
     return EXIT_OK
 
 
@@ -313,9 +334,11 @@ def cmd_verify(args, parser) -> int:
     engine_dir = out / "engine"
     oracle_dir = out / "oracle"
 
+    ingested = None
     if not args.compare_only:
         from .oracle import OracleDataError, oracle_metrics
 
+        ingested = _record_states(args)
         _annual(args, cutoff, engine_dir, None)
         try:
             oracle_metrics(args.sources, args.pubs, args.links, args.year, cutoff, oracle_dir)
@@ -323,12 +346,12 @@ def cmd_verify(args, parser) -> int:
             _write_stderr(f"ERROR: oracle rejected input: {exc}\n")
             return EXIT_DATA_ERROR
 
-    # The report's first 50 lines, in file order.
+    # The report's first MAX_DIFFERENCES lines, in file order.
     differences = [
         f"{name}: {diff}"
         for name, key_width in (("metrics.csv", 1), ("standings.csv", 2))
         for diff in compare_output_files(engine_dir / name, oracle_dir / name, key_width)
-    ][:50]
+    ][:MAX_DIFFERENCES]
 
     parameters = {"year": args.year, "cutoff": cutoff.isoformat(), "cutoff_origin": cutoff_origin,
                   "identical": not differences}
@@ -338,7 +361,7 @@ def cmd_verify(args, parser) -> int:
         "oracle_metrics": oracle_dir / "metrics.csv",
         "oracle_standings": oracle_dir / "standings.csv",
     }
-    _write_run_manifest(args, out, parameters, outputs)
+    _write_run_manifest(args, out, parameters, outputs, ingested)
 
     report_path = out / "diff_report.txt"
     if not differences:
@@ -370,6 +393,7 @@ def cmd_snapshot_info(args, parser) -> int:
     if (args.cutoff is not None) == (args.year is not None):
         parser.error("provide exactly one of --cutoff or --year")
     cutoff, _origin = _parse_cutoff(args, parser)
+    ingested = _record_states(args) if args.out else None
     text = json.dumps(_snapshot_info(args, cutoff), indent=2, sort_keys=True) + "\n"
     sys.stdout.write(text)
 
@@ -378,7 +402,7 @@ def cmd_snapshot_info(args, parser) -> int:
         out.mkdir(parents=True, exist_ok=True)
         info_path = out / "snapshot_info.json"
         info_path.write_text(text, encoding="utf-8", newline="\n")
-        _write_run_manifest(args, out, {"cutoff": cutoff.isoformat()}, {"snapshot_info": info_path})
+        _write_run_manifest(args, out, {"cutoff": cutoff.isoformat()}, {"snapshot_info": info_path}, ingested)
     return EXIT_OK
 
 

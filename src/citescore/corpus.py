@@ -295,7 +295,7 @@ def generate_corpus(config: CorpusConfig, out_dir: str | Path) -> GeneratedCorpu
             for year, first_day, n_days, day_bits in year_days:
                 # Before the rename the journal publishes under its former id.
                 source_id = current_id if year >= since else current_id + 1
-                pub_ids: list[str] = []
+                year_ids: list[str] = []
                 lines: list[str] = []
                 for _ in range(publication_count()):
                     pub_counter += 1
@@ -311,11 +311,11 @@ def generate_corpus(config: CorpusConfig, out_dir: str | Path) -> GeneratedCorpu
                     lines.append(_PUBLICATION_LINE % (_DOC_TYPES[bisect_right(_DOC_TYPE_BOUNDS, uniform())],
                                                       "true" if is_aip else "false",
                                                       load_date, pub_id, year, source_id))
-                    pub_ids.append(pub_id)
+                    year_ids.append(pub_id)
                     if is_aip:
                         in_press.add(pub_id)
-                if pub_ids:
-                    pubs_by_journal_year[j_index, year] = pub_ids
+                if year_ids:
+                    pubs_by_journal_year[j_index, year] = year_ids
                     handle.write("".join(lines))
 
     # Per citing year: the journals with in-window targets, their pooled pub
@@ -338,14 +338,14 @@ def generate_corpus(config: CorpusConfig, out_dir: str | Path) -> GeneratedCorpu
     # Publications cite in the order they were drawn; one in press cites nothing.
     citation_count = _poisson_sampler(rng, config.citation_rate)
     with open(paths.links_path, "w", encoding="utf-8", newline="\n") as handle:
-        for (_, year), pub_ids in pubs_by_journal_year.items():
+        for (_, year), year_ids in pubs_by_journal_year.items():
             candidates = targets_by_year.get(year)
             if candidates is None:
                 continue
             pools, cumulative = candidates
             total = cumulative[-1]
             lines = []
-            for pub_id in pub_ids:
+            for pub_id in year_ids:
                 if pub_id in in_press:
                     continue
                 chosen: set[str] = set()

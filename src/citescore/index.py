@@ -15,8 +15,9 @@ that ends in its only newline), and its catch-all alternative gives every
 other line, whole, to the checked parser, so each line still has its
 number. Each accepted publication gets an ordinal, its position in ingest
 order, and the index keeps only what the metrics read of it: its source,
-sort year, load day and in-press flag. Every document type counts, so
-``doc_type`` is validated and not kept. Links are deduplicated per citing
+sort year, load day and in-press flag. Its id only resolves link endpoints
+during ingest, and every document type counts, so neither the id nor
+``doc_type`` (validated) is kept. Links are deduplicated per citing
 publication's run of lines (a links file is one reference list after
 another), on a set of that run's cited ordinals; only when a citing
 publication's links resume after another's does ingest fall back to one set
@@ -265,8 +266,8 @@ def _link_rejection(citing_id: str, cited_id: str, citing_known: bool, cited_kno
 class _Store(NamedTuple):
     """The publications and links of one ingest, shared by every view of it.
 
-    A publication's ordinal is its position in ingest order. The store keeps
-    the fields the metrics read in columns by ordinal: ``pub_ids``;
+    A publication's ordinal is its position in ingest order; its id is not
+    kept. The store keeps the fields the metrics read in columns by ordinal:
     ``source_ids``, ``sort_years`` and ``load_days`` (the load date's
     ordinal), plain lists that share one int object per distinct value read
     inline; and ``in_press``, a list of bools. Each link is a row of the two
@@ -276,7 +277,6 @@ class _Store(NamedTuple):
     event timelines metrics._timelines builds from the columns on the first
     read for that year."""
 
-    pub_ids: list[str]
     source_ids: list[int]
     sort_years: list[int]
     load_days: list[int]
@@ -328,10 +328,9 @@ class IndexSnapshot:
     # Only the benchmark (perfbench/run.py) reads this; it goes when the
     # benchmark counts link_count instead (ROADMAP item 1).
     @cached_property
-    def links(self) -> tuple[tuple[str, str], ...]:
-        """(citing_pub_id, cited_pub_id) of the view's links, in store order."""
-        pub_ids = self._store.pub_ids
-        return tuple((pub_ids[citing], pub_ids[cited]) for citing, cited in self._link_rows())
+    def links(self) -> tuple[tuple[int, int], ...]:
+        """(citing, cited) ordinals of the view's links, in store order."""
+        return tuple(self._link_rows())
 
     @cached_property
     def link_count(self) -> int:
@@ -446,9 +445,8 @@ def _ingest(
     days: dict[str, int] = {}
     years: dict[str, int] = {}
     source_of_text = {str(source_id): source_id for source_id in sources}
-    # Each accepted publication's ordinal, and its fields by ordinal.
+    # Each accepted publication's ordinal, by id, and its fields by ordinal.
     ordinal: dict[str, int] = {}
-    pub_ids: list[str] = []
     source_ids: list[int] = []
     sort_years: list[int] = []
     load_days: list[int] = []
@@ -479,13 +477,12 @@ def _ingest(
             report.publications_rejected += 1
             report.warn(f"publications line {lineno}: unknown source_id {source_id}, record rejected")
             continue
-        ordinal[pub_id] = len(pub_ids)
-        pub_ids.append(pub_id)
+        ordinal[pub_id] = len(ordinal)
         source_ids.append(source_id)
         sort_years.append(sort_year)
         load_days.append(day)
         in_press.append(aip)
-    report.publications_accepted = len(pub_ids)
+    report.publications_accepted = len(ordinal)
 
     citing_column, cited_column = array("i"), array("i")
     # A links file is one reference list after another, so each citing
@@ -495,7 +492,7 @@ def _ingest(
     # links are not grouped: seen then keys every link accepted so far, and
     # each one after it, on one int, citing * width + cited (distinct pairs
     # map to distinct keys, since every cited ordinal is below width).
-    width = len(pub_ids)
+    width = len(ordinal)
     started = bytearray(width)
     run_citing, run = -1, set()
     seen: set[int] | None = None
@@ -539,7 +536,7 @@ def _ingest(
     report.links_accepted = len(citing_column)
     report.links_collapsed = collapsed
 
-    store = _Store(pub_ids, source_ids, sort_years, load_days, in_press, citing_column, cited_column, {})
+    store = _Store(source_ids, sort_years, load_days, in_press, citing_column, cited_column, {})
     return IndexSnapshot(date.max, MappingProxyType(sources), MappingProxyType(successor), store), report
 
 

@@ -26,6 +26,8 @@ METRICS_HEADER = ["source_id", "title", "year", "citescore", "citations", "docum
 STANDINGS_HEADER = ["source_id", "asjc_code", "rank", "n_in_category", "percentile", "quartile"]
 TRACKER_HEADER = ["source_id", "tracker_year", "as_of_date", "citations", "documents", "tracker_value"]
 STABILITY_HEADER = ["as_of_date", "n_sources", "rank_correlation"]
+# The most row differences compare_output_files gives, and verify reports.
+MAX_DIFFERENCES = 50
 
 
 def _write_csv(path: str | Path, header: list[str], rows: Iterable[tuple]) -> Path:
@@ -55,14 +57,12 @@ def write_stability_csv(path: str | Path, points: list[StabilityPoint]) -> Path:
     return _write_csv(path, STABILITY_HEADER, ((as_of, n, f"{rho:.6f}") for as_of, n, rho in points))
 
 
-def compare_output_files(
-    left_path: str | Path, right_path: str | Path, key_width: int, limit: int = 50
-) -> list[str]:
+def compare_output_files(left_path: str | Path, right_path: str | Path, key_width: int) -> list[str]:
     """Differences between two output files of the same format; empty only
     when the files are byte-identical.
 
     Rows are matched on their first key_width columns after sorting; the
-    returned descriptions are capped at `limit`. Files whose rows all match
+    returned descriptions are capped at MAX_DIFFERENCES. Files whose rows all match
     but whose bytes differ (rows in another order, say) give the single
     description "files differ at byte level".
     """
@@ -74,7 +74,7 @@ def compare_output_files(
     if left_header != right_header:
         differences.append(f"header mismatch: {left_header!r} != {right_header!r}")
     for key in sorted(set(left_rows) | set(right_rows)):
-        if len(differences) >= limit:
+        if len(differences) >= MAX_DIFFERENCES:
             break
         left_row = left_rows.get(key)
         right_row = right_rows.get(key)

@@ -126,18 +126,22 @@ def read_reference(paths):
     return reference_records(*(path.read_text(encoding="utf-8").splitlines() for path in paths))
 
 
-def stored(view):
+def stored(view, pub_ids):
     """What ingest kept, as far as the view's cutoff, read from the columns
-    of the view's record store: its publications by pub_id, in ingest order,
-    and its links as (citing_pub_id, cited_pub_id) pairs, in store order."""
+    of the view's record store, each ordinal named by pub_ids: the accepted
+    ids in ingest order, from the test's own reference, as many as the store
+    holds. Gives its publications by pub_id, in ingest order, and its links
+    as (citing_pub_id, cited_pub_id) pairs, in store order."""
     store, loaded = view._store, view._loaded
-    columns = zip(store.pub_ids, store.source_ids, store.sort_years, store.load_days, store.in_press, loaded)
+    pub_ids = list(pub_ids)
+    assert len(pub_ids) == len(store.source_ids)
+    columns = zip(pub_ids, store.source_ids, store.sort_years, store.load_days, store.in_press, loaded)
     publications = {
         pub_id: Pub(pub_id, source_id, sort_year, date.fromordinal(day), aip)
         for pub_id, source_id, sort_year, day, aip, kept in columns
         if kept
     }
-    links = [(store.pub_ids[citing], store.pub_ids[cited])
+    links = [(pub_ids[citing], pub_ids[cited])
              for citing, cited in zip(store.citing, store.cited) if loaded[citing] and loaded[cited]]
     return publications, links
 

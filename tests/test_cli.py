@@ -656,7 +656,8 @@ def test_integers_past_64_bits_ingest_count_and_score(tmp_path, capsys):
     }
     index, report = load_index(*paths)
     assert report.counts()["publications_rejected"] == report.counts()["links_rejected"] == 0
-    assert [(r.pub_id, r.source_id, r.sort_year) for r in stored(index)[0].values()] == [
+    pub_ids = ["p1", "p2", "p3", "p4", "far", "far2", "near"]
+    assert [(r.pub_id, r.source_id, r.sort_year) for r in stored(index, pub_ids)[0].values()] == [
         ("p1", big, 2016), ("p2", big, 2015), ("p3", 1, 2017), ("p4", 1, 2014), ("far", big, far), ("far2", 1, far),
         ("near", 1, near),
     ]
@@ -893,6 +894,35 @@ def test_data_error_is_one_exact_error_line(tmp_path, capsys, case):
     assert main(["compute", "--year", "2017", *flags, "--out", str(tmp_path / "run")]) == 1
     captured = capsys.readouterr()
     assert (captured.out, captured.err) == ("", expected)
+
+
+@pytest.mark.parametrize("command, step", [
+    (["compute", "--year", "2017"], "compute_annual"),
+    (["tracker", "--year", "2017", "--from", "2017-06", "--to", "2018-04"], "tracker_table"),
+    (["snapshot-info", "--year", "2017"], "snapshot"),
+    (["verify", "--year", "2017"], "compute_annual"),
+], ids=["compute", "tracker", "snapshot-info", "verify"])
+def test_input_changed_during_the_run_is_data_error(corpus, tmp_path, capsys, monkeypatch, command, step):
+    """A record file that changes after ingest has read it (here a line
+    appended to the links file while the engine computes) ends the run with
+    one ERROR line and no manifest, whose digest would be of bytes that were
+    never ingested."""
+    engine_step = getattr(cli_module, step)
+    links = corpus["--links"]
+
+    def appending(*args):
+        with open(links, "a", encoding="utf-8") as handle:
+            handle.write(link_line("ghost", "phantom") + "\n")
+        return engine_step(*args)
+
+    monkeypatch.setattr(cli_module, step, appending)
+    out = tmp_path / "run"
+    assert main(command + _flags(corpus) + ["--quiet", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"ERROR: input {links} changed during the run\n"
+    assert not (out / "manifest.json").exists()
+    monkeypatch.setattr(cli_module, step, engine_step)
+    assert main(command + _flags(corpus) + ["--quiet", "--out", str(out)]) == 0
+    assert (out / "manifest.json").exists()
 
 
 def test_oracle_data_error_is_one_exact_error_line(corpus, tmp_path, capsys, monkeypatch):

@@ -29,8 +29,8 @@ from citescore.output import write_metrics_csv, write_standings_csv
 from citescore.records import SourceRecord, parse_date
 
 from helpers import (
-    ChainError, Pub, brute_force_view, build_index, differential_index, link_line, pub_line, reference_records,
-    source_line, stored, three_pass_chains,
+    ChainError, Pub, brute_force_view, build_index, differential_index, link_line, pub_line,
+    read_reference, reference_records, source_line, stored, three_pass_chains,
 )
 
 
@@ -98,7 +98,7 @@ def test_missing_field_and_bad_values_rejected():
     assert report.sources_rejected == 1
     assert report.publications_accepted == 1
     assert report.publications_rejected == 3
-    assert set(stored(index)[0]) == {"ok"}
+    assert stored(index, ["ok"])[0] == {"ok": Pub("ok", 1, 2015, date(2015, 1, 10), False)}
 
 
 def test_unknown_fields_ignored_with_warning():
@@ -136,11 +136,9 @@ def test_article_in_press_cannot_give_citations():
     assert any("article-in-press" in w for w in report.warnings)
 
 
-def test_ingest_peak_memory_stays_near_the_index_it_keeps(tmp_path):
-    """Generated links come one reference list after another, so ingest
-    dedupes each list on its own small set: load_index's traced peak on a
-    near-cap-shaped corpus is 1.8 times what the index holds after it,
-    against 4.85 times with one int key per link."""
+def _traced_load(tmp_path):
+    """load_index of a near-cap-shaped generated corpus under tracemalloc:
+    (report, bytes the index holds after it, traced peak)."""
     cfg = CorpusConfig(seed=11, n_journals=60, pubs_per_year_mean=13.5, citation_rate=6.2,
                        aip_fraction=0.2, rename_probability=0.15, n_categories=10)
     paths = generate_corpus(cfg, tmp_path)
@@ -151,8 +149,27 @@ def test_ingest_peak_memory_stays_near_the_index_it_keeps(tmp_path):
         held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    return report, held, peak
+
+
+def test_ingest_peak_memory_stays_near_the_index_it_keeps(tmp_path):
+    """Generated links come one reference list after another, so ingest
+    dedupes each list on its own small set: load_index's traced peak on a
+    near-cap-shaped corpus is 2.8 times what the index holds after it,
+    against 7.6 times with one int key per link."""
+    report, held, peak = _traced_load(tmp_path)
     assert report.links_accepted > 20_000
     assert peak < 3 * held
+
+
+def test_index_keeps_no_publication_ids(tmp_path):
+    """The index keeps four columns per publication and two int columns per
+    link, not the ids, which only resolve links during ingest: about 117
+    bytes per accepted publication on this corpus (4.85 links each), against
+    182 with an id string per publication."""
+    report, held, _peak = _traced_load(tmp_path)
+    assert report.publications_accepted > 5_000
+    assert held < 140 * report.publications_accepted
 
 
 def test_canonical_link_lines_call_no_link_helper(monkeypatch):
@@ -193,7 +210,7 @@ def test_canonical_publication_lines_parse_each_load_date_once(monkeypatch):
     assert parsed == ["2015-01-10", "2016-03-01"]
     assert report.publications_accepted == 12
     assert not report.warnings
-    publications = stored(index)[0]
+    publications = stored(index, [json.loads(line)["pub_id"] for line in pubs])[0]
     assert publications["q1"].load_date == date(2016, 3, 1)
     assert publications == {
         record["pub_id"]: Pub(
@@ -500,7 +517,7 @@ def test_ingest_golden_lines():
         (12, 'T', 'journal', [1000], True, None),
         (16, 'T', 'journal', [1000], True, None),
     ]
-    publications, links = stored(index)
+    publications, links = stored(index, _GOLDEN_ACCEPTED_IDS)
     assert [
         (r.pub_id, r.source_id, r.sort_year, r.load_date.isoformat(), r.is_article_in_press)
         for r in publications.values()
@@ -581,7 +598,7 @@ def test_first_failing_check_names_each_line():
         "publications_accepted": 1, "publications_rejected": 5,
         "links_accepted": 0, "links_rejected": 4, "links_collapsed": 0,
     }
-    assert list(stored(index)[0]) == ["a"]
+    assert stored(index, ["a"])[0] == {"a": Pub("a", 1, 2015, date(2015, 1, 10), False)}
 
 
 # Values a mutation puts in a field or an extra key.
@@ -720,16 +737,31 @@ def _force_checked_parsers(patch):
         patch.setattr(index_module, name, index_module._block_pattern("(?!)" + canonical))
 
 
+def _decoded_pub_id(line):
+    """The pub_id string that json.loads finds in a line, else None."""
+    try:
+        obj = json.loads(line)
+    except (ValueError, RecursionError):
+        return None
+    pub_id = obj.get("pub_id") if isinstance(obj, dict) else None
+    return pub_id if isinstance(pub_id, str) else None
+
+
 def _ingest_outcome(sources, pubs, links):
     """Everything ingest gives for the golden lines and these: its error
-    message, or the sources, records, link columns, counts and warnings."""
+    message, or the sources, store columns, counts and warnings. The store
+    keeps no ids, so after the links come probes, a link from the golden
+    publication "a" to each id that json.loads finds in a publication line:
+    the link columns and warnings then show each such id's ordinal, or that
+    no publication holds it."""
+    pubs = _GOLDEN_PUBLICATIONS + pubs
+    probes = sorted({pub_id for pub_id in map(_decoded_pub_id, pubs) if pub_id is not None})
     try:
-        index, report = ingest(_GOLDEN_SOURCES + sources, _GOLDEN_PUBLICATIONS + pubs, _GOLDEN_LINKS + links)
+        index, report = ingest(_GOLDEN_SOURCES + sources, pubs,
+                               _GOLDEN_LINKS + links + [link_line("a", pub_id) for pub_id in probes])
     except IngestError as exc:
         return str(exc)
-    store = index._store
-    records = list(stored(index)[0].values())
-    return dict(index.sources), records, list(store.citing), list(store.cited), report.counts(), report.warnings
+    return _columns_outcome(index, report)
 
 
 @settings(max_examples=200, deadline=None)
@@ -755,8 +787,7 @@ def test_inline_reading_equals_checked_parsers(streams):
 def _columns_outcome(index, report):
     """The sources, every store column, counts and warnings of one ingest."""
     store = index._store
-    columns = [store.pub_ids, store.source_ids, store.sort_years, store.load_days, store.in_press,
-               store.citing, store.cited]
+    columns = [store.source_ids, store.sort_years, store.load_days, store.in_press, store.citing, store.cited]
     return dict(index.sources), [list(column) for column in columns], report.counts(), report.warnings
 
 
@@ -881,8 +912,9 @@ def test_line_items_other_than_one_ended_line():
         _generated_link("z1", "z0") + "\n",
     ]
     outcome = _columns_outcome(*ingest([source_line(1)], pubs, links))
-    assert outcome[1][0] == ["z0", "z1", "z2", "z5", "z7"]
-    assert outcome[1][5:] == [[1, 2, 2, 3], [0, 0, 1, 1]]
+    # Each generated publication has its own load date: the accepted ones are z0, z1, z2, z5 and z7.
+    assert outcome[1][2] == [date(2016, 1 + i % 9, 10 + i % 10).toordinal() for i in (0, 1, 2, 5, 7)]
+    assert outcome[1][4:] == [[1, 2, 2, 3], [0, 0, 1, 1]]
     assert outcome[2] == {
         "sources_accepted": 1, "sources_rejected": 0,
         "publications_accepted": 5, "publications_rejected": 4,
@@ -909,7 +941,7 @@ def test_snapshot_cutoff_is_inclusive():
     ]
     index, _ = ingest([source_line(1)], pubs, [])
     view = snapshot(index, cutoff)
-    assert set(stored(view)[0]) == {"on-cutoff"}
+    assert set(stored(view, ["on-cutoff", "after"])[0]) == {"on-cutoff"}
 
 
 def test_snapshot_views_differ_across_annual_cutoffs():
@@ -921,8 +953,8 @@ def test_snapshot_views_differ_across_annual_cutoffs():
     index, _ = ingest([source_line(1)], pubs, [])
     view_2016 = snapshot(index, date(2017, 5, 31))
     view_2017 = snapshot(index, date(2018, 4, 30))
-    assert set(stored(view_2016)[0]) == {"early"}
-    assert set(stored(view_2017)[0]) == {"early", "late"}
+    assert set(stored(view_2016, ["early", "late"])[0]) == {"early"}
+    assert set(stored(view_2017, ["early", "late"])[0]) == {"early", "late"}
 
 
 def test_view_fields_are_read_only():
@@ -966,7 +998,7 @@ def test_snapshot_filters_match_brute_force():
         (citing, cited) for citing, cited in reference.links
         if citing in expected_pubs and cited in expected_pubs
     ]
-    publications, links = stored(view)
+    publications, links = stored(view, reference.publications)
     assert len(publications) == 60
     assert set(publications) == expected_pubs
     assert links == expected_links
@@ -980,29 +1012,33 @@ def test_views_equal_brute_force_filter(tmp_path, seed):
     # Nested views narrow to the earlier of the two cutoffs, whichever is given first.
     for outer, inner in ((cutoffs[5], cutoffs[2]), (cutoffs[2], cutoffs[5]), (cutoffs[-2], cutoffs[0])):
         views.append((min(outer, inner), snapshot(snapshot(index, outer), inner)))
+    pub_ids = list(reference.publications)
+    ordinal = {pub_id: n for n, pub_id in enumerate(pub_ids)}
     for cutoff, view in views:
         publications, links = brute_force_view(reference, cutoff)
         assert view.cutoff == cutoff
-        assert list(stored(view)[0].items()) == list(publications.items())
-        assert stored(view)[1] == links
-        assert list(view.links) == links
-        assert view.link_count == len(links)
+        assert list(stored(view, pub_ids)[0].items()) == list(publications.items())
+        assert stored(view, pub_ids)[1] == links
+        assert list(view.links) == [(ordinal[citing], ordinal[cited]) for citing, cited in links]
+        assert len(view.links) == view.link_count == len(links)
         assert view.sort_year_counts == Counter(record.sort_year for record in publications.values())
         assert view.sources is index.sources
-    assert not stored(snapshot(index, cutoffs[0]))[0]
+    assert not stored(snapshot(index, cutoffs[0]), pub_ids)[0]
     # On or after the last load a view holds every record and link of the full index.
     for cutoff in cutoffs[-3:]:
-        assert stored(snapshot(index, cutoff)) == stored(index)
+        assert stored(snapshot(index, cutoff), pub_ids) == stored(index, pub_ids)
         assert snapshot(index, cutoff).links == index.links
 
 
 def test_snapshot_determinism_and_byte_identical_metrics(tmp_path):
     cfg = CorpusConfig(seed=5, n_journals=10, rename_probability=0.4)
     paths = generate_corpus(cfg, tmp_path / "corpus")
-    index, _ = load_index(paths.sources_path, paths.publications_path, paths.links_path)
+    files = (paths.sources_path, paths.publications_path, paths.links_path)
+    index, _ = load_index(*files)
+    pub_ids = list(read_reference(files).publications)
     first = snapshot(index, date(2018, 5, 31))
     second = snapshot(index, date(2018, 5, 31))
-    assert stored(first) == stored(second)
+    assert stored(first, pub_ids) == stored(second, pub_ids)
     assert dict(first.sources) == dict(second.sources)
 
     outputs = []
@@ -1017,13 +1053,15 @@ def test_snapshot_determinism_and_byte_identical_metrics(tmp_path):
 def test_snapshot_monotonicity_in_cutoff(tmp_path):
     cfg = CorpusConfig(seed=17, n_journals=8)
     paths = generate_corpus(cfg, tmp_path / "corpus")
-    index, _ = load_index(paths.sources_path, paths.publications_path, paths.links_path)
+    files = (paths.sources_path, paths.publications_path, paths.links_path)
+    index, _ = load_index(*files)
+    pub_ids = list(read_reference(files).publications)
     rng = random.Random(4)
     for _ in range(10):
         d1 = date(2013, 1, 1) + timedelta(days=rng.randint(0, 2000))
         d2 = d1 + timedelta(days=rng.randint(0, 1000))
         early, late = snapshot(index, d1), snapshot(index, d2)
-        (early_pubs, early_links), (late_pubs, late_links) = stored(early), stored(late)
+        (early_pubs, early_links), (late_pubs, late_links) = stored(early, pub_ids), stored(late, pub_ids)
         assert set(early_pubs) <= set(late_pubs)
         assert set(early_links) <= set(late_links)
 
@@ -1031,12 +1069,14 @@ def test_snapshot_monotonicity_in_cutoff(tmp_path):
 def test_snapshot_link_closure(tmp_path):
     cfg = CorpusConfig(seed=23, n_journals=8)
     paths = generate_corpus(cfg, tmp_path / "corpus")
-    index, _ = load_index(paths.sources_path, paths.publications_path, paths.links_path)
+    files = (paths.sources_path, paths.publications_path, paths.links_path)
+    index, _ = load_index(*files)
+    pub_ids = list(read_reference(files).publications)
     view = snapshot(index, date(2016, 2, 1))
-    publications = stored(view)[0]
+    publications = stored(view, pub_ids)[0]
     for citing, cited in view.links:
-        assert citing in publications
-        assert cited in publications
+        assert pub_ids[citing] in publications
+        assert pub_ids[cited] in publications
 
 
 def test_resolve_chain_identity_without_predecessor():

@@ -135,7 +135,7 @@ def _assert_equals_brute_force(corpus):
     index, report = ingest([source_line(1)], pubs, lines)
 
     links, counts, warnings = _brute_force(dict(zip(pub_ids, in_press)), lines)
-    assert stored(index)[1] == links
+    assert stored(index, pub_ids)[1] == links
     assert report.counts() == {
         "sources_accepted": 1, "sources_rejected": 0,
         "publications_accepted": len(pub_ids), "publications_rejected": 0,

@@ -128,6 +128,31 @@ def _score_corpus(n_citations, n_docs):
     return build_snapshot(sources, pubs, links)[0]
 
 
+def test_loads_on_the_cutoff_day_count_and_the_next_day_do_not():
+    """A snapshot's cutoff is inclusive in every tally: a document, and a
+    citation whose later endpoint, load on the cutoff day itself count at
+    snapshot(index, cutoff); those that load the next day count only from
+    then."""
+    cutoff = date(2018, 4, 30)
+    pubs = [
+        pub_line("early", 1, 2015, load_date="2016-01-10"),
+        pub_line("on", 1, 2016, load_date="2018-04-30"),
+        pub_line("next", 1, 2016, load_date="2018-05-01"),
+        pub_line("cites-on-day", 1, 2017, load_date="2018-04-30"),
+        pub_line("cites-next-day", 1, 2017, load_date="2018-05-01"),
+    ]
+    links = [link_line("cites-on-day", "on"), link_line("cites-on-day", "early"),
+             link_line("cites-next-day", "early")]
+    index, _ = build_snapshot([source_line(1)], pubs, links, cutoff=date.max)
+    at_cutoff, next_day = snapshot(index, cutoff), snapshot(index, date(2018, 5, 1))
+    assert count_documents(at_cutoff, 1, 2017) == 2
+    assert count_citations(at_cutoff, 1, 2017) == 2
+    assert citescore(at_cutoff, 1, 2017) == Decimal("1.00")
+    assert compute_annual(at_cutoff, 2017)[0] == [(1, 2017, Decimal("1.00"), 2, 2, 100)]
+    assert count_documents(next_day, 1, 2017) == 3
+    assert compute_annual(next_day, 2017)[0] == [(1, 2017, Decimal("1.00"), 3, 3, 67)]
+
+
 def test_citescore_zero_numerator():
     view = _score_corpus(0, 5)
     assert citescore(view, 1, 2017) == Decimal("0.00")

@@ -243,6 +243,22 @@ def test_tracker_table_sorted_and_consistent(tmp_path):
         assert tracker_value(index, row.source_id, 2018, row.as_of) == row.value
 
 
+def test_tracker_table_of_a_view_stops_at_its_cutoff():
+    """A view's tracker table reads every schedule date past the view's
+    cutoff at the cutoff: what loads later never shows."""
+    index = _index_with_arrivals()
+    cutoff = date(2018, 5, 31)
+    schedule = month_end_schedule("2018-01", "2018-12")
+    at_cutoff = tracker_table(index, 2018, [cutoff])[0]
+    assert at_cutoff[3:] == (2, 4, Decimal("0.50"))
+    rows = tracker_table(snapshot(index, cutoff), 2018, schedule)
+    assert [row.as_of for row in rows] == schedule
+    assert [row.citations for row in rows] == [0, 1, 1, 1] + [2] * 8
+    assert all(row[3:] == at_cutoff[3:] for row in rows if row.as_of > cutoff)
+    # The full index holds the September citation.
+    assert tracker_table(index, 2018, schedule)[-1][3:] == (3, 4, Decimal("0.75"))
+
+
 def _tallies_per_date(index, year, schedule):
     """The tallies of every current title on a snapshot at each schedule date."""
     return [aggregate_counts(snapshot(index, as_of), year) for as_of in schedule]
