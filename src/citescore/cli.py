@@ -134,10 +134,6 @@ def _parse_args(argv: list[str] | None) -> argparse.Namespace:
     return args
 
 
-class InputChanged(Exception):
-    """A record file changed between its ingest and its digest."""
-
-
 def main(argv: list[str] | None = None) -> int:
     args = _parse_args(argv)
     try:
@@ -145,7 +141,7 @@ def main(argv: list[str] | None = None) -> int:
     except IngestError as exc:
         _write_stderr(f"ERROR: ingest failed: {exc}\n")
         return EXIT_DATA_ERROR
-    except (OSError, UnicodeDecodeError, InputChanged) as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         _write_stderr(f"ERROR: {exc}\n")
         return EXIT_DATA_ERROR
 
@@ -201,7 +197,7 @@ def _write_run_manifest(args, out: Path, parameters: dict, outputs: dict, ingest
     cutoff table, if given), parameters and outputs. ingested holds the
     record files' _record_states taken before the engine read them, or None
     when it did not; a record file whose state differs once it is digested
-    raises InputChanged, and no manifest is written."""
+    raises OSError, and no manifest is written."""
     inputs = {"sources": args.sources, "publications": args.pubs, "links": args.links}
     if getattr(args, "cutoff_table", None):
         inputs["cutoff_table"] = args.cutoff_table
@@ -210,7 +206,7 @@ def _write_run_manifest(args, out: Path, parameters: dict, outputs: dict, ingest
     if ingested is not None:
         for before, after in zip(ingested, _record_states(args)):
             if before != after:
-                raise InputChanged(f"input {before[0]} changed during the run")
+                raise OSError(f"input {before[0]} changed during the run")
     write_manifest(out / "manifest.json", manifest)
 
 

@@ -8,6 +8,7 @@ can pin extra years; anything not listed falls back to the default rule
 from __future__ import annotations
 
 import json
+import os
 from datetime import date
 
 from .records import parse_date
@@ -16,14 +17,9 @@ from .records import parse_date
 def load_cutoff_table(path: str | None = None) -> dict:
     """Load the bundled table, or a user-supplied one with the same schema."""
     if path is None:
-        # Loaded here: importlib.resources pulls in tempfile, shutil and the
-        # compression modules, which only the bundled table needs.
-        from importlib import resources
-
-        text = resources.files("citescore").joinpath("data/cutoff_dates.json").read_text("utf-8")
-    else:
-        with open(path, encoding="utf-8") as handle:
-            text = handle.read()
+        path = os.path.join(os.path.dirname(__file__), "data", "cutoff_dates.json")
+    with open(path, encoding="utf-8") as handle:
+        text = handle.read()
     try:
         table = json.loads(text)
     except RecursionError:

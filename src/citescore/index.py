@@ -42,7 +42,6 @@ import re
 from array import array
 from collections import Counter
 from datetime import date
-from functools import cached_property
 from itertools import chain, compress, repeat
 from operator import add, mul
 from types import MappingProxyType
@@ -286,61 +285,50 @@ class _Store(NamedTuple):
     timelines: dict[int, object]
 
 
-class IndexSnapshot:
+class IndexSnapshot(NamedTuple):
     """The index as it existed at a cutoff date (load_date <= cutoff, inclusive).
 
     Contains every source, the publications loaded by the cutoff, and only
     those links whose two endpoints both survive the filter. The full index
     built by :func:`ingest` is the snapshot at ``date.max``; :func:`snapshot`
     narrows any view to an earlier cutoff. Every view of one index shares
-    that index's record store. ``link_count`` and ``sort_year_counts``
+    that index's record ``store``. ``link_count`` and ``sort_year_counts``
     count the view's links and its publications per sort_year on the
-    columns. Immutable (its fields ``cutoff``, ``sources`` and ``successor``
-    cannot be assigned) and safe to share across concurrent readers: what is
-    filled lazily (a view's cached properties, the store's per-year
-    timelines, which every view shares) is computed from columns that never
-    change, so two threads that race on a first read compute equal values
-    and either one is kept.
+    columns, each time they are read. A view is an immutable value of its
+    four fields, safe to share across concurrent readers: only the store's
+    per-year timelines are filled lazily, from columns that never change, so
+    two threads that race on a first read compute equal values and either
+    one is kept.
     """
 
-    def __init__(self, cutoff: date, sources: Mapping[int, SourceRecord], successor: Mapping[int, int], store: _Store):
-        # Set in the instance dict, past __setattr__, as cached_property sets its values.
-        vars(self).update(cutoff=cutoff, sources=sources, successor=successor, _store=store)
-
-    def __setattr__(self, name: str, value) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    @cached_property
-    def _loaded(self) -> bytearray:
-        """Per ordinal, 1 when the publication has loaded by the cutoff."""
-        cutoff = self.cutoff.toordinal()
-        return bytearray(day <= cutoff for day in self._store.load_days)
+    cutoff: date
+    sources: Mapping[int, SourceRecord]
+    successor: Mapping[int, int]
+    store: _Store
 
     def _link_rows(self) -> Iterator[tuple[int, int]]:
         """(citing, cited) ordinals of the view's links, in store order."""
-        store, loaded = self._store, self._loaded
-        rows = zip(store.citing, store.cited)
-        return ((citing, cited) for citing, cited in rows if loaded[citing] and loaded[cited])
+        cutoff, days = self.cutoff.toordinal(), self.store.load_days
+        rows = zip(self.store.citing, self.store.cited)
+        return ((citing, cited) for citing, cited in rows if days[citing] <= cutoff and days[cited] <= cutoff)
 
     # Only the benchmark (perfbench/run.py) reads this; it goes when the
     # benchmark counts link_count instead (ROADMAP item 1).
-    @cached_property
+    @property
     def links(self) -> tuple[tuple[int, int], ...]:
         """(citing, cited) ordinals of the view's links, in store order."""
         return tuple(self._link_rows())
 
-    @cached_property
+    @property
     def link_count(self) -> int:
         """How many links the view holds, counted without building a pair."""
         return sum(1 for _ in self._link_rows())
 
-    @cached_property
+    @property
     def sort_year_counts(self) -> Counter[int]:
         """How many of the view's publications each sort_year holds."""
-        return Counter(compress(self._store.sort_years, self._loaded))
+        loaded = map(self.cutoff.toordinal().__ge__, self.store.load_days)
+        return Counter(compress(self.store.sort_years, loaded))
 
     def resolve_title_chain(self, source_id: int) -> frozenset[int]:
         """The source itself plus the transitive closure of its predecessors."""
@@ -617,4 +605,4 @@ def snapshot(index: IndexSnapshot, cutoff: date) -> IndexSnapshot:
     both endpoints do. Sources are not load-dated and are always present.
     The view shares the index's record store and copies nothing here.
     """
-    return IndexSnapshot(min(cutoff, index.cutoff), index.sources, index.successor, index._store)
+    return IndexSnapshot(min(cutoff, index.cutoff), index.sources, index.successor, index.store)

@@ -263,10 +263,10 @@ def _event_timelines(store: _Store, year: int) -> _Timelines:
 def _timelines(view: IndexSnapshot, year: int) -> _Timelines:
     """The citing year's timelines, built on the first read for that year and
     kept on the store for every view; racing first reads store equal ones."""
-    memo = view._store.timelines
+    memo = view.store.timelines
     timelines = memo.get(year)
     if timelines is None:
-        timelines = memo[year] = _event_timelines(view._store, year)
+        timelines = memo[year] = _event_timelines(view.store, year)
     return timelines
 
 

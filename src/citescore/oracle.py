@@ -142,9 +142,13 @@ def oracle_metrics(
             continue
         pubs[pid] = (pid, sid, sort_year, aip)
 
-    # Links: both endpoints visible, no self-citations, no citing AIP,
-    # duplicates collapsed. A pair holds the id strings pubs already keeps,
-    # not the ones decoded from the link line.
+    window = {year - 3, year - 2, year - 1}
+
+    # Links: both endpoints visible, no self-citations, duplicates collapsed;
+    # only the links that count are kept: a citing publication of the year,
+    # not in press, and a cited in-window document, not in press. A pair
+    # holds the id strings pubs already keeps, not the ones decoded from the
+    # link line.
     pairs: set[tuple[str, str]] = set()
     for obj in _read_objects(links_path):
         citing = obj.get("citing_pub_id")
@@ -155,10 +159,11 @@ def oracle_metrics(
             continue
         if citing not in pubs or cited not in pubs:
             continue
-        citing_id, _, _, citing_aip = pubs[citing]
-        if citing_aip:
+        citing_id, _, citing_year, citing_aip = pubs[citing]
+        cited_id, _, cited_year, cited_aip = pubs[cited]
+        if citing_aip or citing_year != year or cited_aip or cited_year not in window:
             continue
-        pairs.add((citing_id, pubs[cited][0]))
+        pairs.add((citing_id, cited_id))
 
     # Current title for every source, walking renames forward. Non-linear
     # chains (shared predecessors, cycles) are fatal, as at ingestion.
@@ -184,8 +189,6 @@ def oracle_metrics(
         current.update(dict.fromkeys(passed, title))
         return title
 
-    window = {year - 3, year - 2, year - 1}
-
     documents: dict[int, int] = {}
     for _, sid, sort_year, aip in pubs.values():
         if aip or sort_year not in window:
@@ -195,13 +198,8 @@ def oracle_metrics(
 
     citations: dict[int, int] = {}
     cited_docs: dict[int, set[str]] = {}
-    for citing, cited in pairs:
-        if pubs[citing][2] != year:
-            continue
-        _, sid, sort_year, aip = pubs[cited]
-        if aip or sort_year not in window:
-            continue
-        owner = current_title_of(sid)
+    for _, cited in pairs:
+        owner = current_title_of(pubs[cited][1])
         citations[owner] = citations.get(owner, 0) + 1
         cited_docs.setdefault(owner, set()).add(cited)
 

@@ -132,7 +132,8 @@ def stored(view, pub_ids):
     ids in ingest order, from the test's own reference, as many as the store
     holds. Gives its publications by pub_id, in ingest order, and its links
     as (citing_pub_id, cited_pub_id) pairs, in store order."""
-    store, loaded = view._store, view._loaded
+    store = view.store
+    loaded = [date.fromordinal(day) <= view.cutoff for day in store.load_days]
     pub_ids = list(pub_ids)
     assert len(pub_ids) == len(store.source_ids)
     columns = zip(pub_ids, store.source_ids, store.sort_years, store.load_days, store.in_press, loaded)

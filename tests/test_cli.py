@@ -960,6 +960,20 @@ def test_cli_import_loads_no_hashing_generator_or_oracle():
     assert result.stdout == "[]\n[]\n"
 
 
+def test_bundled_cutoff_table_read_loads_no_importlib_resources():
+    """The bundled cutoff table is read with the same open as a given one, so
+    a default cutoff loads neither importlib.resources nor the tempfile,
+    shutil and zipfile modules it pulls in."""
+    code = (
+        "import sys, citescore.cli\n"
+        "print(citescore.cli.default_cutoff(2017),"
+        " [m for m in ('importlib.resources', 'tempfile', 'shutil', 'zipfile') if m in sys.modules])"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(citescore.__file__).parents[1])}
+    result = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert result.stdout == "2018-04-30 []\n"
+
+
 @pytest.mark.parametrize("size", [0, _CHUNK_BYTES, 3 * _CHUNK_BYTES + 1234])
 def test_file_digest_is_the_sha256_of_the_whole_file(tmp_path, size):
     path = tmp_path / "data.bin"

@@ -453,7 +453,7 @@ def test_snapshot_safe_for_concurrent_readers(tmp_path):
         return (tracker_value(index, sid, year, as_of),
                 count_citations(view, sid, 2017), count_documents(view, sid, 2017))
 
-    assert not index._store.timelines
+    assert not index.store.timelines
     # Switch threads often, so that several of them build a year's timelines at once.
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
@@ -462,7 +462,7 @@ def test_snapshot_safe_for_concurrent_readers(tmp_path):
             threaded = list(pool.map(lambda task: worker(index, view, task), tasks, timeout=120))
     finally:
         sys.setswitchinterval(interval)
-    assert sorted(index._store.timelines) == [2017, 2018]
+    assert sorted(index.store.timelines) == [2017, 2018]
     serial_index, _ = load_index(*files)
     serial_view = snapshot(serial_index, date(2018, 5, 31))
     assert threaded == [worker(serial_index, serial_view, task) for task in tasks]
@@ -614,10 +614,10 @@ def test_per_source_scans_equal_brute_force(tmp_path, seed):
     # to the earliest, and the tallies at every cutoff last.
     corpus = tmp_path / "corpus"
     fresh, _ = load_index(corpus / "sources.jsonl", corpus / "publications.jsonl", corpus / "links.jsonl")
-    assert not fresh._store.timelines
+    assert not fresh.store.timelines
     nested = snapshot(snapshot(fresh, cutoffs[5]), cutoffs[2])
     _assert_view_equals_brute_force(fresh, reference, nested)
-    assert sorted(fresh._store.timelines) == [2016, 2017, 2018]
+    assert sorted(fresh.store.timelines) == [2016, 2017, 2018]
     for cutoff in reversed(cutoffs):
         _assert_view_equals_brute_force(fresh, reference, snapshot(fresh, cutoff))
     _assert_view_equals_brute_force(fresh, reference, snapshot(snapshot(fresh, cutoffs[2]), cutoffs[5]))

@@ -230,12 +230,10 @@ def test_oracle_holds_no_file_of_decoded_objects(tmp_path):
     assert peak < held
 
 
-def test_oracle_link_pairs_share_the_publication_ids(tmp_path):
-    """Each accepted link's pair holds the id strings the oracle already keeps
-    for its publications, not two more decoded from the link line: on a
-    near-cap-shaped corpus the traced peak is about 220 bytes per accepted
-    link, against about 325 with fresh strings in every pair."""
-    cfg = CorpusConfig(seed=11, n_journals=60, pubs_per_year_mean=13.5, citation_rate=6.2,
+def _traced_oracle_peak(tmp_path, citation_rate):
+    """The oracle's traced peak on a near-cap-shaped corpus with this
+    citation rate, and the engine's ingest report of that corpus."""
+    cfg = CorpusConfig(seed=11, n_journals=60, pubs_per_year_mean=13.5, citation_rate=citation_rate,
                        aip_fraction=0.2, rename_probability=0.15, n_categories=10)
     paths = generate_corpus(cfg, tmp_path / "corpus")
     _, report = load_index(paths.sources_path, paths.publications_path, paths.links_path)
@@ -249,28 +247,26 @@ def test_oracle_link_pairs_share_the_publication_ids(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    return report, peak
+
+
+def test_oracle_link_pairs_share_the_publication_ids(tmp_path):
+    """The oracle keeps only the links it counts (a citing publication of the
+    year, a cited in-window document, neither in press), each as a pair of
+    the id strings it already keeps for its publications, not two more
+    decoded from the link line: on a near-cap-shaped corpus the traced peak
+    is about 85 bytes per accepted link, against about 101 with fresh
+    strings in every pair and about 200 with every accepted link kept."""
+    report, peak = _traced_oracle_peak(tmp_path, 6.2)
     assert report.links_accepted > 20_000
-    assert peak < 270 * report.links_accepted
+    assert peak < 92 * report.links_accepted
 
 
 def test_oracle_keeps_each_publication_as_a_tuple(tmp_path):
     """Each accepted publication is one 4-tuple, not a 4-key dict: on a
     corpus with few links, where the publications dominate the peak, the
-    traced peak is about 384 bytes per accepted publication, against about
-    485 with a dict per publication."""
-    cfg = CorpusConfig(seed=11, n_journals=60, pubs_per_year_mean=13.5, citation_rate=0.5,
-                       aip_fraction=0.2, rename_probability=0.15, n_categories=10)
-    paths = generate_corpus(cfg, tmp_path / "corpus")
-    _, report = load_index(paths.sources_path, paths.publications_path, paths.links_path)
-    gc.collect()
-    tracemalloc.start()
-    try:
-        oracle_metrics(
-            paths.sources_path, paths.publications_path, paths.links_path,
-            2017, CUTOFF, tmp_path / "oracle",
-        )
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    traced peak is about 349 bytes per accepted publication, against about
+    450 with a dict per publication."""
+    report, peak = _traced_oracle_peak(tmp_path, 0.5)
     assert report.publications_accepted > 5_000
     assert peak < 435 * report.publications_accepted
