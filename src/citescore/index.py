@@ -423,7 +423,7 @@ def _ingest(
         if record.source_id in sources:
             raise IngestError(f"sources line {lineno}: duplicate source_id {record.source_id}")
         sources[record.source_id] = record
-        report.sources_accepted += 1
+    report.sources_accepted = len(sources)
 
     successor = _validate_chains(sources, report)
 

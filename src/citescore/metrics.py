@@ -25,7 +25,7 @@ from datetime import date
 from decimal import Decimal
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
-from .index import IndexSnapshot, _Store
+from .index import IndexSnapshot, _Store, snapshot
 from .records import ELIGIBLE_SOURCE_TYPES
 
 # The cited publication period spans the three years before the citing year.
@@ -77,13 +77,9 @@ def _round_ratio_to_hundredths(numerator: int, documents: int) -> int:
     return (200 * numerator + documents) // (2 * documents)
 
 
-def _hundredths_to_decimal(hundredths: int) -> Decimal:
-    return Decimal(hundredths).scaleb(-2)
-
-
 def score_from_counts(citations: int, documents: int) -> Decimal:
     """Exact 2-decimal score for a citation/document pair."""
-    return _hundredths_to_decimal(_round_ratio_to_hundredths(citations, documents))
+    return Decimal(_round_ratio_to_hundredths(citations, documents)).scaleb(-2)
 
 
 def _chain_counts(snapshot: IndexSnapshot, source_id: int, year: int) -> SourceYearCounts:
@@ -220,9 +216,9 @@ _Timelines = tuple[dict[int, list[int]], dict[int, list[int]], dict[int, list[in
 
 
 def _event_timelines(store: _Store, year: int) -> _Timelines:
-    """The timelines of the citing year, from the whole store. These two
-    loops are the one place that decides which documents, citations and
-    cited documents count.
+    """The timelines of the citing year, from the whole store. Ingest decides
+    which links exist; these two loops are the one place that decides which
+    documents, citations and cited documents count.
 
     The index is append-only, so an event counts at every date on or after
     the day it entered the index: a document's load day; for a citation,
@@ -243,7 +239,7 @@ def _event_timelines(store: _Store, year: int) -> _Timelines:
     # Ordinal -> the first day a citation of that document counts.
     first_cited: dict[int, int] = {}
     for citing, cited in zip(store.citing, store.cited):
-        if year_of[citing] != year or in_press[citing] or not counted[cited]:
+        if year_of[citing] != year or not counted[cited]:
             continue
         # The link is in the index once its later endpoint has loaded.
         cited_day, citing_day = day_of[cited], day_of[citing]
@@ -284,10 +280,10 @@ def _tally(timelines: _Timelines, members: Iterable[int], day: int) -> SourceYea
 
 def _days(index: IndexSnapshot, schedule: Sequence[date]) -> list[int]:
     """The day ordinal each date of an ascending schedule is read at: the
-    date or, past it, the index's cutoff."""
+    cutoff of the index's snapshot at that date."""
     if any(later <= earlier for earlier, later in zip(schedule, schedule[1:])):
         raise ValueError("schedule dates must be strictly ascending")
-    return [min(as_of, index.cutoff).toordinal() for as_of in schedule]
+    return [snapshot(index, as_of).cutoff.toordinal() for as_of in schedule]
 
 
 # No command reads this (the engine reads tallies through scores()); the

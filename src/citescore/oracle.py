@@ -189,6 +189,10 @@ def oracle_metrics(
         current.update(dict.fromkeys(passed, title))
         return title
 
+    # Walk every chain: a cycle is fatal even where no source on it publishes.
+    for sid in sources:
+        current_title_of(sid)
+
     documents: dict[int, int] = {}
     for _, sid, sort_year, aip in pubs.values():
         if aip or sort_year not in window:

@@ -542,6 +542,8 @@ def test_ingest_golden_lines():
         ("b", "a"), ("ac", "a"), ("ad", "b"), ("ad", "a"), ("d", "a"), ("ac", "b"), ("d", "c"), ("ad", "d"),
         ("ae", "a"), ("ag", "a"), ("ae", 'a"h'), ("aj", "af"), ("ae", "b"),
     ]
+    # The metrics count stored links without testing the citing end's flag.
+    assert not any(publications[citing].is_article_in_press for citing, _ in links)
 
 
 def test_first_failing_check_names_each_line():

@@ -8,17 +8,21 @@ import json
 import tracemalloc
 from datetime import date
 
+import pytest
+
 from citescore import (
     CorpusConfig,
+    IngestError,
     compute_annual,
     generate_corpus,
     load_index,
     snapshot,
 )
-from citescore.oracle import oracle_metrics
+from citescore.oracle import OracleDataError, oracle_metrics
 from citescore.output import write_metrics_csv, write_standings_csv
 
 from helpers import link_line, pub_line, source_line, write_corpus
+from test_index import _GOLDEN_LINKS, _GOLDEN_PUBLICATIONS, _GOLDEN_SOURCES
 
 CUTOFF = date(2018, 4, 30)
 
@@ -209,6 +213,57 @@ def test_oracle_matches_engine_on_dirty_corpus(tmp_path):
     assert "Ångström" in wild
 
 
+def test_oracle_matches_engine_on_the_golden_ingest_lines(tmp_path):
+    """The golden lines of test_index (every rejection class of the engine's
+    ingest, the decoder's edge cases, renames and articles-in-press; a raw
+    \r in a line is a line end to both sides), plus a source whose
+    predecessor is a string and one whose title escapes a lone surrogate,
+    each with a publication: engine and oracle write the same bytes at
+    every year and cutoff, the edges of the golden load dates among them."""
+    tail = '"source_type": "journal", "asjc_codes": [1000], "is_actively_indexed": true}'
+    sources = _GOLDEN_SOURCES + ['{"source_id": 30, "predecessor_source_id": "1", "title": "T", ' + tail,
+                                 '{"source_id": 31, "title": "T\\udc00", ' + tail]
+    pubs = _GOLDEN_PUBLICATIONS + [pub_line("s30", 30, 2016), pub_line("s31", 31, 2016)]
+    paths = write_corpus(tmp_path, sources, pubs, _GOLDEN_LINKS)
+    index, _ = load_index(*paths)
+    cutoffs = [date(2015, 1, 9), date(2015, 1, 10), date(2016, 3, 1), date(2017, 6, 29), date(2017, 6, 30),
+               date(2018, 2, 28), date(2018, 4, 30), date.max]
+    scored = 0
+    for year in (1, 2015, 2016, 2017, 2018, 2019):
+        for cutoff in cutoffs:
+            out = tmp_path / f"{year}-{cutoff}"
+            oracle = [path.read_bytes() for path in oracle_metrics(*paths, year, cutoff, out)]
+            view = snapshot(index, cutoff)
+            rows, standings = compute_annual(view, year)
+            engine = [write_metrics_csv(out / "em.csv", rows, view.sources).read_bytes(),
+                      write_standings_csv(out / "es.csv", standings).read_bytes()]
+            assert engine == oracle, (year, cutoff)
+            scored += len(rows)
+    assert scored > 20
+
+
+@pytest.mark.parametrize("sources, pubs", [
+    pytest.param([source_line(1), source_line(2), source_line(1, title="Again")],
+                 [pub_line("a", 1, 2016)], id="duplicate-source-id"),
+    pytest.param([source_line(1)], [pub_line("a", 1, 2016), pub_line("a", 1, 2015)], id="duplicate-pub-id"),
+    pytest.param([source_line(1), source_line(2, predecessor=1), source_line(3, predecessor=1)],
+                 [pub_line("a", 1, 2016)], id="shared-predecessor"),
+    pytest.param([source_line(1, predecessor=3), source_line(2, predecessor=1), source_line(3, predecessor=2)],
+                 [pub_line("a", 1, 2016)], id="cycle"),
+    pytest.param([source_line(1), source_line(2, predecessor=3), source_line(3, predecessor=2)],
+                 [pub_line("a", 1, 2016)], id="cycle-without-publications"),
+    pytest.param([source_line(1, predecessor=1)], [], id="self-predecessor"),
+])
+def test_engine_and_oracle_fail_alike(tmp_path, sources, pubs):
+    """Duplicate source or publication ids and corrupt title chains stop both
+    sides, whether or not the sources on a chain hold publications."""
+    paths = write_corpus(tmp_path, sources, pubs, [])
+    with pytest.raises(IngestError):
+        load_index(*paths)
+    with pytest.raises(OracleDataError):
+        oracle_metrics(*paths, 2017, CUTOFF, tmp_path / "oracle")
+
+
 def test_oracle_holds_no_file_of_decoded_objects(tmp_path):
     """The oracle decodes each line as it reads it: its peak stays under what
     the publications file's decoded objects alone cost when held at once."""
@@ -230,20 +285,22 @@ def test_oracle_holds_no_file_of_decoded_objects(tmp_path):
     assert peak < held
 
 
-def _traced_oracle_peak(tmp_path, citation_rate):
+def _traced_oracle_peak(tmp_path, citation_rate, links=True):
     """The oracle's traced peak on a near-cap-shaped corpus with this
-    citation rate, and the engine's ingest report of that corpus."""
+    citation rate, or with an empty links file in place of the corpus's
+    when links is false, and the engine's ingest report of that corpus."""
     cfg = CorpusConfig(seed=11, n_journals=60, pubs_per_year_mean=13.5, citation_rate=citation_rate,
                        aip_fraction=0.2, rename_probability=0.15, n_categories=10)
     paths = generate_corpus(cfg, tmp_path / "corpus")
     _, report = load_index(paths.sources_path, paths.publications_path, paths.links_path)
+    links_path = paths.links_path
+    if not links:
+        links_path = tmp_path / "no_links.jsonl"
+        links_path.write_text("")
     gc.collect()
     tracemalloc.start()
     try:
-        oracle_metrics(
-            paths.sources_path, paths.publications_path, paths.links_path,
-            2017, CUTOFF, tmp_path / "oracle",
-        )
+        oracle_metrics(paths.sources_path, paths.publications_path, links_path, 2017, CUTOFF, tmp_path / "oracle")
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -263,10 +320,10 @@ def test_oracle_link_pairs_share_the_publication_ids(tmp_path):
 
 
 def test_oracle_keeps_each_publication_as_a_tuple(tmp_path):
-    """Each accepted publication is one 4-tuple, not a 4-key dict: on a
-    corpus with few links, where the publications dominate the peak, the
-    traced peak is about 349 bytes per accepted publication, against about
-    450 with a dict per publication."""
-    report, peak = _traced_oracle_peak(tmp_path, 0.5)
+    """Each accepted publication is one 4-tuple, not a 4-key dict: with an
+    empty links file, so that the peak holds publications and no link, the
+    traced peak is about 335 bytes per accepted publication, against about
+    437 with a dict per publication."""
+    report, peak = _traced_oracle_peak(tmp_path, 0.5, links=False)
     assert report.publications_accepted > 5_000
-    assert peak < 435 * report.publications_accepted
+    assert peak < 385 * report.publications_accepted

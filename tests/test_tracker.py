@@ -31,7 +31,7 @@ from citescore import (
 )
 from citescore import metrics
 from citescore.metrics import aggregate_counts
-from citescore.tracker import _spearman, month_end, tracker_table
+from citescore.tracker import TrackerRow, _spearman, month_end, stability_report, tracker_table
 
 from helpers import build_index, link_line, pub_line, read_reference, source_line
 
@@ -193,6 +193,21 @@ def test_rank_correlation_extremes():
     tied = [Decimal(1), Decimal(1), Decimal(2)]
     assert -1.0 <= _spearman(tied, [Decimal(3), Decimal(4), Decimal(4)]) <= 1.0
     assert _spearman([Decimal(1)], [Decimal(9)]) == 1.0  # degenerate size
+
+
+def test_stability_report_of_no_rows_is_empty():
+    assert stability_report([]) == []
+
+
+def test_stability_report_leaves_out_sources_absent_at_the_final_date():
+    """Each date's correlation is over the sources that also have a value at
+    the final date: source 2, scored only at the first date, is left out."""
+    first, final = date(2018, 1, 31), date(2018, 2, 28)
+    values = [(1, first, "1.00"), (2, first, "5.00"), (3, first, "3.00"), (1, final, "2.00"), (3, final, "1.00")]
+    rows = [TrackerRow(sid, 2018, as_of, 0, 1, Decimal(value)) for sid, as_of, value in values]
+    report = stability_report(rows)
+    assert [point[:2] for point in report] == [(first, 2), (final, 2)]
+    assert [point.rank_correlation for point in report] == pytest.approx([-1.0, 1.0])
 
 
 def _spearman_reference(a, b):
