@@ -41,8 +41,21 @@ EXIT_MISMATCH = 3
 _WARNINGS_PER_WRITE = 1 << 14
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse's parser, except that help or version text that cannot be
+    written to stdout raises, as any other failed write to stdout does (on
+    3.11 and later argparse drops the OSError). Subparsers take this class
+    from their parent."""
+
+    def _print_message(self, message: str, file=None) -> None:
+        if message and file is sys.stdout:
+            file.write(message)
+        else:
+            super()._print_message(message, file)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="citescore",
         description="Batch CiteScore metrics over a load-dated citation index.",
     )
@@ -135,15 +148,52 @@ def _parse_args(argv: list[str] | None) -> argparse.Namespace:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _parse_args(argv)
+    """Run one command and return its exit code; a usage error, --help and
+    --version raise argparse's SystemExit. stdout is flushed before main
+    returns or raises, so a closed or full stdout, argparse's help and
+    version text included, is one ERROR line and exit 1 here, not a report
+    at interpreter exit."""
     try:
-        return args.handler(args, args.parser)
+        try:
+            args = _parse_args(argv)
+            return args.handler(args, args.parser)
+        finally:
+            sys.stdout.flush()
     except IngestError as exc:
         _write_stderr(f"ERROR: ingest failed: {exc}\n")
         return EXIT_DATA_ERROR
     except (OSError, UnicodeDecodeError) as exc:
         _write_stderr(f"ERROR: {exc}\n")
         return EXIT_DATA_ERROR
+
+
+def console_entry() -> None:
+    """The ``citescore`` console script and ``python -m citescore.cli``:
+    main's exit code, without interpreter teardown. main has closed every
+    output file and flushed stdout; stdout and stderr are flushed once more,
+    any failure already reported, and then os._exit ends the process. An
+    exception out of main, SystemExit included, takes the normal exit, and
+    so does a run under a profiler, tracer or coverage tool (python -m
+    cProfile, trace), which reports at exit."""
+    code = main()
+    if _observed():
+        sys.exit(code)
+    for stream in sys.stdout, sys.stderr:
+        try:
+            stream.flush()
+        except (AttributeError, OSError):
+            pass
+    os._exit(code)
+
+
+def _observed() -> bool:
+    """Whether a profiler, tracer or coverage tool watches the process:
+    through sys.setprofile or sys.settrace, or, from 3.12 on, sys.monitoring
+    (cProfile registers there and leaves sys.getprofile() None)."""
+    if sys.getprofile() is not None or sys.gettrace() is not None:
+        return True
+    monitoring = getattr(sys, "monitoring", None)
+    return monitoring is not None and any(monitoring.get_tool(tool) is not None for tool in range(6))
 
 
 def _write_stderr(text: str) -> None:
@@ -403,4 +453,4 @@ def cmd_snapshot_info(args, parser) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    console_entry()

@@ -605,4 +605,7 @@ def snapshot(index: IndexSnapshot, cutoff: date) -> IndexSnapshot:
     both endpoints do. Sources are not load-dated and are always present.
     The view shares the index's record store and copies nothing here.
     """
-    return IndexSnapshot(min(cutoff, index.cutoff), index.sources, index.successor, index.store)
+    # tuple.__new__, as IndexSnapshot._make does, skips the Python-level
+    # __new__ of the class: a view per tracker_value call is its request path.
+    cutoff = cutoff if cutoff < index.cutoff else index.cutoff
+    return tuple.__new__(IndexSnapshot, (cutoff, index.sources, index.successor, index.store))

@@ -6,15 +6,18 @@ document count as a rational number, rounded half-away-from-zero to exactly
 two decimal places; no binary floating point is involved anywhere, so output
 is reproducible bit-for-bit across platforms.
 
-Every tally comes from one structure: per citing year, each source's sorted
-load days of its counted documents, citations and cited documents
-(_event_timelines), built from the whole store on the first read for that
-year, kept on the store and shared by every view of the index (_timelines).
-A title chain's tally at a date is a bisect_right of each member's three
-lists at the earlier of the date and the view's cutoff. So the first call
-for a citing year pays one pass over the whole store, and every later call,
-at any date, costs at most three bisects per chain member. One tie rule,
-_ties, places tied scores in the category standings and the stability report.
+Every tally comes from one structure: per citing year, one record per
+source, the sorted load days of its counted documents, citations and cited
+documents (_event_timelines), built from the whole store on the first read
+for that year, kept on the store and shared by every view of the index
+(_timelines). A current title's record covers its whole title chain, merged
+once when the year is built (_merge_chains). Its tally at a date is one
+record lookup and a bisect_right of each list it reads, at the earlier of
+the date and the view's cutoff; a former title, which only library callers
+ask for, sums its members' own records. So the first call for a citing year
+pays one pass over the whole store, and every later call for a current
+title, at any date, costs at most three bisects. One tie rule, _ties, places
+tied scores in the category standings and the stability report.
 """
 
 from __future__ import annotations
@@ -77,21 +80,18 @@ def _round_ratio_to_hundredths(numerator: int, documents: int) -> int:
     return (200 * numerator + documents) // (2 * documents)
 
 
+# Hundredths times this are the score, exactly: the product's exponent is -2.
+_HUNDREDTH = Decimal("0.01")
+
+
 def score_from_counts(citations: int, documents: int) -> Decimal:
     """Exact 2-decimal score for a citation/document pair."""
-    return Decimal(_round_ratio_to_hundredths(citations, documents)).scaleb(-2)
+    return Decimal(_round_ratio_to_hundredths(citations, documents)) * _HUNDREDTH
 
 
-def _chain_counts(snapshot: IndexSnapshot, source_id: int, year: int) -> SourceYearCounts:
-    """The tallies of the source's title chain at the view's cutoff."""
-    members = snapshot.resolve_title_chain(source_id)
-    return _tally(_timelines(snapshot, year), members, snapshot.cutoff.toordinal())
-
-
-def _percent_cited(tally: SourceYearCounts) -> int:
-    """A tally's cited documents as an integer percentage of its documents
-    (ties round up)."""
-    pct = _round_ratio_to_hundredths(tally.cited_documents, tally.documents)
+def _percent_cited(cited_documents: int, documents: int) -> int:
+    """Cited documents as an integer percentage of documents (ties round up)."""
+    pct = _round_ratio_to_hundredths(cited_documents, documents)
     assert 0 <= pct <= 100
     return pct
 
@@ -101,25 +101,26 @@ def count_documents(snapshot: IndexSnapshot, source_id: int, year: int) -> int:
 
     Counts publications of every document type except articles-in-press.
     """
-    return _chain_counts(snapshot, source_id, year).documents
+    return _count(snapshot, source_id, year, _DOCUMENTS)
 
 
 def count_citations(snapshot: IndexSnapshot, source_id: int, year: int) -> int:
     """Citations received in the citing year by the chain's in-window documents.
     Each distinct link counts once."""
-    return _chain_counts(snapshot, source_id, year).citations
+    return _count(snapshot, source_id, year, _CITATIONS)
 
 
 def citescore(snapshot: IndexSnapshot, source_id: int, year: int) -> Decimal:
     """Citations divided by documents, to exactly two decimal places."""
-    tally = _chain_counts(snapshot, source_id, year)
-    return score_from_counts(tally.citations, tally.documents)
+    citations, documents, _ = _tally(snapshot, source_id, year)
+    return score_from_counts(citations, documents)
 
 
 def percent_cited(snapshot: IndexSnapshot, source_id: int, year: int) -> int:
     """Share of denominator documents with at least one qualifying citation,
     as an integer percentage (ties round up)."""
-    return _percent_cited(_chain_counts(snapshot, source_id, year))
+    _, documents, cited_documents = _tally(snapshot, source_id, year)
+    return _percent_cited(cited_documents, documents)
 
 
 def source_eligible(snapshot: IndexSnapshot, source_id: int) -> bool:
@@ -140,7 +141,11 @@ def is_eligible(snapshot: IndexSnapshot, source_id: int, year: int) -> bool:
     former titles are folded into their successor and never scored on their
     own.
     """
-    return source_eligible(snapshot, source_id) and count_documents(snapshot, source_id, year) >= 1
+    if not source_eligible(snapshot, source_id):
+        return False
+    # A current title: its one chain record.
+    documents = _timelines(snapshot, year).get(source_id, _NO_EVENTS)[_DOCUMENTS]
+    return bisect_right(documents, snapshot.cutoff.toordinal()) >= 1
 
 
 def percentile_from_counts(lower: int, same: int, total: int) -> int:
@@ -209,73 +214,136 @@ class SourceYearCounts(NamedTuple):
     cited_documents: int
 
 
-# For one citing year, the events of each source, in three maps from source
-# id to an ascending list of load day ordinals: its counted documents, the
-# citations of them, and its cited documents.
-_Timelines = tuple[dict[int, list[int]], dict[int, list[int]], dict[int, list[int]]]
+# A source's events for one citing year: the ascending load day ordinals of
+# its counted documents, of the citations of them and of its cited documents.
+_Record = tuple[Sequence[int], Sequence[int], Sequence[int]]
+_DOCUMENTS, _CITATIONS, _CITED = range(3)
+_NO_EVENTS: _Record = ((), (), ())
+# After every load day: the first day a citation counts, for a document
+# no citation counts for yet.
+_UNCITED = date.max.toordinal() + 1
+# For one citing year, source id -> record: a current title's covers its
+# whole title chain, any other source's its own events.
+_Timelines = dict[int, _Record]
 
 
 def _event_timelines(store: _Store, year: int) -> _Timelines:
-    """The timelines of the citing year, from the whole store. Ingest decides
-    which links exist; these two loops are the one place that decides which
-    documents, citations and cited documents count.
+    """Each source's own record for the citing year, from the whole store.
+    Ingest decides which links exist; these two loops are the one place that
+    decides which documents, citations and cited documents count.
 
     The index is append-only, so an event counts at every date on or after
     the day it entered the index: a document's load day; for a citation,
     the later of its two endpoints' load days; for a cited document, the
     first day any of its citations counts. A view's tally at a date is the
     number of its chain's events up to the earlier of the date and its
-    cutoff (_tally).
+    cutoff.
     """
     source_of, year_of, day_of, in_press = store.source_ids, store.sort_years, store.load_days, store.in_press
     window = cited_window(year)
+    first_year, stop_year = window.start, window.stop
     documents, citations, cited_documents = defaultdict(list), defaultdict(list), defaultdict(list)
-    counted = bytearray(len(source_of))
+    # Ordinal -> 0 for a document that does not count, else the first day a
+    # citation of it counts (_UNCITED until one does): one list read per link.
+    first_cited = [0] * len(source_of)
+    uncited = _UNCITED
     for ordinal, (source_id, sort_year, day, aip) in enumerate(zip(source_of, year_of, day_of, in_press)):
-        if not aip and sort_year in window:
-            counted[ordinal] = 1
+        if first_year <= sort_year < stop_year and not aip:
+            first_cited[ordinal] = uncited
             documents[source_id].append(day)
 
-    # Ordinal -> the first day a citation of that document counts.
-    first_cited: dict[int, int] = {}
+    cited_ordinals = []
     for citing, cited in zip(store.citing, store.cited):
-        if year_of[citing] != year or not counted[cited]:
+        if year_of[citing] != year:
+            continue
+        earliest = first_cited[cited]
+        if not earliest:
             continue
         # The link is in the index once its later endpoint has loaded.
         cited_day, citing_day = day_of[cited], day_of[citing]
         day = cited_day if cited_day > citing_day else citing_day
         citations[source_of[cited]].append(day)
-        if day < first_cited.get(cited, day + 1):
+        if day < earliest:
+            if earliest == uncited:
+                cited_ordinals.append(cited)
             first_cited[cited] = day
-    for cited, day in first_cited.items():
-        cited_documents[source_of[cited]].append(day)
-    timelines = dict(documents), dict(citations), dict(cited_documents)
-    for events in timelines:
+    for cited in cited_ordinals:
+        cited_documents[source_of[cited]].append(first_cited[cited])
+    for events in documents, citations, cited_documents:
         for days in events.values():
             days.sort()
-    return timelines
+    # Only a source with a counted document has citations or cited documents.
+    return {
+        source_id: (days, citations.get(source_id, ()), cited_documents.get(source_id, ()))
+        for source_id, days in documents.items()
+    }
 
 
 def _timelines(view: IndexSnapshot, year: int) -> _Timelines:
-    """The citing year's timelines, built on the first read for that year and
+    """The citing year's records, built on the first read for that year and
     kept on the store for every view; racing first reads store equal ones."""
     memo = view.store.timelines
     timelines = memo.get(year)
     if timelines is None:
-        timelines = memo[year] = _event_timelines(view.store, year)
+        timelines = _event_timelines(view.store, year)
+        _merge_chains(view, timelines)
+        memo[year] = timelines
     return timelines
 
 
-def _tally(timelines: _Timelines, members: Iterable[int], day: int) -> SourceYearCounts:
-    """A title chain's tallies at a day ordinal: its members' events up to
-    and including that day, three bisects per member."""
-    documents, citations, cited_documents = timelines
+def _merge_chains(view: IndexSnapshot, timelines: _Timelines) -> None:
+    """Give each current title with predecessors one record for its whole
+    chain (resolve_title_chain): its members' own records merged, once per
+    year. A former title keeps its own record, and no record is kept per
+    chain prefix, so the year stays O(events) however long a chain."""
+    successor = view.successor
+    for source_id in successor.values():
+        if source_id in successor:
+            continue
+        records = [timelines[member] for member in view.resolve_title_chain(source_id) if member in timelines]
+        if len(records) == 1:
+            timelines[source_id] = records[0]  # shared: no record is ever changed
+        elif records:
+            documents, citations, cited_documents = [], [], []
+            for record in records:
+                documents += record[_DOCUMENTS]
+                citations += record[_CITATIONS]
+                cited_documents += record[_CITED]
+            for days in documents, citations, cited_documents:
+                days.sort()
+            timelines[source_id] = documents, citations, cited_documents
+
+
+def _chain_records(view: IndexSnapshot, source_id: int, year: int) -> Sequence[_Record]:
+    """The records whose events make up a source's tallies: a current
+    title's one chain record, or each member's own record for a former
+    title. An unknown source_id raises KeyError, from is_chain_terminal,
+    before any timeline is read."""
+    if view.is_chain_terminal(source_id):
+        return (_timelines(view, year).get(source_id, _NO_EVENTS),)
+    timelines = _timelines(view, year)
+    return [timelines.get(member, _NO_EVENTS) for member in view.resolve_title_chain(source_id)]
+
+
+def _count(view: IndexSnapshot, source_id: int, year: int, field: int) -> int:
+    """A source's events of one field at the view's cutoff."""
+    day = view.cutoff.toordinal()
+    count = 0
+    for record in _chain_records(view, source_id, year):
+        count += bisect_right(record[field], day)
+    return count
+
+
+def _tally(view: IndexSnapshot, source_id: int, year: int) -> tuple[int, int, int]:
+    """A source's (citations, documents, cited documents) at the view's
+    cutoff, in SourceYearCounts order: three bisects per record."""
+    day = view.cutoff.toordinal()
     n_documents = n_citations = n_cited = 0
-    for member in members:
-        n_documents += bisect_right(documents.get(member, ()), day)
-        n_citations += bisect_right(citations.get(member, ()), day)
-        n_cited += bisect_right(cited_documents.get(member, ()), day)
-    return SourceYearCounts(n_citations, n_documents, n_cited)
+    for documents, citations, cited_documents in _chain_records(view, source_id, year):
+        n_documents += bisect_right(documents, day)
+        n_citations += bisect_right(citations, day)
+        n_cited += bisect_right(cited_documents, day)
+    return n_citations, n_documents, n_cited
 
 
 def _days(index: IndexSnapshot, schedule: Sequence[date]) -> list[int]:
@@ -292,7 +360,7 @@ def aggregate_counts(snapshot: IndexSnapshot, year: int) -> dict[int, SourceYear
     """Numerator/denominator tallies for every current title at the view's
     cutoff."""
     return {
-        source_id: _chain_counts(snapshot, source_id, year)
+        source_id: SourceYearCounts(*_tally(snapshot, source_id, year))
         for source_id in snapshot.sources
         if source_id not in snapshot.successor
     }
@@ -311,11 +379,13 @@ def scores(
     for source_id in source_ids:
         if not source_eligible(index, source_id):
             continue
-        members = index.resolve_title_chain(source_id)
+        documents, citations, cited_documents = timelines.get(source_id, _NO_EVENTS)
         for as_of, day in zip(schedule, days):
-            tally = _tally(timelines, members, day)
-            if tally.documents >= 1:
-                yield source_id, as_of, tally, score_from_counts(tally.citations, tally.documents)
+            n_documents = bisect_right(documents, day)
+            if n_documents:
+                n_citations = bisect_right(citations, day)
+                tally = SourceYearCounts(n_citations, n_documents, bisect_right(cited_documents, day))
+                yield source_id, as_of, tally, score_from_counts(n_citations, n_documents)
 
 
 def compute_annual(
@@ -330,8 +400,10 @@ def compute_annual(
     """
     rows: list[MetricsRow] = []
     by_category: dict[int, dict[int, Decimal]] = {}
-    for source_id, _, tally, score in scores(snapshot, year, [snapshot.cutoff], sorted(snapshot.sources)):
-        rows.append(MetricsRow(source_id, year, score, tally.citations, tally.documents, _percent_cited(tally)))
+    for source_id, _, (citations, documents, cited), score in scores(
+        snapshot, year, [snapshot.cutoff], sorted(snapshot.sources)
+    ):
+        rows.append(MetricsRow(source_id, year, score, citations, documents, _percent_cited(cited, documents)))
         for code in snapshot.sources[source_id].asjc_codes:
             by_category.setdefault(code, {})[source_id] = score
 

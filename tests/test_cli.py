@@ -9,6 +9,8 @@ import io
 import json
 import os
 import random
+import re
+import shutil
 import subprocess
 import sys
 import time
@@ -1000,3 +1002,132 @@ def test_index_is_freed_before_the_manifest(corpus, tmp_path, capsys, monkeypatc
     gc.collect()  # so that no earlier test's cyclic garbage is counted
     assert main(command + _flags(corpus) + ["--out", str(tmp_path / "run")]) == 0
     assert live_stores == [0]
+
+
+# The module entry point, run as the console script and the benchmark run it.
+_SRC = str(Path(citescore.__file__).resolve().parents[1])
+
+
+def _run_module(argv, stdout=subprocess.PIPE, unbuffered=True):
+    """python -m citescore.cli argv in a child process, with or without
+    PYTHONUNBUFFERED; returns the CompletedProcess (bytes)."""
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, env.get("PYTHONPATH")]))
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return subprocess.run([sys.executable, "-m", "citescore.cli", *argv], stdout=stdout,
+                          stderr=subprocess.PIPE, env=env, timeout=120)
+
+
+def _tree(root):
+    """{relative path: bytes} of every file under root."""
+    return {str(path.relative_to(root)): path.read_bytes() for path in sorted(root.rglob("*")) if path.is_file()}
+
+
+def _corrupted_verify_dir(corpus, tmp_path):
+    """A verify output directory whose engine metrics.csv has one bad value."""
+    out = tmp_path / "verify-template"
+    assert main(["verify"] + _flags(corpus) + ["--year", "2017", "--out", str(out)]) == 0
+    metrics = out / "engine" / "metrics.csv"
+    lines = metrics.read_text().splitlines()
+    fields = lines[1].split(",")
+    fields[3] = "9.99"
+    lines[1] = ",".join(fields)
+    metrics.write_text("\n".join(lines) + "\n")
+    return out
+
+
+@pytest.mark.parametrize("case, expected_code", [
+    ("compute", 0), ("tracker", 0), ("snapshot-info", 0), ("verify-compare-only", 3), ("usage-error", 2),
+    ("ingest-error", 1),
+])
+def test_module_entry_point_matches_main(corpus, tmp_path, capsys, case, expected_code):
+    """python -m citescore.cli gives the exit code, stdout, stderr and output
+    files of an in-process main() run of the same command line."""
+    out = tmp_path / "run"
+    template = None
+    if case == "compute":
+        argv = ["compute", *_flags(corpus), "--year", "2017", "--out", str(out)]
+    elif case == "tracker":
+        argv = ["tracker", *_flags(corpus), "--year", "2018", "--from", "2018-01", "--to", "2018-06",
+                "--stability-report", "--out", str(out)]
+    elif case == "snapshot-info":
+        argv = ["snapshot-info", *_flags(corpus), "--year", "2017", "--out", str(out)]
+    elif case == "verify-compare-only":
+        template = _corrupted_verify_dir(corpus, tmp_path)
+        argv = ["verify", *_flags(corpus), "--year", "2017", "--compare-only", "--out", str(out)]
+    elif case == "usage-error":
+        argv = ["compute", *_flags(corpus), "--out", str(out)]
+    else:
+        flags, _ = _exit_1_case("duplicate-source-id", tmp_path)
+        argv = ["compute", "--year", "2017", *flags, "--out", str(out)]
+
+    if template is not None:
+        shutil.copytree(template, out)
+    capsys.readouterr()
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    in_process = (code, captured.out.encode(), captured.err.encode(), _tree(out) if out.exists() else None)
+
+    shutil.rmtree(out, ignore_errors=True)
+    if template is not None:
+        shutil.copytree(template, out)
+    done = _run_module(argv)
+    child = (done.returncode, done.stdout, done.stderr, _tree(out) if out.exists() else None)
+
+    assert in_process[0] == expected_code
+    assert child == in_process
+    if expected_code in (0, 3):
+        assert (out / "manifest.json").exists()
+
+
+def test_console_script_target_is_the_module_entry_point():
+    """[project.scripts] names a function of citescore.cli, the one that
+    python -m citescore.cli runs."""
+    pyproject = (Path(_SRC).parent / "pyproject.toml").read_text(encoding="utf-8")
+    match = re.search(r'^citescore = "citescore\.cli:(\w+)"$', pyproject, re.M)
+    assert match is not None
+    assert callable(getattr(cli_module, match[1]))
+    assert Path(cli_module.__file__).read_text(encoding="utf-8").endswith(
+        f'if __name__ == "__main__":\n    {match[1]}()\n'
+    )
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("target", ["closed-pipe", "full-device"])
+@pytest.mark.parametrize("command", ["--help", "--version", "snapshot-info"])
+def test_failed_stdout_is_one_error_line_and_exit_1(corpus, command, target, unbuffered):
+    """Help, version and snapshot-info text that cannot be written to stdout
+    (a pipe whose reader has closed, or a full device) ends the process with
+    exit 1 and one ERROR line on stderr, buffered or not, and not with exit
+    120 and an "Exception ignored" report or a traceback."""
+    argv = ["snapshot-info", *_flags(corpus), "--year", "2017"] if command == "snapshot-info" else [command]
+    if target == "closed-pipe":
+        read_end, stdout = os.pipe()
+        os.close(read_end)
+        message = "ERROR: [Errno 32] Broken pipe\n"
+    else:
+        stdout = os.open("/dev/full", os.O_WRONLY)
+        message = "ERROR: [Errno 28] No space left on device\n"
+    try:
+        done = _run_module(argv, stdout=stdout, unbuffered=unbuffered)
+    finally:
+        os.close(stdout)
+    assert (done.returncode, done.stderr.decode()) == (1, message)
+
+
+def test_a_profiled_run_reports_its_profile(corpus):
+    """Under python -m cProfile the entry point takes the normal exit, so
+    the profiler still prints its report after the command's output."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-m", "cProfile", "-m", "citescore.cli", "snapshot-info", *_flags(corpus), "--year", "2017"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert (done.returncode, done.stderr) == (0, "")
+    info, _, profile = done.stdout.partition("}\n")
+    assert json.loads(info + "}")["sources"] >= 10
+    assert " function calls " in profile
